@@ -3,11 +3,10 @@
 The package is organised around a small reverse-mode autodiff tape
 (:mod:`pcil.autodiff`), two self-contained continuous-control environments
 with scripted experts (:mod:`pcil.envs`), transition storage
-(:mod:`pcil.replay`), a DDPG-style off-policy learner (:mod:`pcil.rl`),
-the contrastive encoder and cosine-similarity reward (:mod:`pcil.contrastive`),
-comparison methods and ablations (:mod:`pcil.baselines`), numerical
-verification of the divergence sandwich (:mod:`pcil.divergence`), and an
-experiment harness with a CLI (:mod:`pcil.harness`, :mod:`pcil.cli`).
+(:mod:`pcil.replay`), the contrastive encoder and cosine-similarity reward
+(:mod:`pcil.contrastive`), numerical verification of the divergence sandwich
+(:mod:`pcil.divergence`), a binary checkpoint format (:mod:`pcil.checkpoint`)
+and the evaluation-record schema (:mod:`pcil.metrics`).
 """
 
 __version__ = "0.1.0"

@@ -27,6 +27,13 @@ _NORM_CUTOFF = 1e-6
 _NORM_EPS = 1e-8
 
 
+def norm_and_denominator(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Norms along ``axis`` (kept as size 1) and the divisor that maps ``x`` onto
+    the unit sphere: the norm, padded by ``_NORM_EPS`` below ``_NORM_CUTOFF``."""
+    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    return norm, np.where(norm < _NORM_CUTOFF, norm + _NORM_EPS, norm)
+
+
 class NonFiniteError(ArithmeticError):
     """An operation produced (or was fed) NaN or Inf."""
 
@@ -216,6 +223,20 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make("scale", a.tape, a.data * c, (a,), (lambda g: g * c,))
 
 
+def div(a, b) -> Tensor:
+    tape = _tape_of(a, b)
+    a, b = _lift(tape, a), _lift(tape, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = a.data / b.data
+    return _make(
+        "div", tape, data, (a, b),
+        (
+            lambda g: _unbroadcast(g / b.data, a.data.shape),
+            lambda g: _unbroadcast(-g * data / b.data, b.data.shape),
+        ),
+    )
+
+
 def div_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
     if c == 0.0:
@@ -354,8 +375,7 @@ def sphere_normalize(a: Tensor, axis: int = -1) -> Tensor:
     blowing up; everything else divides by the exact norm.
     """
     x = a.data
-    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
-    denom = np.where(norm < _NORM_CUTOFF, norm + _NORM_EPS, norm)
+    norm, denom = norm_and_denominator(x, axis)
     data = x / denom
 
     def vjp(g):
@@ -398,7 +418,7 @@ def transpose(a: Tensor) -> Tensor:
 
 #: Every differentiable primitive, for enumeration in gradient-check suites.
 PRIMITIVES = (
-    "add", "sub", "mul", "scale", "div_scalar", "matmul", "dot", "tanh", "relu",
+    "add", "sub", "mul", "div", "scale", "div_scalar", "matmul", "dot", "tanh", "relu",
     "sigmoid", "softplus", "exp", "log", "sqrt", "sum", "mean", "logsumexp",
     "sqnorm", "sphere_normalize", "concat", "reshape", "transpose",
 )

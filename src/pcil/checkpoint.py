@@ -11,6 +11,7 @@ whole agent fits in one file.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Mapping
 
@@ -68,12 +69,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = _U32.unpack(take(4, "name length"))[0]
-        name = take(name_len, "name").decode("utf-8")
+        raw_name = take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name at byte {offset - name_len} is not UTF-8") from exc
         rank = _U32.unpack(take(4, "rank"))[0]
         dims = tuple(_U32.unpack(take(4, "dim"))[0] for _ in range(rank))
-        n_items = int(np.prod(dims)) if dims else 1
+        n_items = math.prod(dims)  # exact: np.prod would wrap around in int64
         payload = take(8 * n_items, f"payload of {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        if not np.all(np.isfinite(tensors[name])):
+            raise CheckpointError(f"tensor {name!r} holds NaN or Inf")
     if offset != len(blob):
         raise CheckpointError(f"trailing garbage after byte {offset}")
     return tensors

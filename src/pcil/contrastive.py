@@ -1,17 +1,17 @@
 """Policy-contrastive encoder, its training losses, and the similarity reward.
 
-The encoder maps transitions (by default just their states) onto the unit
-sphere. Training pulls expert embeddings together and pushes agent embeddings
-away via a multi-positive InfoNCE loss over a half-expert/half-agent batch;
-imitation reward is the cosine similarity between an embedding and an expert
-reference embedding, so it is bounded in [-1, 1] by construction.
+The encoder maps states onto the unit sphere. Training pulls expert
+embeddings together and pushes agent embeddings away via a multi-positive
+InfoNCE loss over a half-expert/half-agent batch; imitation reward is the
+cosine similarity between an embedding and an expert reference embedding, so
+it is bounded in [-1, 1] by construction.
 
 Encoder updates add an interpolated gradient penalty on the reward's input
-gradient. The penalty value can be evaluated exactly (one reverse pass down
-to the inputs), but optimising it would need second-order tape support; the
-update path instead differentiates a central-finite-difference surrogate of
-the input gradient, which agrees with the exact value to ~1e-3 and is an
-ordinary first-order graph.
+gradient. For a ReLU MLP followed by the sphere projection that gradient is
+itself a first-order graph: the ReLU masks are constant almost everywhere and
+the projection's vector-Jacobian product has a closed form. The penalty is
+built from that graph on the ordinary tape, so one backward pass gives its
+exact parameter gradient (double backprop).
 """
 
 from __future__ import annotations
@@ -51,78 +51,62 @@ class Encoder:
         self,
         rng: np.random.Generator,
         state_dim: int,
-        action_dim: int = 0,
         hidden_dim: int = 256,
         embed_dim: int = 64,
         temperature: float = 0.07,
-        encode_action: bool = False,
         trunk: ad.ParameterSet | None = None,
         trunk_out_dim: int | None = None,
     ):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
-        self.state_dim = state_dim
-        self.action_dim = action_dim
-        self.encode_action = encode_action
         self.temperature = temperature
         self.embed_dim = embed_dim
         self.trunk = trunk
-        feature_dim = trunk_out_dim if trunk is not None else state_dim
-        head_in = feature_dim + (action_dim if encode_action else 0)
+        head_in = trunk_out_dim if trunk is not None else state_dim
         self.head = ad.mlp_params(rng, [head_in, hidden_dim, hidden_dim, hidden_dim, embed_dim])
         self.norm_violations = 0
         self.max_norm_error = 0.0
 
-    def build_inputs(self, states: np.ndarray, actions: np.ndarray | None = None) -> np.ndarray:
-        """Assemble raw encoder inputs from transition fields."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if not self.encode_action:
-            return states
-        if actions is None:
-            raise ValueError("encoder is configured with encode_action=true but got no actions")
-        actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-        return np.concatenate([states, actions], axis=1)
-
     def embed_graph(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None) -> ad.Tensor:
         """Embedding as a tape graph; pass watched head nodes when training."""
-        if self.encode_action:
-            state_part = _slice_cols(x, 0, self.state_dim)
-            action_part = _slice_cols(x, self.state_dim, x.data.shape[1])
-        else:
-            state_part, action_part = x, None
-        features = state_part
+        return self._forward(tape, x, head_nodes)[0]
+
+    def _forward(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None):
+        """Tape forward through the constant trunk (if any) and the head.
+
+        Returns the embedding, the head's output before the sphere projection
+        and, for every linear layer in order, its weight node and the mask of
+        the ReLU that follows it (None for the head's last layer).
+        """
+        if head_nodes is None:
+            head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
+        nets = [(head_nodes, False)]
         if self.trunk is not None:
-            trunk_nodes = {n: tape.constant(v) for n, v in self.trunk.items()}
-            features = ad.mlp_apply(trunk_nodes, features, hidden="relu", output="relu")
-        if action_part is not None:
-            features = ad.concat([features, action_part], axis=1)
-        nodes = head_nodes if head_nodes is not None else {
-            n: tape.constant(v) for n, v in self.head.items()
-        }
-        out = ad.mlp_apply(nodes, features, hidden="relu", output=None)
-        emb = ad.sphere_normalize(out, axis=-1)
+            nets.insert(0, ({n: tape.constant(v) for n, v in self.trunk.items()}, True))
+        layers = []
+        for nodes, relu_last in nets:
+            count = ad.mlp_layer_count(nodes)
+            for i in range(count):
+                w = nodes[f"layer{i}.w"]
+                x = ad.add(ad.matmul(x, w), nodes[f"layer{i}.b"])
+                mask = None
+                if relu_last or i < count - 1:
+                    mask = x.data > 0.0
+                    x = ad.relu(x)
+                layers.append((w, mask))
+        emb = ad.sphere_normalize(x, axis=-1)
         self._check_norms(emb.data)
-        return emb
+        return emb, x, layers
 
     def embed(self, inputs: np.ndarray) -> np.ndarray:
         """Unit-norm embeddings, inference path."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if not np.all(np.isfinite(inputs)):
+        features = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        if not np.all(np.isfinite(features)):
             raise ad.NonFiniteError("encoder inputs contain NaN or Inf")
-        x = inputs
-        if self.encode_action:
-            states, actions = x[:, : self.state_dim], x[:, self.state_dim :]
-        else:
-            states, actions = x, None
-        features = states
         if self.trunk is not None:
             features = ad.mlp_apply_np(self.trunk, features, hidden="relu", output="relu")
-        if actions is not None:
-            features = np.concatenate([features, actions], axis=1)
         out = ad.mlp_apply_np(self.head, features, hidden="relu", output=None)
-        norm = np.sqrt((out * out).sum(axis=1, keepdims=True))
-        denom = np.where(norm < 1e-6, norm + 1e-8, norm)
-        emb = out / denom
+        emb = out / ad.norm_and_denominator(out)[1]
         self._check_norms(emb)
         return emb
 
@@ -131,14 +115,6 @@ class Encoder:
         self.max_norm_error = max(self.max_norm_error, err)
         if err > 1e-9:
             self.norm_violations += 1
-
-
-def _slice_cols(x: ad.Tensor, lo: int, hi: int) -> ad.Tensor:
-    # column selection via a constant selector matrix keeps the primitive set small
-    d = x.data.shape[1]
-    sel = np.zeros((d, hi - lo))
-    sel[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-    return ad.matmul(x, x.tape.constant(sel))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +202,7 @@ def make_expert_reference(
     mean = encoder.embed(expert_inputs).mean(axis=0)
     if not normalize:
         return mean
-    norm = np.linalg.norm(mean)
-    denom = norm + 1e-8 if norm < 1e-6 else norm
-    return mean / denom
+    return mean / ad.norm_and_denominator(mean)[1]
 
 
 def similarity_reward(encoder: Encoder, inputs: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -274,69 +248,50 @@ def interpolate_pairs(
     return u * e[:n] + (1.0 - u) * a[:n]
 
 
-def reward_input_gradients(encoder, x_hat: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Exact per-sample gradient of the similarity reward w.r.t. its input."""
-    tape = ad.Tape()
-    x = tape.leaf(np.asarray(x_hat, dtype=np.float64))
-    emb = encoder.embed_graph(tape, x)
-    total = ad.tsum(ad.matmul(emb, tape.constant(np.asarray(reference)[:, None])))
-    tape.backward(total)
-    return x.grad
+def input_gradient_graph(
+    tape: ad.Tape, encoder: Encoder, head_nodes, x_hat: np.ndarray, reference: np.ndarray
+) -> ad.Tensor:
+    """Rows of d<embed(x), reference>/dx at the rows of ``x_hat``, as a tape graph.
+
+    Seeds the chain with the closed-form VJP of the sphere projection (same
+    cutoff rule as ``sphere_normalize``), then walks the layers backwards with
+    their ReLU masks held constant, ``g = (g * mask) @ W.T``. Every op is first
+    order in the head parameters, so backward through the rows is exact.
+    """
+    emb, out, layers = encoder._forward(tape, tape.constant(encoder_inputs(x_hat)), head_nodes)
+    ref = np.asarray(reference, dtype=np.float64)
+    norm_np, denom_np = ad.norm_and_denominator(out.data)
+    norm = ad.reshape(ad.sqrt(ad.sqnorm(out, axis=1)), norm_np.shape)
+    denom = ad.add(norm, denom_np - norm_np)
+    # VJP of out / denom: ref / denom - emb <emb, ref> / norm
+    radial = ad.mul(emb, ad.matmul(emb, tape.constant(ref[:, None])))
+    g = ad.sub(ad.div(ref[None, :], denom), ad.div(radial, norm))
+    for w, mask in reversed(layers):
+        if mask is not None:
+            g = ad.mul(g, mask)
+        g = ad.matmul(g, ad.transpose(w))
+    return g
+
+
+def penalty_graph(
+    tape: ad.Tape, encoder: Encoder, head_nodes, x_hat: np.ndarray, reference: np.ndarray
+) -> ad.Tensor:
+    """Gradient penalty ``mean((|grad_x r| - 1)^2)`` at ``x_hat`` as a tape graph."""
+    g = input_gradient_graph(tape, encoder, head_nodes, x_hat, reference)
+    dev = ad.sub(ad.sqrt(ad.sqnorm(g, axis=1)), 1.0)
+    return ad.tmean(ad.mul(dev, dev))
 
 
 def gradient_penalty(
-    encoder,
+    encoder: Encoder,
     expert_inputs: np.ndarray,
     agent_inputs: np.ndarray,
     reference: np.ndarray,
     rng: np.random.Generator,
-    center_zero: bool = False,
 ) -> float:
-    """Exact penalty value on interpolated inputs (reverse pass to inputs).
-
-    Default form penalises the reward's input-gradient norm toward 1;
-    ``center_zero`` penalises the squared norm toward 0 instead.
-    """
+    """Penalty value only (no update) on freshly interpolated inputs."""
     x_hat = interpolate_pairs(expert_inputs, agent_inputs, rng)
-    grads = reward_input_gradients(encoder, x_hat, reference)
-    norms = np.linalg.norm(grads, axis=1)
-    if center_zero:
-        return float(np.mean(norms**2))
-    return float(np.mean((norms - 1.0) ** 2))
-
-
-def penalty_graph(
-    tape: ad.Tape,
-    encoder,
-    head_nodes,
-    x_hat: np.ndarray,
-    reference: np.ndarray,
-    center_zero: bool = False,
-    fd_step: float = 1e-5,
-) -> ad.Tensor:
-    """First-order differentiable surrogate of the gradient penalty.
-
-    The input gradient is approximated by central differences over input
-    perturbations, so the whole expression stays on the ordinary tape and one
-    backward pass yields the parameter gradient of the penalty. Agrees with
-    the exact value to ~1e-3.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    n, d = x_hat.shape
-    eye = np.eye(d)
-    plus = np.concatenate([x_hat + fd_step * eye[j] for j in range(d)], axis=0)
-    minus = np.concatenate([x_hat - fd_step * eye[j] for j in range(d)], axis=0)
-    ref_col = tape.constant(np.asarray(reference)[:, None])
-    r_plus = ad.matmul(encoder.embed_graph(tape, tape.constant(plus), head_nodes), ref_col)
-    r_minus = ad.matmul(encoder.embed_graph(tape, tape.constant(minus), head_nodes), ref_col)
-    fd = ad.scale(ad.sub(r_plus, r_minus), 1.0 / (2.0 * fd_step))
-    per_dim = ad.reshape(fd, (d, n))
-    sum_sq = ad.tsum(ad.mul(per_dim, per_dim), axis=0)
-    if center_zero:
-        return ad.tmean(sum_sq)
-    norms = ad.sqrt(ad.add(sum_sq, tape.constant(np.full(n, 1e-12))))
-    dev = ad.sub(norms, tape.constant(np.ones(n)))
-    return ad.tmean(ad.mul(dev, dev))
+    return float(penalty_graph(ad.Tape(), encoder, None, x_hat, reference).data)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +306,12 @@ def encoder_update(
     rng: np.random.Generator,
     gp_weight: float = 10.0,
     inside_log: bool = False,
-    center_zero: bool = False,
 ) -> tuple[float, float]:
     """One Adam step on ``InfoNCE + gp_weight * gradient penalty``.
 
-    Returns (representation loss, penalty surrogate value). The gradient
-    penalty probes the similarity reward against the batch's mean-mode
-    reference, held constant for the step.
+    Returns (representation loss, penalty value). The gradient penalty probes
+    the similarity reward against the batch's mean-mode reference, held
+    constant for the step.
     """
     expert = encoder_inputs(batch.expert_inputs)
     agent = encoder_inputs(batch.agent_inputs)
@@ -369,7 +323,7 @@ def encoder_update(
     emb_e = encoder.embed_graph(tape, tape.constant(expert), head_nodes)
     emb_a = encoder.embed_graph(tape, tape.constant(agent), head_nodes)
     loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature, inside_log)
-    penalty = penalty_graph(tape, encoder, head_nodes, x_hat, reference, center_zero)
+    penalty = penalty_graph(tape, encoder, head_nodes, x_hat, reference)
     total = ad.add(loss, ad.scale(penalty, gp_weight))
     tape.backward(total)
     grads = {name: node.grad for name, node in head_nodes.items()}

@@ -182,41 +182,58 @@ def save_demos(path, transitions: list[Transition], header_comment: str | None =
 
 
 def load_demos(path) -> list[Transition]:
+    """Read a demo file; every row must be finite and shaped like the first."""
     transitions: list[Transition] = []
+    linenos: list[int] = []  # where each transition came from, for error messages
+    offsets: list[int] = []
     offset = 0
-    with open(path, "r", encoding="utf-8") as fh:
+
+    def malformed(i: int, why) -> DemoFormatError:
+        return DemoFormatError(
+            f"malformed demo file {path}: line {linenos[i]} (byte offset {offsets[i]}): {why}")
+
+    with open(path, "rb") as fh:  # bytes: exact offsets, and bad UTF-8 fails inside the try
         for lineno, line in enumerate(fh, start=1):
-            line_bytes = len(line.encode("utf-8"))
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                offset += line_bytes
-                continue
-            try:
-                row = json.loads(stripped)
-                transitions.append(
-                    Transition(
+            if stripped and not stripped.startswith(b"#"):
+                linenos.append(lineno)
+                offsets.append(offset)
+                try:
+                    row = json.loads(stripped.decode("utf-8"))
+                    transitions.append(Transition(
                         state=np.array(row["state"], dtype=np.float64),
                         action=np.array(row["action"], dtype=np.float64),
                         next_state=np.array(row["next_state"], dtype=np.float64),
                         reward_env=float(row["reward_env"]),
                         done=bool(row["done"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DemoFormatError(
-                    f"malformed demo file {path}: line {lineno} (byte offset {offset}): {exc}"
-                ) from exc
-            offset += line_bytes
+                    ))
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise malformed(-1, exc) from exc
+            offset += len(line)
     if not transitions:
         raise DemoFormatError(f"demo file {path} is empty: at least one transition required")
+    # vectorised whole-file checks keep loading fast; rows are located only on failure
+    try:
+        arrays = demo_arrays(transitions)
+    except ValueError:
+        shapes = [(t.state.shape, t.action.shape, t.next_state.shape) for t in transitions]
+        i = next(i for i, s in enumerate(shapes) if s != shapes[0])
+        raise malformed(i, f"state/action/next_state shapes {shapes[i]} differ from "
+                           f"the first row's {shapes[0]}") from None
+    finite = np.ones(len(transitions), dtype=bool)
+    for arr in arrays:
+        finite &= np.isfinite(arr.reshape(len(transitions), -1)).all(axis=1)
+    if not finite.all():
+        raise malformed(int(np.argmin(finite)), "NaN or Inf value")
     return transitions
 
 
 def demo_arrays(transitions: list[Transition]):
     """Stack demo fields into (states, actions, next_states, rewards) arrays."""
+    # np.array stacks in C; np.stack reshapes every row in Python first
     return (
-        np.stack([t.state for t in transitions]),
-        np.stack([t.action for t in transitions]),
-        np.stack([t.next_state for t in transitions]),
+        np.array([t.state for t in transitions]),
+        np.array([t.action for t in transitions]),
+        np.array([t.next_state for t in transitions]),
         np.array([t.reward_env for t in transitions]),
     )

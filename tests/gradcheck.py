@@ -121,4 +121,7 @@ def primitive_cases(rng):
     cases.append(("reshape", lambda t, ls: scalarize(t, ad.reshape(ls[0], (3, 2)), w32), [rand(2, 3)]))
     w32b = rand(3, 2)
     cases.append(("transpose", lambda t, ls: scalarize(t, ad.transpose(ls[0]), w32b), [rand(2, 3)]))
+    # denominators kept well away from zero
+    a, b = rand(2, 3), rand(2, 1, lo=0.5, hi=2.5) * rng.choice([-1.0, 1.0])
+    cases.append(("div", lambda t, ls: scalarize(t, ad.div(ls[0], ls[1]), w23), [a, b]))
     return cases

@@ -10,10 +10,10 @@ from pcil.contrastive import (
     encoder_update,
     gradient_penalty,
     infonce_loss,
+    input_gradient_graph,
     interpolate_pairs,
     make_expert_reference,
     penalty_graph,
-    reward_input_gradients,
     similarity_reward,
 )
 from gradcheck import check_gradients
@@ -27,6 +27,25 @@ def small_encoder(seed=0, state_dim=3, hidden=8, embed=4, **kw):
         embed_dim=embed,
         **kw,
     )
+
+
+def trunk_encoder(seed=0, state_dim=3, hidden=8, embed=4, trunk_width=6):
+    rng = np.random.default_rng(seed)
+    trunk = ad.mlp_params(rng, [state_dim, trunk_width, trunk_width])
+    return Encoder(
+        rng, state_dim=state_dim, hidden_dim=hidden, embed_dim=embed,
+        trunk=trunk, trunk_out_dim=trunk_width,
+    )
+
+
+def reward_input_gradients(encoder, x_hat, reference):
+    """Reference oracle: per-row gradient of the similarity reward w.r.t. its
+    input, by one reverse pass down to the inputs."""
+    tape = ad.Tape()
+    x = tape.leaf(np.asarray(x_hat, dtype=np.float64))
+    emb = encoder.embed_graph(tape, x)
+    tape.backward(ad.tsum(ad.matmul(emb, tape.constant(np.asarray(reference)[:, None]))))
+    return x.grad
 
 
 def random_rotation(rng, dim):
@@ -90,20 +109,6 @@ class TestEmbed:
         emb = enc.embed(x)
         assert emb.shape == (5, 4)
         assert np.all(np.abs(np.linalg.norm(emb, axis=1) - 1) <= 1e-9)
-
-    def test_encode_action_concatenates(self):
-        enc = Encoder(
-            np.random.default_rng(8), state_dim=3, action_dim=2, hidden_dim=8,
-            embed_dim=4, encode_action=True,
-        )
-        states = np.ones((4, 3))
-        actions = np.zeros((4, 2))
-        inputs = enc.build_inputs(states, actions)
-        assert inputs.shape == (4, 5)
-        emb = enc.embed(inputs)
-        assert np.all(np.abs(np.linalg.norm(emb, axis=1) - 1) <= 1e-9)
-        with pytest.raises(ValueError, match="encode_action"):
-            enc.build_inputs(states, None)
 
 
 class TestInfoNCE:
@@ -188,18 +193,6 @@ class _IdentityEmbed:
         return np.atleast_2d(inputs)
 
 
-class _ConstantEmbed:
-    def __init__(self, dim):
-        self.dim = dim
-
-    def embed_graph(self, tape, x, head_nodes=None):
-        out = ad.mul(x, tape.constant(np.zeros(x.data.shape)))
-        ones = tape.constant(np.concatenate([np.ones((x.data.shape[0], 1)),
-                                             np.zeros((x.data.shape[0], self.dim - 1))], axis=1))
-        sel = tape.constant(np.zeros((x.data.shape[1], self.dim)))
-        return ad.add(ad.matmul(x, sel), ones)
-
-
 class TestSimilarityReward:
     def test_self_similarity_is_one(self):
         enc = small_encoder(seed=11)
@@ -235,47 +228,50 @@ class TestSimilarityReward:
 
 
 class TestGradientPenalty:
-    def test_unit_gradient_reward_gives_zero(self):
-        stub = _IdentityEmbed()
-        rng = np.random.default_rng(0)
-        ref = np.array([0.6, 0.8])
-        val = gradient_penalty(stub, rng.normal(size=(8, 2)), rng.normal(size=(8, 2)), ref, rng)
-        assert val == pytest.approx(0.0, abs=1e-12)
+    @staticmethod
+    def probe(enc, seed, n=12):
+        # a random unit reference: the mean-mode one sits where grad_x r is ~0
+        rng = np.random.default_rng(seed)
+        expert = rng.uniform(-2, 2, size=(n, 3))
+        agent = rng.uniform(-2, 2, size=(n, 3))
+        ref = rng.normal(size=enc.embed_dim)
+        return expert, agent, ref / np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
+    def test_input_gradient_rows_match_oracle(self, with_trunk):
+        for seed in range(5):
+            enc = trunk_encoder(seed) if with_trunk else small_encoder(seed=seed)
+            expert, agent, ref = self.probe(enc, 100 + seed)
+            x_hat = interpolate_pairs(expert, agent, np.random.default_rng(seed))
+            oracle = reward_input_gradients(enc, x_hat, ref)
+            assert np.max(np.linalg.norm(oracle, axis=1)) > 1e-3  # not a degenerate probe
+            rows = input_gradient_graph(ad.Tape(), enc, None, x_hat, ref).data
+            np.testing.assert_allclose(rows, oracle, rtol=0.0, atol=1e-12)
+            expected = float(np.mean((np.linalg.norm(oracle, axis=1) - 1.0) ** 2))
+            value = float(penalty_graph(ad.Tape(), enc, None, x_hat, ref).data)
+            assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_value_matches_oracle(self):
+        enc = small_encoder(seed=16)
+        expert, agent, ref = self.probe(enc, 17)
+        val = gradient_penalty(enc, expert, agent, ref, np.random.default_rng(5))
+        x_hat = interpolate_pairs(expert, agent, np.random.default_rng(5))
+        norms = np.linalg.norm(reward_input_gradients(enc, x_hat, ref), axis=1)
+        assert val == pytest.approx(np.mean((norms - 1.0) ** 2), rel=0.0, abs=1e-12)
 
     def test_constant_reward_gives_one(self):
-        stub = _ConstantEmbed(dim=3)
-        rng = np.random.default_rng(1)
-        ref = np.array([1.0, 0.0, 0.0])
-        val = gradient_penalty(stub, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), ref, rng)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_center_zero_variant(self):
-        stub = _IdentityEmbed()
-        rng = np.random.default_rng(2)
-        ref = np.array([0.6, 0.8])
-        val = gradient_penalty(
-            stub, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), ref, rng, center_zero=True
-        )
-        assert val == pytest.approx(1.0, abs=1e-12)  # squared norm of a unit gradient
-
-    def test_surrogate_matches_exact(self):
-        enc = small_encoder(seed=16)
-        rng = np.random.default_rng(17)
-        expert = rng.uniform(-1, 1, size=(12, 3))
-        agent = rng.uniform(-1, 1, size=(12, 3))
-        ref = make_expert_reference(enc, expert, mode="mean")
-        x_hat = interpolate_pairs(expert, agent, np.random.default_rng(5))
-        exact_grads = reward_input_gradients(enc, x_hat, ref)
-        exact = float(np.mean((np.linalg.norm(exact_grads, axis=1) - 1.0) ** 2))
-        tape = ad.Tape()
-        surrogate = float(penalty_graph(tape, enc, None, x_hat, ref).data)
-        assert surrogate == pytest.approx(exact, abs=1e-3)
+        # a zero last-layer weight makes every embedding the same, so grad_x r == 0
+        enc = small_encoder(seed=1)
+        last = f"layer{ad.mlp_layer_count(enc.head) - 1}.w"
+        enc.head[last] = np.zeros_like(enc.head[last])
+        expert, agent, ref = self.probe(enc, 2, n=4)
+        assert gradient_penalty(enc, expert, agent, ref, np.random.default_rng(3)) == 1.0
 
     def test_empty_batch_rejected(self):
-        stub = _IdentityEmbed()
+        enc = small_encoder()
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="non-empty"):
-            gradient_penalty(stub, np.zeros((0, 2)), np.ones((2, 2)), np.ones(2), rng)
+            gradient_penalty(enc, np.zeros((0, 3)), np.ones((2, 3)), np.ones(4) / 2.0, rng)
 
 
 def separable_batch(rng, n=24):
@@ -307,25 +303,27 @@ class TestEncoderUpdate:
         assert enc.norm_violations == 0
 
     def test_update_loss_gradient_matches_finite_differences(self):
-        # end-to-end: d(loss + 10*penalty)/d(head params) against central FD
-        rng = np.random.default_rng(22)
-        enc = small_encoder(seed=23, hidden=5, embed=3)
-        batch = separable_batch(rng, n=4)
-        reference = make_expert_reference(enc, batch.expert_inputs, mode="mean")
-        x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, rng)
-        names = enc.head.names()
+        # end-to-end: d(loss + 10*penalty)/d(head params) against central FD,
+        # standalone and on a shared trunk
+        for enc in (small_encoder(seed=23, hidden=5, embed=3),
+                    trunk_encoder(seed=24, hidden=5, embed=3, trunk_width=5)):
+            rng = np.random.default_rng(22)
+            batch = separable_batch(rng, n=4)
+            reference = make_expert_reference(enc, batch.expert_inputs, mode="mean")
+            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, rng)
+            names = enc.head.names()
 
-        def build(tape, leaves):
-            nodes = dict(zip(names, leaves))
-            e = enc.embed_graph(tape, tape.constant(batch.expert_inputs), nodes)
-            a = enc.embed_graph(tape, tape.constant(batch.agent_inputs), nodes)
-            loss = contrastive_loss_graph(e, a, enc.temperature)
-            pen = penalty_graph(tape, enc, nodes, x_hat, reference)
-            return ad.add(loss, ad.scale(pen, 10.0))
+            def build(tape, leaves):
+                nodes = dict(zip(names, leaves))
+                e = enc.embed_graph(tape, tape.constant(batch.expert_inputs), nodes)
+                a = enc.embed_graph(tape, tape.constant(batch.agent_inputs), nodes)
+                loss = contrastive_loss_graph(e, a, enc.temperature)
+                pen = penalty_graph(tape, enc, nodes, x_hat, reference)
+                return ad.add(loss, ad.scale(pen, 10.0))
 
-        arrays = [enc.head[n].copy() for n in names]
-        err = check_gradients(build, arrays, h=1e-6, tol=1e-3)
-        assert err < 1e-3
+            arrays = [enc.head[n].copy() for n in names]
+            err = check_gradients(build, arrays, h=1e-6, tol=1e-6)
+            assert err < 1e-6
 
 
 class TestAlGap:

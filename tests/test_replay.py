@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,3 +219,41 @@ class TestDemoFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DemoFormatError, match="line 2"):
             load_demos(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("state", "NaN"), ("action", "Infinity"), ("next_state", "-Infinity"),
+        ("reward_env", "1e999"),
+        pytest.param("reward_env", "1" + "0" * 400, id="reward_env-int_overflows_float"),
+    ])
+    def test_non_finite_value_names_line_and_offset(self, tmp_path, field, value):
+        path = tmp_path / "demos.jsonl"
+        save_demos(path, self.episodes(n_episodes=1, length=3), header_comment="x")
+        lines = path.read_text().splitlines()
+        offset = sum(len(line) + 1 for line in lines[:3])
+        lines[3], count = re.subn(rf'("{field}":\[?)[-0-9.e]+', rf"\g<1>{value}", lines[3], count=1)
+        assert count == 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DemoFormatError, match=rf"line 4 \(byte offset {offset}\): "):
+            load_demos(path)
+
+    def test_non_utf8_line_names_line_and_offset(self, tmp_path):
+        path = tmp_path / "demos.jsonl"
+        save_demos(path, self.episodes(n_episodes=1, length=3))
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"0.", b"\xff.", 1)
+        path.write_bytes(b"\n".join(lines))
+        offset = len(lines[0]) + len(lines[1]) + 2
+        with pytest.raises(DemoFormatError, match=rf"line 3 \(byte offset {offset}\): .*utf-8"):
+            load_demos(path)
+
+    @pytest.mark.parametrize("field", ["state", "action", "next_state"])
+    def test_ragged_row_names_line_and_offset(self, tmp_path, field):
+        path = tmp_path / "demos.jsonl"
+        save_demos(path, self.episodes(n_episodes=1, length=3))
+        lines = path.read_text().splitlines()
+        offset = len(lines[0]) + 1
+        lines[1] = lines[1].replace(f'"{field}":[', f'"{field}":[0.5,', 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DemoFormatError, match=rf"line 2 \(byte offset {offset}\): .*differ"):
+            load_demos(path)
+
