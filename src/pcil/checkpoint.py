@@ -74,6 +74,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"tensor name at byte {offset - name_len} is not UTF-8") from exc
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor name {name!r} at byte {offset - name_len}")
         rank = _U32.unpack(take(4, "rank"))[0]
         dims = tuple(_U32.unpack(take(4, "dim"))[0] for _ in range(rank))
         n_items = math.prod(dims)  # exact: np.prod would wrap around in int64

@@ -91,3 +91,14 @@ def test_overflowing_shape_reported_as_truncation(tmp_path):
     path.write_bytes(b"PCIL" + u32(1) + u32(1) + u32(1) + b"x" + u32(4) + u32(2**16) * 4)
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_duplicate_name_reports_offset(tmp_path):
+    # the writer takes a mapping, so only a hand-built file can repeat a name
+    path = tmp_path / "ckpt.bin"
+    u32 = lambda v: int(v).to_bytes(4, "little")
+    tensor = lambda value: u32(1) + b"a" + u32(1) + u32(1) + np.array([value], "<f8").tobytes()
+    path.write_bytes(b"PCIL" + u32(1) + u32(2) + tensor(1.0) + tensor(2.0))
+    second_name_at = 12 + 4 + (1 + 4 + 4 + 8) + 4
+    with pytest.raises(CheckpointError, match=rf"duplicate tensor name 'a' at byte {second_name_at}"):
+        load_checkpoint(path)

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcil.divergence import (
     RewardWitness,
+    box_maximiser,
     constructive_witness,
     d_cont_estimate,
     exact_pair_loss_gradient,
@@ -18,6 +21,44 @@ from pcil.divergence import (
 
 def random_pair(rng, n):
     return rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+
+
+def edge_oracle(p, q) -> float:
+    """Box maximum of |<g, p>| * <g, p - q> by brute force over every box edge.
+
+    The maximum of the objective over a face lies on the face's boundary, so
+    it lies on one of the n * 2^(n-1) edges. Along edge i (coordinate i free
+    in [-1, 1], the rest fixed at -1 or +1) the objective is piecewise
+    quadratic with pieces split at a = 0: the candidates are the two ends,
+    the stationary point and the a = 0 crossing.
+    """
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    n, d = p.size, p - q
+    corners = np.array(list(itertools.product([-1.0, 1.0], repeat=n - 1)))
+    corners = corners.reshape(2 ** (n - 1), n - 1)
+    best = 0.0
+    for i in range(n):
+        rest = np.delete(np.arange(n), i)
+        a_fix, b_fix = corners @ p[rest], corners @ d[rest]
+        ts = [np.full_like(a_fix, -1.0), np.full_like(a_fix, 1.0)]
+        if p[i] * d[i] != 0.0:
+            ts.append(-(a_fix * d[i] + b_fix * p[i]) / (2.0 * p[i] * d[i]))
+        if p[i] != 0.0:
+            ts.append(-a_fix / p[i])
+        for t in ts:
+            t = np.clip(t, -1.0, 1.0)
+            best = max(best, float(np.max(np.abs(a_fix + t * p[i]) * (b_fix + t * d[i]))))
+    return best
+
+
+def assert_exact(p, q):
+    """The solver matches the edge oracle and its value is attained by its g."""
+    g = box_maximiser(p, q)
+    value = d_cont_estimate(p, q)
+    assert np.all(np.abs(g) <= 1.0)
+    assert value == inner_objective(g, p, q)
+    assert value == pytest.approx(edge_oracle(p, q), abs=1e-12)
+    return value
 
 
 class TestTvDistance:
@@ -40,6 +81,13 @@ class TestTvDistance:
             tv_distance([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(ValueError, match="non-negative"):
             tv_distance([1.5, -0.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_distribution_rejected(self, bad):
+        for p, q in (([bad, 1.0], [0.5, 0.5]), ([0.5, 0.5], [bad, 1.0])):
+            for check in (tv_distance, d_cont_estimate, sandwich_check):
+                with pytest.raises(ValueError, match="NaN or Inf"):
+                    check(p, q)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
@@ -68,6 +116,18 @@ class TestInnerObjective:
     def test_outside_box_rejected(self):
         with pytest.raises(ValueError, match="box"):
             inner_objective([1.5, 0.0], [1.0, 0.0], [0.0, 1.0])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"g has shape \(1,\)"):
+            inner_objective([0.5], [0.5, 0.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["g", "p", "q"])
+    def test_non_finite_input_rejected(self, where, bad):
+        args = {"g": [0.5, 0.5], "p": [0.5, 0.5], "q": [0.5, 0.5]}
+        args[where] = [bad, 1.0] if where != "g" else [bad, 0.5]
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            inner_objective(args["g"], args["p"], args["q"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
@@ -121,55 +181,83 @@ class TestConstructiveWitness:
 
 class TestDContEstimate:
     def test_tight_upper_case(self):
-        est = d_cont_estimate([1.0, 0.0], [0.0, 1.0], restarts=4)
-        assert est == pytest.approx(2.0, abs=1e-9)
+        assert assert_exact([1.0, 0.0], [0.0, 1.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_equal_distributions(self):
         p = [0.4, 0.6]
-        assert d_cont_estimate(p, p, restarts=4) == pytest.approx(0.0, abs=1e-12)
-
-    def test_monotone_in_restarts(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            p, q = random_pair(rng, 5)
-            lo = d_cont_estimate(p, q, restarts=2, seed=9)
-            hi = d_cont_estimate(p, q, restarts=16, seed=9)
-            assert hi >= lo - 1e-15
+        assert assert_exact(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_dominates_witness(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p, q = random_pair(rng, int(rng.integers(2, 9)))
-            est = d_cont_estimate(p, q, restarts=4)
+            est = d_cont_estimate(p, q)
             assert est >= constructive_witness(p, q, 0.5).value - 1e-12
 
-    def test_restarts_validated(self):
-        with pytest.raises(ValueError, match="restarts"):
-            d_cont_estimate([1.0, 0.0], [0.0, 1.0], restarts=0)
+    def test_interior_edge_point_beats_every_vertex(self):
+        # the best vertex g = (-1, 1) gives 0.24; the maximum 0.25 sits inside
+        # an edge, at g = (-2/3, 1)
+        p, q = [0.3, 0.7], [0.6, 0.4]
+        assert assert_exact(p, q) == pytest.approx(0.25, abs=1e-12)
+        np.testing.assert_allclose(box_maximiser(p, q), [-2.0 / 3.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, q, expected",
+        [
+            pytest.param([1.0], [1.0], 0.0, id="one_point"),
+            pytest.param([0.9, 0.1], [0.1, 0.9], 1.28, id="two_point"),
+            pytest.param([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], 2.0, id="disjoint"),
+            pytest.param([0.5, 0.5, 0.0], [0.2, 0.3, 0.5], None, id="zero_mass_expert_atom"),
+            pytest.param([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], None, id="q_reversed_p"),
+            pytest.param([0.5, 0.0, 0.5], [0.5, 0.0, 0.5], 0.0, id="equal_with_unvisited_atom"),
+            pytest.param([0.2, 0.2, 0.6], [0.1, 0.1, 0.8], None, id="equal_generators"),
+            pytest.param([0.2, 0.4, 0.4], [0.1, 0.2, 0.7], None, id="parallel_generators"),
+            pytest.param([0.25, 0.25, 0.5], [0.35, 0.15, 0.5], None, id="generator_on_a_axis"),
+            pytest.param([-5e-10, 0.5 + 5e-10, 0.5], [0.3, 0.3, 0.4], None, id="negative_atom_in_tol"),
+        ],
+    )
+    def test_degenerate_cases(self, p, q, expected):
+        value = assert_exact(p, q)
+        if expected is not None:
+            assert value == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
+    )
+    def test_property_matches_edge_oracle(self, p_weights, q_weights):
+        # small integer weights hit ties, zero atoms and parallel generators
+        n = min(len(p_weights), len(q_weights))
+        p, q = np.array(p_weights[:n], float), np.array(q_weights[:n], float)
+        assume(p.sum() > 0 and q.sum() > 0)
+        assert_exact(p / p.sum(), q / q.sum())
 
 
 class TestSandwich:
     def test_thousand_random_pairs(self):
         rng = np.random.default_rng(5)
-        half_count = 0
+        half_count, min_ratio = 0, np.inf
         for _ in range(1000):
             n = int(rng.integers(2, 9))
             p, q = random_pair(rng, n)
-            rep = sandwich_check(p, q, restarts=8)
+            rep = sandwich_check(p, q)
             assert rep.lower_ok and rep.upper_ok
+            assert rep.d_cont_est == pytest.approx(edge_oracle(p, q), abs=1e-12)
             half_count += rep.stronger_half_lower
+            min_ratio = min(min_ratio, rep.d_cont_est / rep.tv)
         # the stronger 0.5*TV lower bound is reported, not asserted
-        print(f"estimate cleared 0.5*TV on {half_count}/1000 pairs")
+        print(f"maximum cleared 0.5*TV on {half_count}/1000 pairs, min ratio {min_ratio:.3f}")
 
     def test_tight_case(self):
-        rep = sandwich_check([1.0, 0.0], [0.0, 1.0], restarts=4)
+        rep = sandwich_check([1.0, 0.0], [0.0, 1.0])
         assert rep.tv == pytest.approx(1.0)
         assert rep.d_cont_est == pytest.approx(2.0, abs=1e-9)
         assert rep.lower_ok and rep.upper_ok
 
     def test_vacuous_case(self):
         p = [0.5, 0.5]
-        rep = sandwich_check(p, p, restarts=2)
+        rep = sandwich_check(p, p)
         assert rep.tv == 0.0 and rep.d_cont_est == pytest.approx(0.0, abs=1e-12)
         assert rep.lower_ok and rep.upper_ok
 
@@ -184,7 +272,7 @@ class TestTableEncoderGap:
             emb = rng.normal(size=(n, dim))
             emb /= np.linalg.norm(emb, axis=1, keepdims=True)
             gap = table_encoder_gap(emb, p, q)
-            assert gap <= d_cont_estimate(p, q, restarts=8) + 1e-6
+            assert gap <= d_cont_estimate(p, q) + 1e-9
 
     def test_renormalized_reference_breaks_the_bound(self):
         # two-point counterexample: with a renormalised mean reference the gap
@@ -192,7 +280,7 @@ class TestTableEncoderGap:
         p = np.array([0.9, 0.1])
         q = np.array([0.1, 0.9])
         emb = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        est = d_cont_estimate(p, q, restarts=16)
+        est = d_cont_estimate(p, q)
         assert est == pytest.approx(1.28, abs=1e-9)
         raw_gap = table_encoder_gap(emb, p, q)
         assert raw_gap <= est + 1e-9
