@@ -491,38 +491,6 @@ def mlp_layer_count(params) -> int:
     return sum(1 for name in params if name.endswith(".w"))
 
 
-_ACTIVATIONS_NP = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    None: lambda x: x,
-}
-
-_ACTIVATIONS_TAPE = {"relu": relu, "tanh": tanh, None: lambda x: x}
-
-
-def mlp_apply(nodes: Mapping[str, Tensor], x: Tensor, hidden="relu", output=None) -> Tensor:
-    """Forward through watched MLP parameters on the tape."""
-    n = mlp_layer_count(nodes)
-    act = _ACTIVATIONS_TAPE[hidden]
-    for i in range(n):
-        x = add(matmul(x, nodes[f"layer{i}.w"]), nodes[f"layer{i}.b"])
-        if i < n - 1:
-            x = act(x)
-    return _ACTIVATIONS_TAPE[output](x)
-
-
-def mlp_apply_np(params: ParameterSet, x: np.ndarray, hidden="relu", output=None) -> np.ndarray:
-    """Inference-only forward pass, no tape overhead."""
-    n = mlp_layer_count(params)
-    act = _ACTIVATIONS_NP[hidden]
-    x = np.asarray(x, dtype=np.float64)
-    for i in range(n):
-        x = x @ params[f"layer{i}.w"] + params[f"layer{i}.b"]
-        if i < n - 1:
-            x = act(x)
-    return _ACTIVATIONS_NP[output](x)
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------

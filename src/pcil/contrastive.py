@@ -43,6 +43,11 @@ class Encoder:
     the forward pass through it is always constant with respect to updates
     here, while input gradients still flow through it.
 
+    ``_layers`` is the one place that knows the layer structure: every trunk
+    layer is followed by a ReLU, every head layer but the last. The tape
+    forward (``_forward``) and the numpy inference forward (``embed``) both
+    walk it.
+
     ``embed`` instruments the unit-norm contract: ``norm_violations`` counts
     outputs farther than 1e-9 from unit length (it should stay zero forever).
     """
@@ -80,32 +85,44 @@ class Encoder:
         """
         if head_nodes is None:
             head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
-        nets = [(head_nodes, False)]
+        trunk_nodes = None
         if self.trunk is not None:
-            nets.insert(0, ({n: tape.constant(v) for n, v in self.trunk.items()}, True))
+            trunk_nodes = {n: tape.constant(v) for n, v in self.trunk.items()}
         layers = []
-        for nodes, relu_last in nets:
-            count = ad.mlp_layer_count(nodes)
-            for i in range(count):
-                w = nodes[f"layer{i}.w"]
-                x = ad.add(ad.matmul(x, w), nodes[f"layer{i}.b"])
-                mask = None
-                if relu_last or i < count - 1:
-                    mask = x.data > 0.0
-                    x = ad.relu(x)
-                layers.append((w, mask))
+        for w, b, relu_after in self._layers(head_nodes, trunk_nodes):
+            x = ad.add(ad.matmul(x, w), b)
+            mask = None
+            if relu_after:
+                mask = x.data > 0.0
+                x = ad.relu(x)
+            layers.append((w, mask))
         emb = ad.sphere_normalize(x, axis=-1)
         self._check_norms(emb.data)
         return emb, x, layers
+
+    @staticmethod
+    def _layers(head, trunk):
+        """Yield ``(w, b, relu_after)`` for every linear layer, trunk first.
+
+        ``head`` and ``trunk`` (None when there is none) map
+        ``layer{i}.w``/``layer{i}.b`` to numpy arrays or to tape nodes alike.
+        """
+        nets = [(head, False)] if trunk is None else [(trunk, True), (head, False)]
+        for params, relu_last in nets:
+            count = ad.mlp_layer_count(params)
+            for i in range(count):
+                yield params[f"layer{i}.w"], params[f"layer{i}.b"], relu_last or i < count - 1
 
     def embed(self, inputs: np.ndarray) -> np.ndarray:
         """Unit-norm embeddings, inference path."""
         features = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         if not np.all(np.isfinite(features)):
             raise ad.NonFiniteError("encoder inputs contain NaN or Inf")
-        if self.trunk is not None:
-            features = ad.mlp_apply_np(self.trunk, features, hidden="relu", output="relu")
-        out = ad.mlp_apply_np(self.head, features, hidden="relu", output=None)
+        out = features
+        for w, b, relu_after in self._layers(self.head, self.trunk):
+            out = out @ w + b
+            if relu_after:
+                out = np.maximum(out, 0.0)
         emb = out / ad.norm_and_denominator(out)[1]
         self._check_norms(emb)
         return emb
@@ -126,15 +143,14 @@ def contrastive_loss_graph(
     expert_emb: ad.Tensor,
     agent_emb: ad.Tensor,
     temperature: float,
-    inside_log: bool = False,
 ) -> ad.Tensor:
     """Multi-positive InfoNCE on already-embedded batches.
 
     Each expert row anchors once; every other expert row is a positive and
     every agent row a negative. With similarities s = <anchor, other>/tau the
-    default ("outside the log") anchor loss is the mean over positives p of
-    ``-log(exp(s_p) / sum(exp(s_over_all_candidates)))``; ``inside_log``
-    averages the positive terms before the log instead.
+    anchor loss is the mean over positives p of
+    ``-log(exp(s_p) / sum(exp(s_over_all_candidates)))`` (the average sits
+    outside the log).
     """
     tape = expert_emb.tape
     n_expert = expert_emb.data.shape[0]
@@ -149,22 +165,17 @@ def contrastive_loss_graph(
     masked_ee = ad.add(sims_ee, tape.constant(_MASK * eye))
     candidates = ad.concat([masked_ee, sims_ea], axis=1)
     lse = ad.logsumexp(candidates, axis=1)
-    if inside_log:
-        lse_pos = ad.logsumexp(masked_ee, axis=1)
-        per_anchor = ad.add(ad.sub(lse, lse_pos), tape.constant(np.log(n_expert - 1.0)))
-    else:
-        off_diag = (1.0 - eye) / (n_expert - 1.0)
-        pos_mean = ad.tsum(ad.mul(sims_ee, tape.constant(off_diag)), axis=1)
-        per_anchor = ad.sub(lse, pos_mean)
-    return ad.tmean(per_anchor)
+    off_diag = (1.0 - eye) / (n_expert - 1.0)
+    pos_mean = ad.tsum(ad.mul(sims_ee, tape.constant(off_diag)), axis=1)
+    return ad.tmean(ad.sub(lse, pos_mean))
 
 
-def infonce_loss(encoder: Encoder, batch: ContrastiveBatch, inside_log: bool = False) -> float:
+def infonce_loss(encoder: Encoder, batch: ContrastiveBatch) -> float:
     """Loss value only (no update), e.g. for tests and metrics."""
     tape = ad.Tape()
     e = encoder.embed_graph(tape, tape.constant(encoder_inputs(batch.expert_inputs)))
     a = encoder.embed_graph(tape, tape.constant(encoder_inputs(batch.agent_inputs)))
-    return float(contrastive_loss_graph(e, a, encoder.temperature, inside_log).data)
+    return float(contrastive_loss_graph(e, a, encoder.temperature).data)
 
 
 def encoder_inputs(x) -> np.ndarray:
@@ -181,13 +192,12 @@ def make_expert_reference(
     expert_inputs: np.ndarray,
     mode: str = "sample",
     rng: np.random.Generator | None = None,
-    normalize: bool = True,
 ) -> np.ndarray:
     """Reference embedding the reward compares against.
 
     ``sample`` picks one random expert item (the cheap estimator used during
-    training); ``mean`` averages the whole batch's embeddings and, unless
-    ``normalize=False``, renormalises the mean back onto the sphere.
+    training); ``mean`` averages the whole batch's embeddings and renormalises
+    the mean back onto the sphere.
     """
     expert_inputs = encoder_inputs(expert_inputs)
     if expert_inputs.shape[0] == 0:
@@ -200,8 +210,6 @@ def make_expert_reference(
     if mode != "mean":
         raise ValueError(f"unknown reference mode {mode!r}")
     mean = encoder.embed(expert_inputs).mean(axis=0)
-    if not normalize:
-        return mean
     return mean / ad.norm_and_denominator(mean)[1]
 
 
@@ -215,16 +223,13 @@ def al_gap(
     encoder: Encoder,
     expert_inputs: np.ndarray,
     agent_inputs: np.ndarray,
-    normalize_ref: bool = True,
 ) -> float:
     """Mean expert reward minus mean agent reward, mean-mode reference.
 
     This is the apprenticeship-learning objective the contrastive loss
-    implicitly maximises. ``normalize_ref=False`` uses the raw mean embedding
-    as the reference, the form whose value is provably dominated by the
-    box-constrained divergence on finite supports (see pcil.divergence).
+    implicitly maximises.
     """
-    ref = make_expert_reference(encoder, expert_inputs, mode="mean", normalize=normalize_ref)
+    ref = make_expert_reference(encoder, expert_inputs, mode="mean")
     expert_r = similarity_reward(encoder, expert_inputs, ref)
     agent_r = similarity_reward(encoder, agent_inputs, ref)
     return float(expert_r.mean() - agent_r.mean())
@@ -305,7 +310,6 @@ def encoder_update(
     adam_state: ad.AdamState,
     rng: np.random.Generator,
     gp_weight: float = 10.0,
-    inside_log: bool = False,
 ) -> tuple[float, float]:
     """One Adam step on ``InfoNCE + gp_weight * gradient penalty``.
 
@@ -322,7 +326,7 @@ def encoder_update(
     head_nodes = encoder.head.watch(tape)
     emb_e = encoder.embed_graph(tape, tape.constant(expert), head_nodes)
     emb_a = encoder.embed_graph(tape, tape.constant(agent), head_nodes)
-    loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature, inside_log)
+    loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
     penalty = penalty_graph(tape, encoder, head_nodes, x_hat, reference)
     total = ad.add(loss, ad.scale(penalty, gp_weight))
     tape.backward(total)

@@ -2,9 +2,12 @@
 
 The replay buffer hands out n-step windows as raw per-step transitions so
 rewards can be relabelled by whatever reward function is current at sampling
-time; nothing reward-related is baked in. Windows never cross an episode
-boundary -- a window that would run past a terminal transition is truncated
-there and its bootstrap discount shrinks to gamma^(actual length).
+time; nothing reward-related is baked in. It stores one preallocated array
+per field and builds every window by index arithmetic over the ring. Windows
+never cross an episode boundary: each slot carries an episode id, and a
+window keeps only the steps that share its first step's id, so one that
+would run past a terminal transition is truncated there and its bootstrap
+discount shrinks to gamma^(actual length).
 
 Demonstrations are JSON Lines, one transition per line, with an optional
 leading ``#`` comment header. Human-inspectable and diff-friendly; desk scale
@@ -64,98 +67,93 @@ class NStepBatch:
 
 
 class ReplayBuffer:
-    """Uniform-sampling ring buffer aware of episode boundaries."""
+    """Uniform-sampling ring of transitions, one array per field.
+
+    The ring holds ``state``, ``action``, ``next_state`` and ``reward_env``
+    arrays plus an int64 episode id per slot. They are allocated on the first
+    push, shaped by it, with ``np.zeros``, so the memory of a large ring is
+    mapped as pushes reach it rather than filled up front; every later push
+    must have the same shapes. ``done`` is not
+    stored: the id goes up right after a done push, so a window is the run of
+    chronologically consecutive slots that share its first slot's id, cut at
+    the newest transition.
+    """
 
     def __init__(self, capacity: int, seed: int = 0):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: list[Transition] = []
-        self._episode_uid: list[int] = []
-        self._cursor = 0
-        self._current_episode = 0
+        if not isinstance(capacity, (int, np.integer)) or capacity < 1:
+            raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
+        self.capacity = int(capacity)
+        self._size = 0
+        self._next = 0  # the slot the next push writes
+        self._episode_now = 0
+        self._shapes: tuple | None = None  # of state, action, next_state
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def push(self, transition: Transition) -> None:
-        uid = self._current_episode
-        if transition.done:
-            self._current_episode += 1
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-            self._episode_uid.append(uid)
-        else:
-            self._items[self._cursor] = transition
-            self._episode_uid[self._cursor] = uid
-            self._cursor = (self._cursor + 1) % self.capacity
-
-    def _chronological(self, logical: int) -> int:
-        if len(self._items) < self.capacity:
-            return logical
-        return (self._cursor + logical) % self.capacity
+        t = transition
+        shapes = (np.shape(t.state), np.shape(t.action), np.shape(t.next_state))
+        if self._shapes is None:
+            self._shapes = shapes
+            self._state, self._action, self._next_state = (
+                np.zeros((self.capacity, *shape)) for shape in shapes)
+            self._reward_env = np.zeros(self.capacity)
+            self._episode = np.zeros(self.capacity, dtype=np.int64)
+        if shapes != self._shapes:
+            for name, got, held in zip(("state", "action", "next_state"), shapes, self._shapes):
+                if got != held:
+                    raise ValueError(f"push: {name} has shape {got}, the ring holds {held}")
+        slot = self._next
+        self._state[slot] = t.state
+        self._action[slot] = t.action
+        self._next_state[slot] = t.next_state
+        self._reward_env[slot] = t.reward_env
+        self._episode[slot] = self._episode_now
+        if t.done:
+            self._episode_now += 1
+        self._next = (slot + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample_indices(self, batch_size: int) -> np.ndarray:
-        return self._rng.integers(0, len(self._items), size=batch_size)
-
-    def sample_transitions(self, batch_size: int) -> list[Transition]:
-        if not self._items:
+        """Uniform logical indices, 0 the oldest held transition."""
+        if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        return [self._items[self._chronological(int(i))] for i in self.sample_indices(batch_size)]
-
-    def sample_states(self, batch_size: int) -> np.ndarray:
-        return np.stack([t.state for t in self.sample_transitions(batch_size)])
+        return self._rng.integers(0, self._size, size=batch_size)
 
     def sample_nstep(self, batch_size: int, n: int, gamma: float) -> NStepBatch:
         """Sample ``batch_size`` windows of up to ``n`` consecutive steps."""
-        size = len(self._items)
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        size = self._size
         if size < n:
             raise ValueError(f"buffer holds {size} transitions, need at least n={n}")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        starts = self.sample_indices(batch_size)
-        states, actions, final_next, discounts = [], [], [], []
-        step_s, step_a, step_ns, step_r = [], [], [], []
-        window_id, step_offset = [], []
-        for w, start in enumerate(starts):
-            first = self._items[self._chronological(int(start))]
-            first_uid = self._episode_uid[self._chronological(int(start))]
-            states.append(first.state)
-            actions.append(first.action)
-            length = 0
-            last = first
-            for k in range(n):
-                logical = int(start) + k
-                if logical >= size:
-                    break
-                idx = self._chronological(logical)
-                if self._episode_uid[idx] != first_uid:
-                    break
-                t = self._items[idx]
-                step_s.append(t.state)
-                step_a.append(t.action)
-                step_ns.append(t.next_state)
-                step_r.append(t.reward_env)
-                window_id.append(w)
-                step_offset.append(k)
-                length += 1
-                last = t
-                if t.done:
-                    break
-            final_next.append(last.next_state)
-            discounts.append(gamma**length)
+        if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+        oldest = self._next if size == self.capacity else 0
+        logical = self.sample_indices(batch_size)[:, None] + np.arange(n)
+        slot = (oldest + np.minimum(logical, size - 1)) % self.capacity
+        episode = self._episode[slot]
+        # ids never decrease along a row, so this mask is a prefix of it
+        keep = (logical < size) & (episode == episode[:, :1])
+        window_id, step_offset = np.nonzero(keep)
+        steps = slot[keep]
+        lengths = keep.sum(axis=1)
+        first, last = slot[:, 0], slot[np.arange(batch_size), lengths - 1]
+        # Python's float pow: numpy's 0.99**3.0 is one ulp away from it
+        powers = np.array([gamma**k for k in range(n + 1)])
         return NStepBatch(
-            states=np.stack(states),
-            actions=np.stack(actions),
-            final_next_states=np.stack(final_next),
-            discounts=np.array(discounts),
-            step_states=np.stack(step_s),
-            step_actions=np.stack(step_a),
-            step_next_states=np.stack(step_ns),
-            step_rewards_env=np.array(step_r),
-            window_id=np.array(window_id, dtype=np.intp),
-            step_offset=np.array(step_offset, dtype=np.float64),
+            states=self._state[first],
+            actions=self._action[first],
+            final_next_states=self._next_state[last],
+            discounts=powers[lengths],
+            step_states=self._state[steps],
+            step_actions=self._action[steps],
+            step_next_states=self._next_state[steps],
+            step_rewards_env=self._reward_env[steps],
+            window_id=window_id,
+            step_offset=step_offset.astype(np.float64),
         )
 
 

@@ -154,17 +154,6 @@ def test_cross_tape_operands_rejected():
         ad.add(a, b)
 
 
-def test_mlp_tape_matches_inference_forward():
-    rng = np.random.default_rng(5)
-    params = ad.mlp_params(rng, [3, 8, 8, 2])
-    x = rng.uniform(-1, 1, size=(4, 3))
-    ref = ad.mlp_apply_np(params, x, hidden="relu", output="tanh")
-    tape = ad.Tape()
-    nodes = params.watch(tape)
-    out = ad.mlp_apply(nodes, tape.constant(x), hidden="relu", output="tanh")
-    np.testing.assert_array_equal(out.data, ref)
-
-
 def test_mlp_init_bounds():
     rng = np.random.default_rng(9)
     params = ad.mlp_params(rng, [16, 4])

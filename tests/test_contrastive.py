@@ -53,12 +53,10 @@ def random_rotation(rng, dim):
     return q
 
 
-def loss_value(expert_emb, agent_emb, temperature, inside_log=False):
+def loss_value(expert_emb, agent_emb, temperature):
     tape = ad.Tape()
     return float(
-        contrastive_loss_graph(
-            tape.constant(expert_emb), tape.constant(agent_emb), temperature, inside_log
-        ).data
+        contrastive_loss_graph(tape.constant(expert_emb), tape.constant(agent_emb), temperature).data
     )
 
 
@@ -94,12 +92,13 @@ class TestEmbed:
             err = check_gradients(build, [x])
             assert err < 1e-4
 
-    def test_tape_and_inference_paths_agree(self):
-        enc = small_encoder(seed=5)
+    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
+    def test_tape_and_inference_paths_agree(self, with_trunk):
+        enc = trunk_encoder(seed=5) if with_trunk else small_encoder(seed=5)
         x = np.random.default_rng(6).uniform(-2, 2, size=(7, 3))
         tape = ad.Tape()
         graph = enc.embed_graph(tape, tape.constant(x))
-        np.testing.assert_allclose(graph.data, enc.embed(x), atol=1e-14)
+        np.testing.assert_array_equal(graph.data, enc.embed(x))
 
     def test_shared_trunk_features(self):
         rng = np.random.default_rng(7)
@@ -156,24 +155,6 @@ class TestInfoNCE:
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             val = loss_value(e, a, tau)
             assert 0.0 <= val <= 2.0 / tau + np.log(ne - 1 + na) + 1e-9
-
-    def test_inside_log_matches_outside_for_single_positive(self):
-        rng = np.random.default_rng(4)
-        e = rng.normal(size=(2, 4))
-        e /= np.linalg.norm(e, axis=1, keepdims=True)
-        a = rng.normal(size=(3, 4))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        assert loss_value(e, a, 0.5, inside_log=True) == pytest.approx(
-            loss_value(e, a, 0.5, inside_log=False), abs=1e-12
-        )
-
-    def test_variants_differ_with_many_positives(self):
-        rng = np.random.default_rng(5)
-        e = rng.normal(size=(5, 4))
-        e /= np.linalg.norm(e, axis=1, keepdims=True)
-        a = rng.normal(size=(3, 4))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        assert loss_value(e, a, 0.5, True) != pytest.approx(loss_value(e, a, 0.5, False), abs=1e-9)
 
     def test_encoder_level_wrapper(self):
         enc = small_encoder(seed=9)

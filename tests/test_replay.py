@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcil import envs
 from pcil.replay import (
     DemoFormatError,
+    NStepBatch,
     ReplayBuffer,
     Transition,
     load_demos,
@@ -33,12 +36,103 @@ def fill_episodes(buffer, episode_lengths, start=0):
     return i
 
 
+def done_ids(episode_lengths, start=0):
+    """The ids ``fill_episodes`` gives its done transitions."""
+    return set(start + np.cumsum(episode_lengths) - 1)
+
+
+class LoopReplay:
+    """Reference ring: a list of transitions and a plain loop per window.
+
+    It draws window starts from the same generator as ``ReplayBuffer`` at the
+    same seed, so both sample the same windows.
+    """
+
+    def __init__(self, capacity, seed=0):
+        self.capacity = capacity
+        self.items = []
+        self.episode_uid = []
+        self.cursor = 0
+        self.current_episode = 0
+        self.rng = np.random.default_rng(seed)
+
+    def push(self, transition):
+        uid = self.current_episode
+        if transition.done:
+            self.current_episode += 1
+        if len(self.items) < self.capacity:
+            self.items.append(transition)
+            self.episode_uid.append(uid)
+        else:
+            self.items[self.cursor] = transition
+            self.episode_uid[self.cursor] = uid
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def chronological(self, logical):
+        if len(self.items) < self.capacity:
+            return logical
+        return (self.cursor + logical) % self.capacity
+
+    def sample_nstep(self, batch_size, n, gamma):
+        size = len(self.items)
+        starts = self.rng.integers(0, size, size=batch_size)
+        states, actions, final_next, discounts = [], [], [], []
+        step_s, step_a, step_ns, step_r = [], [], [], []
+        window_id, step_offset = [], []
+        for w, start in enumerate(starts):
+            first = self.items[self.chronological(int(start))]
+            first_uid = self.episode_uid[self.chronological(int(start))]
+            states.append(first.state)
+            actions.append(first.action)
+            length = 0
+            last = first
+            for k in range(n):
+                logical = int(start) + k
+                if logical >= size:
+                    break
+                idx = self.chronological(logical)
+                if self.episode_uid[idx] != first_uid:
+                    break
+                t = self.items[idx]
+                step_s.append(t.state)
+                step_a.append(t.action)
+                step_ns.append(t.next_state)
+                step_r.append(t.reward_env)
+                window_id.append(w)
+                step_offset.append(k)
+                length += 1
+                last = t
+                if t.done:
+                    break
+            final_next.append(last.next_state)
+            discounts.append(gamma**length)
+        return NStepBatch(
+            states=np.stack(states),
+            actions=np.stack(actions),
+            final_next_states=np.stack(final_next),
+            discounts=np.array(discounts),
+            step_states=np.stack(step_s),
+            step_actions=np.stack(step_a),
+            step_next_states=np.stack(step_ns),
+            step_rewards_env=np.array(step_r),
+            window_id=np.array(window_id, dtype=np.intp),
+            step_offset=np.array(step_offset, dtype=np.float64),
+        )
+
+
+def assert_batches_equal(got, want):
+    for field in (f.name for f in dataclasses.fields(NStepBatch)):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        np.testing.assert_array_equal(a, b, err_msg=field)
+
+
 def test_push_evicts_oldest_at_capacity():
     buf = ReplayBuffer(capacity=2, seed=0)
     for i in range(3):
         buf.push(make_transition(i))
     assert len(buf) == 2
-    kept = {t.state[0] for t in buf._items}
+    kept = set(buf.sample_nstep(64, n=1, gamma=0.9).states[:, 0])
     assert kept == {1.0, 2.0}
 
 
@@ -50,20 +144,30 @@ def test_push_below_capacity():
 
 
 def test_sampled_fields_round_trip():
-    buf = ReplayBuffer(capacity=4, seed=1)
-    t = make_transition(7)
-    buf.push(t)
-    got = buf.sample_transitions(1)[0]
-    np.testing.assert_array_equal(got.state, t.state)
-    np.testing.assert_array_equal(got.action, t.action)
-    np.testing.assert_array_equal(got.next_state, t.next_state)
-    assert got.reward_env == t.reward_env and got.done == t.done
+    for done in (False, True):
+        buf = ReplayBuffer(capacity=4, seed=1)
+        t = make_transition(7, done=done)
+        buf.push(t)
+        got = buf.sample_nstep(1, n=1, gamma=0.5)
+        np.testing.assert_array_equal(got.states[0], t.state)
+        np.testing.assert_array_equal(got.actions[0], t.action)
+        np.testing.assert_array_equal(got.step_next_states[0], t.next_state)
+        np.testing.assert_array_equal(got.final_next_states[0], t.next_state)
+        assert got.step_rewards_env[0] == t.reward_env
+        # done shows where windows end: a window from t runs on into the next
+        # push only if t was not done
+        buf.push(make_transition(8))
+        batch = buf.sample_nstep(16, n=2, gamma=0.5)
+        from_t = batch.states[:, 0] == 7.0
+        assert from_t.any()
+        lengths = np.bincount(batch.window_id, minlength=len(batch))
+        assert np.all(lengths[from_t] == (1 if done else 2))
 
 
 def test_sample_empty_rejected():
     buf = ReplayBuffer(capacity=4, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        buf.sample_transitions(1)
+        buf.sample_indices(1)
     with pytest.raises(ValueError, match="need at least"):
         buf.sample_nstep(1, n=1, gamma=0.99)
 
@@ -89,26 +193,22 @@ def test_nstep_full_window_discount():
 def test_nstep_truncates_at_episode_boundary():
     buf = ReplayBuffer(capacity=16, seed=4)
     fill_episodes(buf, [4, 4])
-    # windows starting at the last step of episode one must have length 1
+    dones = done_ids([4, 4])
+    seen_boundary_start = False
     for _ in range(50):
         batch = buf.sample_nstep(8, n=3, gamma=0.5)
         for w in range(len(batch)):
             mask = batch.window_id == w
             length = int(mask.sum())
             assert batch.discounts[w] == pytest.approx(0.5**length)
-            dones = [
-                buf._items[i].done
-                for i in range(len(buf._items))
-                if any(
-                    np.array_equal(buf._items[i].state, s)
-                    for s in batch.step_states[mask]
-                )
-            ]
+            ids = [int(s[0]) for s in batch.step_states[mask]]
             # a done transition may only sit at the window's last position
-            window_states = batch.step_states[mask]
-            for k, s in enumerate(window_states[:-1]):
-                idx = int(s[0])
-                assert not buf._items[idx].done
+            assert not dones.intersection(ids[:-1])
+            # windows starting at the last step of episode one have length 1
+            if ids[0] == 3:
+                seen_boundary_start = True
+                assert ids == [3]
+    assert seen_boundary_start
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,14 +221,14 @@ def test_nstep_windows_stay_inside_episodes(lengths, n):
     total = fill_episodes(buf, lengths)
     if total < n:
         return
+    dones = done_ids(lengths)
     batch = buf.sample_nstep(16, n=n, gamma=0.9)
     for w in range(len(batch)):
         mask = batch.window_id == w
         ids = [int(s[0]) for s in batch.step_states[mask]]
         # consecutive steps, done only at the last position
         assert ids == list(range(ids[0], ids[0] + len(ids)))
-        for i in ids[:-1]:
-            assert not buf._items[i].done
+        assert not dones.intersection(ids[:-1])
         assert len(ids) <= n
 
 
@@ -161,6 +261,78 @@ def test_ring_wraparound_windows_are_consistent():
     for w in range(len(batch)):
         ids = [int(s[0]) for s in batch.step_states[batch.window_id == w]]
         assert ids == list(range(ids[0], ids[0] + len(ids)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8),
+    capacity=st.integers(min_value=1, max_value=48),
+    n=st.integers(min_value=1, max_value=6),
+    batch_size=st.integers(min_value=1, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_nstep_matches_loop_oracle(lengths, capacity, n, batch_size, seed):
+    buf, oracle = ReplayBuffer(capacity, seed=seed), LoopReplay(capacity, seed=seed)
+    i = 0
+    for length in lengths:
+        for k in range(length):
+            t = make_transition(i, done=(k == length - 1))
+            buf.push(t)
+            oracle.push(t)
+            i += 1
+    assert len(buf) == len(oracle.items)
+    if len(buf) < n:
+        return
+    for _ in range(3):
+        assert_batches_equal(buf.sample_nstep(batch_size, n, 0.99),
+                             oracle.sample_nstep(batch_size, n, 0.99))
+
+
+def test_nstep_matches_loop_oracle_on_wrapped_env_ring():
+    # real point_mass rollouts of 300 steps: the ring fills, then wraps with
+    # its oldest slot at 200, 500, 800, 100 and 400 when sampled
+    env = envs.make_env("point_mass")
+    policy = envs.expert_policy(env)
+    buf, oracle = ReplayBuffer(1000, seed=11), LoopReplay(1000, seed=11)
+    for seed in range(8):
+        for step in envs.run_episode(env, policy, seed)[0]:
+            t = Transition(*step)
+            buf.push(t)
+            oracle.push(t)
+        assert_batches_equal(buf.sample_nstep(256, 5, 0.99), oracle.sample_nstep(256, 5, 0.99))
+
+
+@pytest.mark.parametrize("capacity", [2.5, 0, -3, "8"])
+def test_bad_capacity_rejected(capacity):
+    with pytest.raises(ValueError, match="capacity"):
+        ReplayBuffer(capacity)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0])
+def test_bad_window_length_rejected(n):
+    buf = ReplayBuffer(capacity=8, seed=0)
+    fill_episodes(buf, [6])
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        buf.sample_nstep(4, n=n, gamma=0.9)
+
+
+@pytest.mark.parametrize("batch_size", [0, 2.5])
+def test_bad_batch_size_rejected(batch_size):
+    buf = ReplayBuffer(capacity=8, seed=0)
+    fill_episodes(buf, [6])
+    with pytest.raises(ValueError, match="batch_size must be a positive integer"):
+        buf.sample_nstep(batch_size, n=2, gamma=0.9)
+
+
+@pytest.mark.parametrize("field", ["state", "action", "next_state"])
+def test_push_shape_change_rejected(field):
+    buf = ReplayBuffer(capacity=8, seed=0)
+    buf.push(make_transition(0))
+    bad = make_transition(1)
+    setattr(bad, field, np.zeros(1) if field != "action" else np.zeros(2))
+    with pytest.raises(ValueError, match=rf"push: {field} has shape"):
+        buf.push(bad)
+    assert len(buf) == 1
 
 
 class TestDemoFiles:
