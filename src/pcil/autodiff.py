@@ -5,7 +5,11 @@ leaves, in execution order. Because operands always precede their results,
 walking the record backwards visits each node exactly once in reverse
 topological order; :meth:`Tape.backward` accumulates adjoints that way and
 deposits them on the leaves. Tapes are cheap, single-use and single-threaded:
-build one per training step, run one backward pass, throw it away.
+build one per training step, run one backward pass. That pass consumes the
+tape: it drops the record and each node's links as soon as the node has
+passed its adjoint on, so reference counting frees the graph during the pass
+and only the leaves (with their ``.grad``) outlive it. A consumed tape raises
+:class:`TapeConsumedError` if asked to record or differentiate again.
 
 Everything is float64. Non-finite values are rejected at every op boundary so
 NaN/Inf can never propagate silently through a graph.
@@ -36,6 +40,10 @@ def norm_and_denominator(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.
 
 class NonFiniteError(ArithmeticError):
     """An operation produced (or was fed) NaN or Inf."""
+
+
+class TapeConsumedError(RuntimeError):
+    """A tape that has already run backward was asked to record or run again."""
 
 
 class Tensor:
@@ -89,16 +97,28 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive ops supporting one reverse pass."""
+    """Ordered record of primitive ops supporting one reverse pass.
+
+    Every node holds its tape and the record holds every node, so a live tape
+    is a reference cycle. ``backward`` breaks it: it takes the record off the
+    tape and clears each node's parents, VJPs and adjoint once they are used.
+    ``num_ops`` still reads the number of recorded ops afterwards.
+    """
 
     def __init__(self):
-        self._ops: list[Tensor] = []
+        self._ops: list[Tensor] | None = []
+        self._num_ops = 0
 
     @property
     def num_ops(self) -> int:
-        return len(self._ops)
+        return self._num_ops
+
+    def _check_live(self) -> None:
+        if self._ops is None:
+            raise TapeConsumedError("this tape has already run backward")
 
     def leaf(self, data, requires_grad: bool = True) -> Tensor:
+        self._check_live()
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("leaf value contains NaN or Inf")
@@ -110,27 +130,33 @@ class Tape:
     def backward(self, output: Tensor) -> None:
         """Accumulate d(output)/d(leaf) into ``.grad`` of every grad-enabled leaf.
 
-        ``output`` must be a scalar (size-1) node on this tape.
+        ``output`` must be a scalar (size-1) node on this tape. The pass
+        consumes the tape: interior nodes lose their links and adjoints as it
+        walks them, and a second call raises :class:`TapeConsumedError`.
         """
+        self._check_live()
         if output.tape is not self:
             raise ValueError("output node does not belong to this tape")
         if output.size != 1:
             raise ValueError(
                 f"backward requires a scalar output, got shape {output.shape}"
             )
+        ops, self._ops = self._ops, None
         output.grad = np.ones_like(output.data)
-        for node in reversed(self._ops):
+        while ops:
+            node = ops.pop()
             g = node.grad
-            if g is None:
-                continue
-            for parent, vjp in zip(node.parents, node.vjps):
-                if not parent.requires_grad:
-                    continue
-                pg = vjp(g)
-                if parent.grad is None:
-                    parent.grad = pg
-                else:
-                    parent.grad = parent.grad + pg
+            if g is not None:
+                for parent, vjp in zip(node.parents, node.vjps):
+                    if not parent.requires_grad:
+                        continue
+                    pg = vjp(g)
+                    if parent.grad is None:
+                        parent.grad = pg
+                    else:
+                        parent.grad = parent.grad + pg
+            node.parents = node.vjps = ()
+            node.grad = None
 
     def gradient(self, output: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
         """Run backward and return gradients for ``leaves`` (zeros if unused)."""
@@ -157,6 +183,7 @@ def _tape_of(*args) -> Tape:
 
 
 def _make(op: str, tape: Tape, data: np.ndarray, parents, vjps) -> Tensor:
+    tape._check_live()
     data = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"'{op}' produced non-finite values")
@@ -164,6 +191,7 @@ def _make(op: str, tape: Tape, data: np.ndarray, parents, vjps) -> Tensor:
     node = Tensor(data, tape, tuple(parents), tuple(vjps), requires, op)
     if requires:
         tape._ops.append(node)
+        tape._num_ops += 1
     return node
 
 
@@ -413,14 +441,28 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"transpose expects a 2-D operand, got shape {a.data.shape}")
-    return _make("transpose", a.tape, a.data.T.copy(), (a,), (lambda g: g.T,))
+    return _make("transpose", a.tape, a.data.T, (a,), (lambda g: g.T,))
+
+
+def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of a 2-D node, as a view; the VJP scatters back."""
+    if a.data.ndim != 2:
+        raise ValueError(f"row_slice expects a 2-D operand, got shape {a.data.shape}")
+    shape = a.data.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        full[start:stop] = g
+        return full
+
+    return _make("row_slice", a.tape, a.data[start:stop], (a,), (vjp,))
 
 
 #: Every differentiable primitive, for enumeration in gradient-check suites.
 PRIMITIVES = (
     "add", "sub", "mul", "div", "scale", "div_scalar", "matmul", "dot", "tanh", "relu",
     "sigmoid", "softplus", "exp", "log", "sqrt", "sum", "mean", "logsumexp",
-    "sqnorm", "sphere_normalize", "concat", "reshape", "transpose",
+    "sqnorm", "sphere_normalize", "concat", "reshape", "transpose", "row_slice",
 )
 
 

@@ -11,8 +11,11 @@ whole agent fits in one file.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
+import tempfile
 from typing import Mapping
 
 import numpy as np
@@ -22,6 +25,7 @@ from .autodiff import ParameterSet
 MAGIC = b"PCIL"
 VERSION = 1
 _U32 = struct.Struct("<I")
+_U32_MAX = 2**32 - 1
 
 
 class CheckpointError(ValueError):
@@ -29,19 +33,59 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_U32.pack(VERSION))
-        fh.write(_U32.pack(len(tensors)))
-        for name, value in tensors.items():
-            arr = np.ascontiguousarray(value, dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(_U32.pack(len(encoded)))
-            fh.write(encoded)
-            fh.write(_U32.pack(arr.ndim))
-            for dim in arr.shape:
-                fh.write(_U32.pack(dim))
-            fh.write(arr.tobytes())
+    """Write ``tensors`` to ``path``, replacing any file there atomically.
+
+    Every name and tensor is checked before anything is written: a name that
+    is not a UTF-8-encodable string, a value that is not a float64 array, a
+    NaN/Inf entry or a dimension of 2**32 or more raises ``CheckpointError``
+    naming the tensor, and leaves ``path`` as it was. The file is written to a
+    temporary file in the same directory and renamed onto ``path``, so a
+    reader (or a crash) sees the old file or the new one, never a part. The
+    rename is not followed by an fsync, so it does not survive power loss.
+    """
+    records = [_encode_tensor(name, value) for name, value in tensors.items()]
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".",
+        suffix=".tmp",
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(MAGIC + _U32.pack(VERSION) + _U32.pack(len(records)))
+            for header, arr in records:
+                fh.write(header)
+                fh.write(arr)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _encode_tensor(name, value) -> tuple[bytes, np.ndarray]:
+    """The header bytes of one tensor and its little-endian payload array."""
+    if not isinstance(name, str):
+        raise CheckpointError(f"tensor name {name!r} is not a string")
+    try:
+        encoded = name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CheckpointError(f"tensor name {name!r} is not valid UTF-8") from exc
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"tensor {name!r} is not a float64 array: {exc}") from exc
+    if any(dim > _U32_MAX for dim in arr.shape):
+        raise CheckpointError(
+            f"tensor {name!r} has shape {arr.shape}; every dimension must be below 2**32"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointError(f"tensor {name!r} holds NaN or Inf")
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    header = b"".join(
+        [_U32.pack(len(encoded)), encoded, _U32.pack(arr.ndim)]
+        + [_U32.pack(dim) for dim in arr.shape]
+    )
+    return header, arr
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

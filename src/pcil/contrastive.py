@@ -11,7 +11,9 @@ gradient. For a ReLU MLP followed by the sphere projection that gradient is
 itself a first-order graph: the ReLU masks are constant almost everywhere and
 the projection's vector-Jacobian product has a closed form. The penalty is
 built from that graph on the ordinary tape, so one backward pass gives its
-exact parameter gradient (double backprop).
+exact parameter gradient (double backprop). An update runs one tape forward
+over its expert, agent and interpolated rows stacked together; InfoNCE and
+the penalty each read their rows of it.
 """
 
 from __future__ import annotations
@@ -209,7 +211,12 @@ def make_expert_reference(
         return encoder.embed(expert_inputs[idx : idx + 1])[0]
     if mode != "mean":
         raise ValueError(f"unknown reference mode {mode!r}")
-    mean = encoder.embed(expert_inputs).mean(axis=0)
+    return _mean_direction(encoder.embed(expert_inputs))
+
+
+def _mean_direction(emb: np.ndarray) -> np.ndarray:
+    """The mean of the rows of ``emb``, renormalised onto the sphere."""
+    mean = emb.mean(axis=0)
     return mean / ad.norm_and_denominator(mean)[1]
 
 
@@ -253,17 +260,21 @@ def interpolate_pairs(
     return u * e[:n] + (1.0 - u) * a[:n]
 
 
-def input_gradient_graph(
-    tape: ad.Tape, encoder: Encoder, head_nodes, x_hat: np.ndarray, reference: np.ndarray
-) -> ad.Tensor:
-    """Rows of d<embed(x), reference>/dx at the rows of ``x_hat``, as a tape graph.
+def input_gradient_graph(forward, reference: np.ndarray, start: int = 0) -> ad.Tensor:
+    """Rows of d<embed(x), reference>/dx for the rows ``start:`` of a forward.
 
-    Seeds the chain with the closed-form VJP of the sphere projection (same
-    cutoff rule as ``sphere_normalize``), then walks the layers backwards with
-    their ReLU masks held constant, ``g = (g * mask) @ W.T``. Every op is first
-    order in the head parameters, so backward through the rows is exact.
+    ``forward`` is the ``(emb, out, layers)`` triple of ``Encoder._forward``;
+    its rows from ``start`` on are the probe points. Seeds the chain with the
+    closed-form VJP of the sphere projection (same cutoff rule as
+    ``sphere_normalize``), then walks the layers backwards with their ReLU
+    masks, sliced to those rows, held constant: ``g = (g * mask) @ W.T``.
+    Every op is first order in the head parameters, so backward through the
+    rows is exact.
     """
-    emb, out, layers = encoder._forward(tape, tape.constant(encoder_inputs(x_hat)), head_nodes)
+    emb, out, layers = forward
+    tape = emb.tape
+    emb = ad.row_slice(emb, start, emb.shape[0])
+    out = ad.row_slice(out, start, out.shape[0])
     ref = np.asarray(reference, dtype=np.float64)
     norm_np, denom_np = ad.norm_and_denominator(out.data)
     norm = ad.reshape(ad.sqrt(ad.sqnorm(out, axis=1)), norm_np.shape)
@@ -273,16 +284,15 @@ def input_gradient_graph(
     g = ad.sub(ad.div(ref[None, :], denom), ad.div(radial, norm))
     for w, mask in reversed(layers):
         if mask is not None:
-            g = ad.mul(g, mask)
+            g = ad.mul(g, mask[start:])
         g = ad.matmul(g, ad.transpose(w))
     return g
 
 
-def penalty_graph(
-    tape: ad.Tape, encoder: Encoder, head_nodes, x_hat: np.ndarray, reference: np.ndarray
-) -> ad.Tensor:
-    """Gradient penalty ``mean((|grad_x r| - 1)^2)`` at ``x_hat`` as a tape graph."""
-    g = input_gradient_graph(tape, encoder, head_nodes, x_hat, reference)
+def penalty_graph(forward, reference: np.ndarray, start: int = 0) -> ad.Tensor:
+    """Gradient penalty ``mean((|grad_x r| - 1)^2)`` over the rows ``start:`` of
+    a forward, as a tape graph."""
+    g = input_gradient_graph(forward, reference, start)
     dev = ad.sub(ad.sqrt(ad.sqnorm(g, axis=1)), 1.0)
     return ad.tmean(ad.mul(dev, dev))
 
@@ -296,12 +306,36 @@ def gradient_penalty(
 ) -> float:
     """Penalty value only (no update) on freshly interpolated inputs."""
     x_hat = interpolate_pairs(expert_inputs, agent_inputs, rng)
-    return float(penalty_graph(ad.Tape(), encoder, None, x_hat, reference).data)
+    tape = ad.Tape()
+    return float(penalty_graph(encoder._forward(tape, tape.constant(x_hat)), reference).data)
 
 
 # ---------------------------------------------------------------------------
 # the encoder update
 # ---------------------------------------------------------------------------
+
+
+def stacked_forward(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, x_hat):
+    """One tape forward over the rows of ``expert``, ``agent`` and ``x_hat``
+    stacked in that order.
+
+    Returns the forward triple of ``Encoder._forward`` and the expert and
+    agent rows of its embedding.
+    """
+    n_expert, n_agent = len(expert), len(agent)
+    forward = encoder._forward(tape, tape.constant(np.concatenate([expert, agent, x_hat])), head_nodes)
+    emb = forward[0]
+    emb_e = ad.row_slice(emb, 0, n_expert)
+    emb_a = ad.row_slice(emb, n_expert, n_expert + n_agent)
+    return forward, emb_e, emb_a
+
+
+def update_loss_graph(encoder: Encoder, forward, emb_e, emb_a, reference, gp_weight: float):
+    """InfoNCE on ``emb_e``/``emb_a``, the penalty on the forward's remaining
+    (``x_hat``) rows against ``reference``, and ``InfoNCE + gp_weight * penalty``."""
+    loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
+    penalty = penalty_graph(forward, reference, emb_e.shape[0] + emb_a.shape[0])
+    return loss, penalty, ad.add(loss, ad.scale(penalty, gp_weight))
 
 
 def encoder_update(
@@ -313,22 +347,23 @@ def encoder_update(
 ) -> tuple[float, float]:
     """One Adam step on ``InfoNCE + gp_weight * gradient penalty``.
 
-    Returns (representation loss, penalty value). The gradient penalty probes
-    the similarity reward against the batch's mean-mode reference, held
+    Returns (representation loss, penalty value). The expert rows, the agent
+    rows and their interpolations ``x_hat`` go through one stacked tape
+    forward; InfoNCE reads its expert and agent rows and the penalty its
+    ``x_hat`` rows. The penalty probes the similarity reward against the
+    mean-mode reference, the renormalised mean of the forward's expert
+    embeddings (what ``make_expert_reference(mode="mean")`` computes), held
     constant for the step.
     """
     expert = encoder_inputs(batch.expert_inputs)
     agent = encoder_inputs(batch.agent_inputs)
-    reference = make_expert_reference(encoder, expert, mode="mean")
     x_hat = interpolate_pairs(expert, agent, rng)
 
     tape = ad.Tape()
     head_nodes = encoder.head.watch(tape)
-    emb_e = encoder.embed_graph(tape, tape.constant(expert), head_nodes)
-    emb_a = encoder.embed_graph(tape, tape.constant(agent), head_nodes)
-    loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
-    penalty = penalty_graph(tape, encoder, head_nodes, x_hat, reference)
-    total = ad.add(loss, ad.scale(penalty, gp_weight))
+    forward, emb_e, emb_a = stacked_forward(tape, encoder, head_nodes, expert, agent, x_hat)
+    reference = _mean_direction(emb_e.data)
+    loss, penalty, total = update_loss_graph(encoder, forward, emb_e, emb_a, reference, gp_weight)
     tape.backward(total)
     grads = {name: node.grad for name, node in head_nodes.items()}
     ad.adam_step(encoder.head, grads, adam_state)

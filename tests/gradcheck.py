@@ -124,4 +124,13 @@ def primitive_cases(rng):
     # denominators kept well away from zero
     a, b = rand(2, 3), rand(2, 1, lo=0.5, hi=2.5) * rng.choice([-1.0, 1.0])
     cases.append(("div", lambda t, ls: scalarize(t, ad.div(ls[0], ls[1]), w23), [a, b]))
+    # two slices sharing row 1, so their scattered adjoints must add up there;
+    # row 3 is in neither and must get a zero gradient
+    w23b, w23c = rand(2, 3), rand(2, 3)
+    cases.append((
+        "row_slice",
+        lambda t, ls: ad.add(scalarize(t, ad.row_slice(ls[0], 1, 3), w23b),
+                             scalarize(t, ad.row_slice(ls[0], 0, 2), w23c)),
+        [rand(4, 3)],
+    ))
     return cases

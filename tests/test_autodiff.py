@@ -121,6 +121,47 @@ def test_backward_rejects_non_scalar():
         tape.backward(y)
 
 
+def test_second_backward_on_a_tape_raises():
+    tape = ad.Tape()
+    x = tape.leaf(np.array(3.0))
+    out = ad.mul(x, x)
+    tape.backward(out)
+    with pytest.raises(ad.TapeConsumedError, match="already run backward"):
+        tape.backward(out)
+    assert x.grad == pytest.approx(6.0, abs=1e-12)  # the leaf keeps its gradient
+
+
+def test_recording_on_a_consumed_tape_raises():
+    tape = ad.Tape()
+    x = tape.leaf(np.array([1.0, 2.0]))
+    tape.backward(ad.tsum(x))
+    with pytest.raises(ad.TapeConsumedError, match="already run backward"):
+        ad.mul(x, x)
+    with pytest.raises(ad.TapeConsumedError, match="already run backward"):
+        tape.leaf(np.ones(2))
+
+
+def test_num_ops_survives_backward():
+    tape = ad.Tape()
+    w = tape.leaf(np.ones((3, 2)))
+    x = tape.constant(np.ones((4, 3)))
+    out = ad.tmean(ad.relu(ad.matmul(x, w)))
+    before = tape.num_ops
+    assert before == 4  # matmul, relu, and the sum and scale of tmean
+    tape.backward(out)
+    assert tape.num_ops == before
+
+
+def test_backward_frees_interior_nodes():
+    tape = ad.Tape()
+    w = tape.leaf(np.ones((3, 2)))
+    hidden = ad.relu(ad.matmul(tape.constant(np.ones((4, 3))), w))
+    out = ad.tsum(hidden)
+    tape.backward(out)
+    assert hidden.parents == () and hidden.vjps == () and hidden.grad is None
+    np.testing.assert_array_equal(w.grad, np.full((3, 2), 4.0))
+
+
 def test_shape_mismatch_rejected():
     tape = ad.Tape()
     a = tape.constant(np.ones((2, 3)))

@@ -78,8 +78,10 @@ def test_non_utf8_name_reports_offset(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_payload_names_tensor(tmp_path, bad):
+    # the writer refuses NaN/Inf, so the bad value is patched into the file
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, {"good": np.zeros(2), "actor/layer0.w": np.array([[1.0, bad]])})
+    save_checkpoint(path, {"good": np.zeros(2), "actor/layer0.w": np.array([[1.0, 2.0]])})
+    path.write_bytes(path.read_bytes()[:-8] + np.array([bad], "<f8").tobytes())
     with pytest.raises(CheckpointError, match=r"'actor/layer0\.w' holds NaN or Inf"):
         load_checkpoint(path)
 
@@ -102,3 +104,53 @@ def test_duplicate_name_reports_offset(tmp_path):
     second_name_at = 12 + 4 + (1 + 4 + 4 + 8) + 4
     with pytest.raises(CheckpointError, match=rf"duplicate tensor name 'a' at byte {second_name_at}"):
         load_checkpoint(path)
+
+
+def _list_dir(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("actor/layer0.w", np.array([[1.0, np.nan]]), r"'actor/layer0\.w' holds NaN or Inf"),
+        ("inf", np.array([-np.inf]), r"'inf' holds NaN or Inf"),
+        ("wide", np.zeros((0, 2**32)), r"'wide' has shape \(0, 4294967296\)"),
+        ("\ud800", np.zeros(2), r"name '\\ud800' is not valid UTF-8"),
+        (7, np.zeros(2), r"name 7 is not a string"),
+        ("text", np.array(["a"]), r"'text' is not a float64 array"),
+    ],
+    ids=["nan", "inf", "dim_2_32", "lone_surrogate", "non_str_name", "non_numeric"],
+)
+def test_bad_tensor_rejected_before_target_is_touched(tmp_path, name, value, message):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"a": np.arange(3.0)})
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError, match=message):
+        save_checkpoint(path, {"b": np.ones(4), name: value})
+    assert path.read_bytes() == before
+    assert _list_dir(tmp_path) == ["ckpt.bin"]  # no temporary file left behind
+
+
+def test_failed_write_leaves_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"a": np.arange(3.0)})
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("pcil.checkpoint.os.replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"a": np.ones(3)})
+    assert path.read_bytes() == before
+    assert _list_dir(tmp_path) == ["ckpt.bin"]
+
+
+def test_save_replaces_existing_file(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"a": np.arange(300.0)})
+    save_checkpoint(str(path), {"b": np.array(2.0)})
+    loaded = load_checkpoint(path)
+    assert list(loaded) == ["b"] and loaded["b"] == 2.0
+    assert _list_dir(tmp_path) == ["ckpt.bin"]

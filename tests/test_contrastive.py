@@ -1,7 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 
 from pcil import autodiff as ad
+from pcil import contrastive
 from pcil.contrastive import (
     ContrastiveBatch,
     Encoder,
@@ -15,6 +18,8 @@ from pcil.contrastive import (
     make_expert_reference,
     penalty_graph,
     similarity_reward,
+    stacked_forward,
+    update_loss_graph,
 )
 from gradcheck import check_gradients
 
@@ -226,11 +231,15 @@ class TestGradientPenalty:
             x_hat = interpolate_pairs(expert, agent, np.random.default_rng(seed))
             oracle = reward_input_gradients(enc, x_hat, ref)
             assert np.max(np.linalg.norm(oracle, axis=1)) > 1e-3  # not a degenerate probe
-            rows = input_gradient_graph(ad.Tape(), enc, None, x_hat, ref).data
-            np.testing.assert_allclose(rows, oracle, rtol=0.0, atol=1e-12)
             expected = float(np.mean((np.linalg.norm(oracle, axis=1) - 1.0) ** 2))
-            value = float(penalty_graph(ad.Tape(), enc, None, x_hat, ref).data)
-            assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
+            # alone, and as the last rows of a forward that stacks other rows first
+            for start, pre in ((0, np.zeros((0, 3))), (len(expert), expert)):
+                tape = ad.Tape()
+                forward = enc._forward(tape, tape.constant(np.concatenate([pre, x_hat])))
+                rows = input_gradient_graph(forward, ref, start).data
+                np.testing.assert_allclose(rows, oracle, rtol=0.0, atol=1e-12)
+                value = float(penalty_graph(forward, ref, start).data)
+                assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     def test_value_matches_oracle(self):
         enc = small_encoder(seed=16)
@@ -284,8 +293,9 @@ class TestEncoderUpdate:
         assert enc.norm_violations == 0
 
     def test_update_loss_gradient_matches_finite_differences(self):
-        # end-to-end: d(loss + 10*penalty)/d(head params) against central FD,
-        # standalone and on a shared trunk
+        # end-to-end: d(loss + 10*penalty)/d(head params) of the graph the update
+        # builds, against central FD with the reference held fixed, standalone
+        # and on a shared trunk
         for enc in (small_encoder(seed=23, hidden=5, embed=3),
                     trunk_encoder(seed=24, hidden=5, embed=3, trunk_width=5)):
             rng = np.random.default_rng(22)
@@ -295,16 +305,93 @@ class TestEncoderUpdate:
             names = enc.head.names()
 
             def build(tape, leaves):
-                nodes = dict(zip(names, leaves))
-                e = enc.embed_graph(tape, tape.constant(batch.expert_inputs), nodes)
-                a = enc.embed_graph(tape, tape.constant(batch.agent_inputs), nodes)
-                loss = contrastive_loss_graph(e, a, enc.temperature)
-                pen = penalty_graph(tape, enc, nodes, x_hat, reference)
-                return ad.add(loss, ad.scale(pen, 10.0))
+                forward, emb_e, emb_a = stacked_forward(
+                    tape, enc, dict(zip(names, leaves)),
+                    batch.expert_inputs, batch.agent_inputs, x_hat)
+                return update_loss_graph(enc, forward, emb_e, emb_a, reference, 10.0)[2]
 
             arrays = [enc.head[n].copy() for n in names]
             err = check_gradients(build, arrays, h=1e-6, tol=1e-6)
             assert err < 1e-6
+
+    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
+    def test_stacked_update_matches_three_forward_oracle(self, with_trunk):
+        enc = trunk_encoder(seed=30) if with_trunk else small_encoder(seed=30)
+        rng = np.random.default_rng(31)
+        batch = ContrastiveBatch(rng.uniform(-2, 2, size=(6, 3)), rng.uniform(-2, 2, size=(6, 3)))
+        x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, np.random.default_rng(32))
+        reference = make_expert_reference(enc, batch.expert_inputs, mode="mean")
+        oracle = three_forward_update(enc, batch, x_hat, reference)
+
+        tape = ad.Tape()
+        head_nodes = enc.head.watch(tape)
+        forward, emb_e, emb_a = stacked_forward(
+            tape, enc, head_nodes, batch.expert_inputs, batch.agent_inputs, x_hat)
+        loss, penalty, total = update_loss_graph(enc, forward, emb_e, emb_a, reference, 10.0)
+        tape.backward(total)
+        assert float(loss.data) == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
+        assert float(penalty.data) == pytest.approx(oracle[1], rel=1e-12, abs=0.0)
+        for name, node in head_nodes.items():
+            expected = oracle[2][name]
+            assert np.max(np.abs(node.grad - expected)) <= 1e-12 * np.max(np.abs(expected)), name
+
+    def test_reference_from_forward_matches_mean_mode(self):
+        enc = small_encoder(seed=33, hidden=16, embed=6)
+        rng = np.random.default_rng(34)
+        expert, agent = rng.uniform(-2, 2, size=(10, 3)), rng.uniform(-2, 2, size=(10, 3))
+        x_hat = interpolate_pairs(expert, agent, rng)
+        tape = ad.Tape()
+        _, emb_e, _ = stacked_forward(tape, enc, None, expert, agent, x_hat)
+        from_forward = contrastive._mean_direction(emb_e.data)
+        np.testing.assert_allclose(
+            from_forward, make_expert_reference(enc, expert, mode="mean"), rtol=0.0, atol=1e-15)
+
+    def test_update_takes_the_oracle_step(self):
+        # the update's own reference, x_hat and Adam step, against the oracle
+        enc = small_encoder(seed=37, hidden=16, embed=6)
+        batch = separable_batch(np.random.default_rng(38), n=6)
+        expected = enc.head.copy()
+        x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, np.random.default_rng(39))
+        reference = make_expert_reference(enc, batch.expert_inputs, mode="mean")
+        oracle_loss, oracle_penalty, grads = three_forward_update(enc, batch, x_hat, reference)
+        ad.adam_step(expected, grads, ad.AdamState.for_params(expected, lr=1e-3))
+
+        loss, penalty = encoder_update(
+            enc, batch, ad.AdamState.for_params(enc.head, lr=1e-3), np.random.default_rng(39))
+        assert loss == pytest.approx(oracle_loss, rel=1e-12, abs=0.0)
+        assert penalty == pytest.approx(oracle_penalty, rel=1e-12, abs=0.0)
+        for name in expected:
+            np.testing.assert_allclose(enc.head[name], expected[name], rtol=0.0, atol=1e-12)
+
+    def test_update_leaves_no_tape_for_the_cycle_collector(self):
+        enc = small_encoder(seed=35, hidden=16, embed=6)
+        rng = np.random.default_rng(36)
+        batch = separable_batch(rng, n=8)
+        state = ad.AdamState.for_params(enc.head, lr=1e-3)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                encoder_update(enc, batch, state, rng)
+            alive = sum(isinstance(obj, ad.Tape) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
+
+
+def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
+    """Reference oracle: the update objective with separate tape forwards over the
+    expert rows, the agent rows and ``x_hat``. Returns the loss, the penalty and
+    the head gradients of ``loss + gp_weight * penalty``."""
+    tape = ad.Tape()
+    head_nodes = encoder.head.watch(tape)
+    emb_e = encoder.embed_graph(tape, tape.constant(batch.expert_inputs), head_nodes)
+    emb_a = encoder.embed_graph(tape, tape.constant(batch.agent_inputs), head_nodes)
+    loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
+    penalty = penalty_graph(encoder._forward(tape, tape.constant(x_hat), head_nodes), reference)
+    tape.backward(ad.add(loss, ad.scale(penalty, gp_weight)))
+    grads = {name: node.grad for name, node in head_nodes.items()}
+    return float(loss.data), float(penalty.data), grads
 
 
 class TestAlGap:
