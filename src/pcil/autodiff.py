@@ -213,10 +213,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def add(a, b, out: np.ndarray | None = None) -> Tensor:
+    """``a + b``; ``out``, if given, is the float64 array the sum is written to."""
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
-    data = a.data + b.data
+    data = np.add(a.data, b.data, out=out)
     return _make(
         "add", tape, data, (a, b),
         (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(g, b.data.shape)),
@@ -272,7 +273,9 @@ def div_scalar(a: Tensor, c: float) -> Tensor:
     return scale(a, 1.0 / c)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, out: np.ndarray | None = None) -> Tensor:
+    """``a @ b`` of 2-D operands; ``out``, if given, is the float64 array the
+    product is written to."""
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -283,7 +286,7 @@ def matmul(a, b) -> Tensor:
         raise ValueError(
             f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}"
         )
-    data = a.data @ b.data
+    data = np.matmul(a.data, b.data, out=out)
     return _make(
         "matmul", tape, data, (a, b),
         (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
@@ -309,8 +312,9 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", a.tape, data, (a,), (lambda g: g * (1.0 - data * data),))
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0.0)
+def relu(a: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """``max(a, 0)``; ``out``, if given, is the float64 array it is written to."""
+    data = np.maximum(a.data, 0.0, out=out)
     mask = a.data > 0.0
     return _make("relu", a.tape, data, (a,), (lambda g: g * mask,))
 

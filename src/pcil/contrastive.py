@@ -52,6 +52,12 @@ class Encoder:
 
     ``embed`` instruments the unit-norm contract: ``norm_violations`` counts
     outputs farther than 1e-9 from unit length (it should stay zero forever).
+
+    ``encoder_update``'s stacked forward writes its layer outputs into the
+    arrays of ``_workspace`` instead of allocating them afresh on every
+    update, so that no update has to fault their pages back in after the
+    previous one freed them. One encoder therefore runs one update at a
+    time.
     """
 
     def __init__(
@@ -73,17 +79,23 @@ class Encoder:
         self.head = ad.mlp_params(rng, [head_in, hidden_dim, hidden_dim, hidden_dim, embed_dim])
         self.norm_violations = 0
         self.max_norm_error = 0.0
+        self._workspace: dict = {}
 
     def embed_graph(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None) -> ad.Tensor:
         """Embedding as a tape graph; pass watched head nodes when training."""
         return self._forward(tape, x, head_nodes)[0]
 
-    def _forward(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None):
+    def _forward(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None, workspace=None):
         """Tape forward through the constant trunk (if any) and the head.
 
         Returns the embedding, the head's output before the sphere projection
         and, for every linear layer in order, its weight node and the mask of
         the ReLU that follows it (None for the head's last layer).
+
+        With a ``workspace`` dict, each layer's product, sum and ReLU output
+        are written into arrays kept there (made on first use, or when the
+        row count changes) and overwritten by the next forward that uses it:
+        the graph is valid only until then.
         """
         if head_nodes is None:
             head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
@@ -91,12 +103,14 @@ class Encoder:
         if self.trunk is not None:
             trunk_nodes = {n: tape.constant(v) for n, v in self.trunk.items()}
         layers = []
-        for w, b, relu_after in self._layers(head_nodes, trunk_nodes):
-            x = ad.add(ad.matmul(x, w), b)
+        for i, (w, b, relu_after) in enumerate(self._layers(head_nodes, trunk_nodes)):
+            shape = (x.shape[0], w.shape[1])
+            x = ad.matmul(x, w, out=_buffer(workspace, (i, "matmul"), shape))
+            x = ad.add(x, b, out=_buffer(workspace, (i, "add"), shape))
             mask = None
             if relu_after:
                 mask = x.data > 0.0
-                x = ad.relu(x)
+                x = ad.relu(x, out=_buffer(workspace, (i, "relu"), shape))
             layers.append((w, mask))
         emb = ad.sphere_normalize(x, axis=-1)
         self._check_norms(emb.data)
@@ -134,6 +148,17 @@ class Encoder:
         self.max_norm_error = max(self.max_norm_error, err)
         if err > 1e-9:
             self.norm_violations += 1
+
+
+def _buffer(workspace, key, shape):
+    """The float64 array of ``shape`` kept under ``key`` in ``workspace``, made
+    anew if missing or shaped otherwise; None when there is no workspace."""
+    if workspace is None:
+        return None
+    buf = workspace.get(key)
+    if buf is None or buf.shape != shape:
+        buf = workspace[key] = np.empty(shape)
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +345,13 @@ def stacked_forward(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, 
     stacked in that order.
 
     Returns the forward triple of ``Encoder._forward`` and the expert and
-    agent rows of its embedding.
+    agent rows of its embedding. Its layer outputs live in the encoder's
+    ``_workspace``, so the graph is valid until the encoder's next stacked
+    forward.
     """
     n_expert, n_agent = len(expert), len(agent)
-    forward = encoder._forward(tape, tape.constant(np.concatenate([expert, agent, x_hat])), head_nodes)
+    stacked = tape.constant(np.concatenate([expert, agent, x_hat]))
+    forward = encoder._forward(tape, stacked, head_nodes, encoder._workspace)
     emb = forward[0]
     emb_e = ad.row_slice(emb, 0, n_expert)
     emb_a = ad.row_slice(emb, n_expert, n_expert + n_agent)
@@ -349,8 +377,9 @@ def encoder_update(
 
     Returns (representation loss, penalty value). The expert rows, the agent
     rows and their interpolations ``x_hat`` go through one stacked tape
-    forward; InfoNCE reads its expert and agent rows and the penalty its
-    ``x_hat`` rows. The penalty probes the similarity reward against the
+    forward, whose layer outputs reuse the encoder's ``_workspace`` arrays;
+    InfoNCE reads its expert and agent rows and the penalty its ``x_hat``
+    rows. The penalty probes the similarity reward against the
     mean-mode reference, the renormalised mean of the forward's expert
     embeddings (what ``make_expert_reference(mode="mean")`` computes), held
     constant for the step.

@@ -346,22 +346,51 @@ class TestEncoderUpdate:
         np.testing.assert_allclose(
             from_forward, make_expert_reference(enc, expert, mode="mean"), rtol=0.0, atol=1e-15)
 
-    def test_update_takes_the_oracle_step(self):
-        # the update's own reference, x_hat and Adam step, against the oracle
-        enc = small_encoder(seed=37, hidden=16, embed=6)
-        batch = separable_batch(np.random.default_rng(38), n=6)
-        expected = enc.head.copy()
-        x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, np.random.default_rng(39))
-        reference = make_expert_reference(enc, batch.expert_inputs, mode="mean")
-        oracle_loss, oracle_penalty, grads = three_forward_update(enc, batch, x_hat, reference)
-        ad.adam_step(expected, grads, ad.AdamState.for_params(expected, lr=1e-3))
+    def test_update_takes_the_oracle_steps(self):
+        # the update's own reference, x_hat and Adam step against the oracle, over
+        # consecutive updates that reuse the workspace, one with other row counts
+        enc, twin = (small_encoder(seed=37, hidden=16, embed=6) for _ in range(2))
+        state = ad.AdamState.for_params(enc.head, lr=1e-3)
+        twin_state = ad.AdamState.for_params(twin.head, lr=1e-3)
+        rng, twin_rng = np.random.default_rng(39), np.random.default_rng(39)
+        for step, n in enumerate((6, 6, 5, 6)):
+            batch = separable_batch(np.random.default_rng(40 + step), n=n)
+            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, twin_rng)
+            reference = make_expert_reference(twin, batch.expert_inputs, mode="mean")
+            oracle_loss, oracle_penalty, grads = three_forward_update(twin, batch, x_hat, reference)
+            ad.adam_step(twin.head, grads, twin_state)
 
-        loss, penalty = encoder_update(
-            enc, batch, ad.AdamState.for_params(enc.head, lr=1e-3), np.random.default_rng(39))
-        assert loss == pytest.approx(oracle_loss, rel=1e-12, abs=0.0)
-        assert penalty == pytest.approx(oracle_penalty, rel=1e-12, abs=0.0)
-        for name in expected:
-            np.testing.assert_allclose(enc.head[name], expected[name], rtol=0.0, atol=1e-12)
+            loss, penalty = encoder_update(enc, batch, state, rng)
+            assert loss == pytest.approx(oracle_loss, rel=1e-12, abs=0.0)
+            assert penalty == pytest.approx(oracle_penalty, rel=1e-12, abs=0.0)
+            for name in twin.head:
+                np.testing.assert_allclose(enc.head[name], twin.head[name], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
+    def test_update_reuses_its_workspace(self, with_trunk):
+        enc = trunk_encoder(seed=41) if with_trunk else small_encoder(seed=41)
+        state = ad.AdamState.for_params(enc.head, lr=1e-3)
+        rng = np.random.default_rng(42)
+        encoder_update(enc, separable_batch(rng, n=6), state, rng)
+        arrays = dict(enc._workspace)
+        layers = ad.mlp_layer_count(enc.head) + (ad.mlp_layer_count(enc.trunk) if with_trunk else 0)
+        assert len(arrays) == 3 * layers - 1  # product and sum per layer, ReLU on all but the last
+        encoder_update(enc, separable_batch(rng, n=6), state, rng)
+        assert all(enc._workspace[key] is arr for key, arr in arrays.items())
+
+    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
+    def test_workspace_forward_matches_fresh_forward(self, with_trunk):
+        enc = trunk_encoder(seed=43) if with_trunk else small_encoder(seed=43)
+        rng = np.random.default_rng(44)
+        workspace = {}
+        for rows in (7, 7, 4):  # reuse, then a new row count
+            x = rng.uniform(-2, 2, size=(rows, 3))
+            fresh = ad.Tape()
+            emb, out, _ = enc._forward(fresh, fresh.constant(x))
+            tape = ad.Tape()
+            emb_w, out_w, _ = enc._forward(tape, tape.constant(x), None, workspace)
+            np.testing.assert_array_equal(emb_w.data, emb.data)
+            np.testing.assert_array_equal(out_w.data, out.data)
 
     def test_update_leaves_no_tape_for_the_cycle_collector(self):
         enc = small_encoder(seed=35, hidden=16, embed=6)
