@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -70,30 +70,6 @@ class Tensor:
 
     def __repr__(self):
         return f"<Tensor {self.op} shape={self.data.shape}>"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class Tape:
@@ -157,14 +133,6 @@ class Tape:
                         parent.grad = parent.grad + pg
             node.parents = node.vjps = ()
             node.grad = None
-
-    def gradient(self, output: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
-        """Run backward and return gradients for ``leaves`` (zeros if unused)."""
-        self.backward(output)
-        return [
-            leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            for leaf in leaves
-        ]
 
 
 def _lift(tape: Tape, x) -> Tensor:
@@ -266,13 +234,6 @@ def div(a, b) -> Tensor:
     )
 
 
-def div_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    if c == 0.0:
-        raise ZeroDivisionError("division by zero scalar")
-    return scale(a, 1.0 / c)
-
-
 def matmul(a, b, out: np.ndarray | None = None) -> Tensor:
     """``a @ b`` of 2-D operands; ``out``, if given, is the float64 array the
     product is written to."""
@@ -290,20 +251,6 @@ def matmul(a, b, out: np.ndarray | None = None) -> Tensor:
     return _make(
         "matmul", tape, data, (a, b),
         (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
-    )
-
-
-def dot(a, b) -> Tensor:
-    tape = _tape_of(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ValueError(
-            f"dot expects equal-length 1-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    data = np.array(a.data @ b.data)
-    return _make(
-        "dot", tape, data, (a, b),
-        (lambda g: g * b.data, lambda g: g * a.data),
     )
 
 
@@ -332,18 +279,6 @@ def softplus(a: Tensor) -> Tensor:
         "softplus", a.tape, data, (a,),
         (lambda g: g * np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x))),),
     )
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-    return _make("exp", a.tape, data, (a,), (lambda g: g * data,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise ValueError("log requires strictly positive inputs")
-    return _make("log", a.tape, np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -464,9 +399,9 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
 
 #: Every differentiable primitive, for enumeration in gradient-check suites.
 PRIMITIVES = (
-    "add", "sub", "mul", "div", "scale", "div_scalar", "matmul", "dot", "tanh", "relu",
-    "sigmoid", "softplus", "exp", "log", "sqrt", "sum", "mean", "logsumexp",
-    "sqnorm", "sphere_normalize", "concat", "reshape", "transpose", "row_slice",
+    "add", "sub", "mul", "div", "scale", "matmul", "tanh", "relu", "sigmoid",
+    "softplus", "sqrt", "sum", "mean", "logsumexp", "sqnorm", "sphere_normalize",
+    "concat", "reshape", "transpose", "row_slice",
 )
 
 

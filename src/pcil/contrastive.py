@@ -39,16 +39,11 @@ class ContrastiveBatch:
 class Encoder:
     """Feed-forward encoder with unit-sphere output projection.
 
-    Standalone form: a 4-layer MLP ``input -> hidden x3 -> embed_dim``. When a
-    shared trunk is supplied, the same head sits on the trunk's features; the
-    trunk is never trained by encoder losses (it belongs to the critic), so
-    the forward pass through it is always constant with respect to updates
-    here, while input gradients still flow through it.
+    A 4-layer MLP ``input -> hidden x3 -> embed_dim`` on the raw state.
 
-    ``_layers`` is the one place that knows the layer structure: every trunk
-    layer is followed by a ReLU, every head layer but the last. The tape
-    forward (``_forward``) and the numpy inference forward (``embed``) both
-    walk it.
+    ``_layers`` is the one place that knows the layer structure: every layer
+    but the last is followed by a ReLU. The tape forward (``_forward``) and
+    the numpy inference forward (``embed``) both walk it.
 
     ``embed`` instruments the unit-norm contract: ``norm_violations`` counts
     outputs farther than 1e-9 from unit length (it should stay zero forever).
@@ -67,30 +62,22 @@ class Encoder:
         hidden_dim: int = 256,
         embed_dim: int = 64,
         temperature: float = 0.07,
-        trunk: ad.ParameterSet | None = None,
-        trunk_out_dim: int | None = None,
     ):
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         self.temperature = temperature
         self.embed_dim = embed_dim
-        self.trunk = trunk
-        head_in = trunk_out_dim if trunk is not None else state_dim
-        self.head = ad.mlp_params(rng, [head_in, hidden_dim, hidden_dim, hidden_dim, embed_dim])
+        self.head = ad.mlp_params(rng, [state_dim, hidden_dim, hidden_dim, hidden_dim, embed_dim])
         self.norm_violations = 0
         self.max_norm_error = 0.0
         self._workspace: dict = {}
 
-    def embed_graph(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None) -> ad.Tensor:
-        """Embedding as a tape graph; pass watched head nodes when training."""
-        return self._forward(tape, x, head_nodes)[0]
-
     def _forward(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None, workspace=None):
-        """Tape forward through the constant trunk (if any) and the head.
+        """Tape forward through the head; pass watched head nodes when training.
 
         Returns the embedding, the head's output before the sphere projection
         and, for every linear layer in order, its weight node and the mask of
-        the ReLU that follows it (None for the head's last layer).
+        the ReLU that follows it (None for the last layer).
 
         With a ``workspace`` dict, each layer's product, sum and ReLU output
         are written into arrays kept there (made on first use, or when the
@@ -99,11 +86,8 @@ class Encoder:
         """
         if head_nodes is None:
             head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
-        trunk_nodes = None
-        if self.trunk is not None:
-            trunk_nodes = {n: tape.constant(v) for n, v in self.trunk.items()}
         layers = []
-        for i, (w, b, relu_after) in enumerate(self._layers(head_nodes, trunk_nodes)):
+        for i, (w, b, relu_after) in enumerate(self._layers(head_nodes)):
             shape = (x.shape[0], w.shape[1])
             x = ad.matmul(x, w, out=_buffer(workspace, (i, "matmul"), shape))
             x = ad.add(x, b, out=_buffer(workspace, (i, "add"), shape))
@@ -117,25 +101,27 @@ class Encoder:
         return emb, x, layers
 
     @staticmethod
-    def _layers(head, trunk):
-        """Yield ``(w, b, relu_after)`` for every linear layer, trunk first.
+    def _layers(head):
+        """Yield ``(w, b, relu_after)`` for every linear layer of ``head``.
 
-        ``head`` and ``trunk`` (None when there is none) map
-        ``layer{i}.w``/``layer{i}.b`` to numpy arrays or to tape nodes alike.
+        ``head`` maps ``layer{i}.w``/``layer{i}.b`` to numpy arrays or to tape
+        nodes alike.
         """
-        nets = [(head, False)] if trunk is None else [(trunk, True), (head, False)]
-        for params, relu_last in nets:
-            count = ad.mlp_layer_count(params)
-            for i in range(count):
-                yield params[f"layer{i}.w"], params[f"layer{i}.b"], relu_last or i < count - 1
+        count = ad.mlp_layer_count(head)
+        for i in range(count):
+            yield head[f"layer{i}.w"], head[f"layer{i}.b"], i < count - 1
 
     def embed(self, inputs: np.ndarray) -> np.ndarray:
         """Unit-norm embeddings, inference path."""
         features = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        width = self.head["layer0.w"].shape[0]
+        if features.ndim != 2 or features.shape[1] != width:
+            raise ValueError(
+                f"encoder inputs have width {features.shape[-1]}, the encoder takes width {width}")
         if not np.all(np.isfinite(features)):
             raise ad.NonFiniteError("encoder inputs contain NaN or Inf")
         out = features
-        for w, b, relu_after in self._layers(self.head, self.trunk):
+        for w, b, relu_after in self._layers(self.head):
             out = out @ w + b
             if relu_after:
                 out = np.maximum(out, 0.0)
@@ -144,6 +130,8 @@ class Encoder:
         return emb
 
     def _check_norms(self, emb: np.ndarray) -> None:
+        if not len(emb):
+            return
         err = float(np.max(np.abs(np.linalg.norm(emb, axis=-1) - 1.0)))
         self.max_norm_error = max(self.max_norm_error, err)
         if err > 1e-9:
@@ -197,14 +185,6 @@ def contrastive_loss_graph(
     return ad.tmean(ad.sub(lse, pos_mean))
 
 
-def infonce_loss(encoder: Encoder, batch: ContrastiveBatch) -> float:
-    """Loss value only (no update), e.g. for tests and metrics."""
-    tape = ad.Tape()
-    e = encoder.embed_graph(tape, tape.constant(encoder_inputs(batch.expert_inputs)))
-    a = encoder.embed_graph(tape, tape.constant(encoder_inputs(batch.agent_inputs)))
-    return float(contrastive_loss_graph(e, a, encoder.temperature).data)
-
-
 def encoder_inputs(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
@@ -217,25 +197,18 @@ def encoder_inputs(x) -> np.ndarray:
 def make_expert_reference(
     encoder: Encoder,
     expert_inputs: np.ndarray,
-    mode: str = "sample",
-    rng: np.random.Generator | None = None,
+    mode: str = "mean",
 ) -> np.ndarray:
-    """Reference embedding the reward compares against.
+    """Reference embedding the reward compares against: the mean of the
+    expert batch's embeddings, renormalised back onto the sphere.
 
-    ``sample`` picks one random expert item (the cheap estimator used during
-    training); ``mean`` averages the whole batch's embeddings and renormalises
-    the mean back onto the sphere.
+    ``mode`` accepts only ``"mean"``, the value the benchmark passes.
     """
+    if mode != "mean":
+        raise ValueError(f"unknown reference mode {mode!r}")
     expert_inputs = encoder_inputs(expert_inputs)
     if expert_inputs.shape[0] == 0:
         raise ValueError("expert reference needs at least one expert item")
-    if mode == "sample":
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        idx = int(rng.integers(0, expert_inputs.shape[0]))
-        return encoder.embed(expert_inputs[idx : idx + 1])[0]
-    if mode != "mean":
-        raise ValueError(f"unknown reference mode {mode!r}")
     return _mean_direction(encoder.embed(expert_inputs))
 
 
@@ -261,7 +234,10 @@ def al_gap(
     This is the apprenticeship-learning objective the contrastive loss
     implicitly maximises.
     """
-    ref = make_expert_reference(encoder, expert_inputs, mode="mean")
+    expert_inputs, agent_inputs = encoder_inputs(expert_inputs), encoder_inputs(agent_inputs)
+    if len(expert_inputs) == 0 or len(agent_inputs) == 0:
+        raise ValueError("al_gap needs non-empty expert and agent batches")
+    ref = make_expert_reference(encoder, expert_inputs)
     expert_r = similarity_reward(encoder, expert_inputs, ref)
     agent_r = similarity_reward(encoder, agent_inputs, ref)
     return float(expert_r.mean() - agent_r.mean())
@@ -322,19 +298,6 @@ def penalty_graph(forward, reference: np.ndarray, start: int = 0) -> ad.Tensor:
     return ad.tmean(ad.mul(dev, dev))
 
 
-def gradient_penalty(
-    encoder: Encoder,
-    expert_inputs: np.ndarray,
-    agent_inputs: np.ndarray,
-    reference: np.ndarray,
-    rng: np.random.Generator,
-) -> float:
-    """Penalty value only (no update) on freshly interpolated inputs."""
-    x_hat = interpolate_pairs(expert_inputs, agent_inputs, rng)
-    tape = ad.Tape()
-    return float(penalty_graph(encoder._forward(tape, tape.constant(x_hat)), reference).data)
-
-
 # ---------------------------------------------------------------------------
 # the encoder update
 # ---------------------------------------------------------------------------
@@ -381,7 +344,7 @@ def encoder_update(
     InfoNCE reads its expert and agent rows and the penalty its ``x_hat``
     rows. The penalty probes the similarity reward against the
     mean-mode reference, the renormalised mean of the forward's expert
-    embeddings (what ``make_expert_reference(mode="mean")`` computes), held
+    embeddings (what ``make_expert_reference`` computes), held
     constant for the step.
     """
     expert = encoder_inputs(batch.expert_inputs)

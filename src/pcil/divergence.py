@@ -22,20 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-
 _DIST_TOL = 1e-9
 
 
-def validate_distribution(p, tol: float = _DIST_TOL) -> np.ndarray:
+def validate_distribution(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("a distribution must be a non-empty 1-D vector")
     total = p.sum()
-    if not abs(total - 1.0) <= max(tol, 1e-12):  # written so that a NaN sum fails
+    if not abs(total - 1.0) <= _DIST_TOL:  # written so that a NaN sum fails
         what = "holds NaN or Inf" if not np.all(np.isfinite(p)) else f"sums to {total!r}, not 1"
         raise ValueError(f"distribution {what}")
-    if np.any(p < -tol):
+    if np.any(p < -_DIST_TOL):
         raise ValueError("distribution entries must be non-negative")
     return p
 
@@ -70,29 +68,26 @@ class RewardWitness:
 
     g: np.ndarray
     alpha: float
-    beta: float
     value: float
 
 
-def constructive_witness(p, q, beta: float = 0.5) -> RewardWitness:
+def constructive_witness(p, q) -> RewardWitness:
     """The proof's two-level reward on S = {p >= q}.
 
-    When the expert mass of S is at least half, g is +1 on S and -beta off
-    it; otherwise +beta on S and -1 off it. With beta = 0.5 the witness value
-    is at least 0.25 * TV(p, q) in both cases.
+    When the expert mass of S is at least half, g is +1 on S and -0.5 off
+    it; otherwise +0.5 on S and -1 off it (the proof's beta is 0.5). The
+    witness value is at least 0.25 * TV(p, q) in both cases.
     """
-    if not 0.0 <= beta <= 0.5:
-        raise ValueError("beta must lie in [0, 0.5]")
     p, q = _validate_pair(p, q)
     s_mask = p >= q
     mu_s = float(p[s_mask].sum())
     if mu_s >= 1.0 - mu_s:
-        g = np.where(s_mask, 1.0, -beta)
+        g = np.where(s_mask, 1.0, -0.5)
     else:
-        g = np.where(s_mask, beta, -1.0)
+        g = np.where(s_mask, 0.5, -1.0)
     alpha = abs(float(g @ p))
     value = alpha * float(g @ (p - q))
-    return RewardWitness(g=g, alpha=alpha, beta=beta, value=value)
+    return RewardWitness(g=g, alpha=alpha, value=value)
 
 
 def box_maximiser(p, q) -> np.ndarray:
@@ -153,60 +148,3 @@ def sandwich_check(p, q) -> SandwichReport:
         upper_ok=est <= 2.0 * tv + 1e-9,
         stronger_half_lower=est >= 0.5 * tv - 1e-9,
     )
-
-
-def table_encoder_gap(embeddings: np.ndarray, p, q) -> float:
-    """Expert-minus-agent mean reward for a one-unit-vector-per-point encoder.
-
-    The reference is the raw p-weighted mean embedding (no renormalisation):
-    that is the form whose gap provably never exceeds the box maximum. The
-    renormalised variant can exceed it, so it is the wrong bridge here; see
-    tests for a two-point counterexample.
-    """
-    p, q = _validate_pair(p, q)
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.shape[0] != p.size:
-        raise ValueError("need one embedding per support point")
-    norms = np.linalg.norm(emb, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("table encoder embeddings must be unit vectors")
-    reference = emb.T @ p
-    rewards = emb @ reference
-    return float(rewards @ (p - q))
-
-
-def taylor_check(tau: float, trials: int, seed: int = 0) -> float:
-    """Max deviation between the exact loss gradient and its linear surrogate.
-
-    At equal positive/negative similarities the gradient of the exact
-    single-negative contrastive loss equals 1/(2*tau) times the gradient of
-    (s_n - s_p); the deviation away from equality is generally nonzero. The
-    exact gradient is computed through the autodiff tape, so this also
-    exercises the machinery the training losses run on.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        s = float(rng.uniform(-1.0, 1.0))
-        tape = ad.Tape()
-        s_p = tape.leaf(np.array(s))
-        s_n = tape.leaf(np.array(s))
-        scaled_p = ad.div_scalar(s_p, tau)
-        scaled_n = ad.div_scalar(s_n, tau)
-        logits = ad.concat([ad.reshape(scaled_p, (1,)), ad.reshape(scaled_n, (1,))], axis=0)
-        loss = ad.sub(ad.logsumexp(logits), scaled_p)
-        tape.backward(loss)
-        surrogate = np.array([-1.0, 1.0]) / (2.0 * tau)
-        deviation = max(
-            abs(float(s_p.grad) - surrogate[0]), abs(float(s_n.grad) - surrogate[1])
-        )
-        worst = max(worst, deviation)
-    return worst
-
-
-def exact_pair_loss_gradient(s_p: float, s_n: float, tau: float) -> np.ndarray:
-    """Closed-form gradient of the single-negative loss, for cross-checks."""
-    sig = 1.0 / (1.0 + np.exp(-(s_n - s_p) / tau))
-    return np.array([-sig / tau, sig / tau])

@@ -15,7 +15,7 @@ termination, and ``step`` is a pure function of (state, action).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -43,8 +43,8 @@ def check_gradients(build, arrays, h=1e-5, tol=1e-4):
     """
     tape = ad.Tape()
     leaves = [tape.leaf(x.copy()) for x in arrays]
-    out = build(tape, leaves)
-    analytic = tape.gradient(out, leaves)
+    tape.backward(build(tape, leaves))
+    analytic = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data) for leaf in leaves]
 
     def evaluate(xs):
         t = ad.Tape()
@@ -66,7 +66,7 @@ def primitive_cases(rng):
     """One random gradient-check instance per differentiable primitive.
 
     Inputs are sampled away from kinks (relu at 0, sphere_normalize near the
-    epsilon cutoff) and domain edges (log, sqrt) so central differences are
+    epsilon cutoff) and domain edges (sqrt) so central differences are
     valid; each case returns (name, build, arrays).
     """
     cases = []
@@ -86,19 +86,14 @@ def primitive_cases(rng):
     cases.append(("mul", lambda t, ls: scalarize(t, ad.mul(ls[0], ls[1]), w23), [a, b]))
     c = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
     cases.append(("scale", lambda t, ls: scalarize(t, ad.scale(ls[0], c), w23), [rand(2, 3)]))
-    cases.append(("div_scalar", lambda t, ls: scalarize(t, ad.div_scalar(ls[0], c), w23), [rand(2, 3)]))
     a, b = rand(2, 3), rand(3, 2)
     cases.append(("matmul", lambda t, ls: scalarize(t, ad.matmul(ls[0], ls[1]), w22), [a, b]))
-    a, b = rand(3), rand(3)
-    cases.append(("dot", lambda t, ls: ad.dot(ls[0], ls[1]), [a, b]))
     cases.append(("tanh", lambda t, ls: scalarize(t, ad.tanh(ls[0]), w23), [rand(2, 3)]))
     x = rand(2, 3)
     x = np.where(np.abs(x) < 0.05, 0.3, x)  # keep clear of the relu kink
     cases.append(("relu", lambda t, ls: scalarize(t, ad.relu(ls[0]), w23), [x]))
     cases.append(("sigmoid", lambda t, ls: scalarize(t, ad.sigmoid(ls[0]), w23), [rand(2, 3)]))
     cases.append(("softplus", lambda t, ls: scalarize(t, ad.softplus(ls[0]), w23), [rand(2, 3)]))
-    cases.append(("exp", lambda t, ls: scalarize(t, ad.exp(ls[0]), w23), [rand(2, 3)]))
-    cases.append(("log", lambda t, ls: scalarize(t, ad.log(ls[0]), w23), [rand(2, 3, lo=0.5, hi=2.5)]))
     cases.append(("sqrt", lambda t, ls: scalarize(t, ad.sqrt(ls[0]), w23), [rand(2, 3, lo=0.5, hi=2.5)]))
     w2 = rand(2)
     cases.append(("sum", lambda t, ls: scalarize(t, ad.tsum(ls[0], axis=1), w2), [rand(2, 3)]))

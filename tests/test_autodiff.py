@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcil import autodiff as ad
-from gradcheck import check_gradients, primitive_cases, scalarize
+from gradcheck import check_gradients, primitive_cases
 
 
 def test_matmul_hand_arithmetic():
@@ -39,7 +39,7 @@ def test_sphere_normalize_tangential_projection():
     c = np.array([0.0, 1.0])
 
     def build(tape, leaves):
-        return ad.dot(ad.sphere_normalize(leaves[0]), tape.constant(c))
+        return ad.tsum(ad.mul(ad.sphere_normalize(leaves[0]), tape.constant(c)))
 
     tape = ad.Tape()
     v = tape.leaf(np.array([1.0, 0.0]))
@@ -62,13 +62,12 @@ def test_mean_tanh_linear_vs_finite_differences():
         assert err < 1e-4
 
 
-@pytest.mark.parametrize("case_idx", range(len(primitive_cases(np.random.default_rng(0)))))
-def test_primitive_gradients_match_finite_differences(case_idx):
+@pytest.mark.parametrize("name", ad.PRIMITIVES, ids=str)
+def test_primitive_gradients_match_finite_differences(name):
     # 100 random instances per primitive, h=1e-5, relative tolerance 1e-4
     for trial in range(100):
-        rng = np.random.default_rng(1000 * case_idx + trial)
-        name, build, arrays = primitive_cases(rng)[case_idx]
-        check_gradients(build, arrays)
+        cases = {n: (build, arrays) for n, build, arrays in primitive_cases(np.random.default_rng(trial))}
+        check_gradients(*cases[name])
 
 
 def test_primitive_registry_is_complete():
@@ -168,23 +167,15 @@ def test_shape_mismatch_rejected():
     b = tape.constant(np.ones((2, 3)))
     with pytest.raises(ValueError, match="matmul"):
         ad.matmul(a, b)
-    with pytest.raises(ValueError, match="dot"):
-        ad.dot(tape.constant(np.ones(2)), tape.constant(np.ones(3)))
 
 
 def test_non_finite_rejected():
     tape = ad.Tape()
     with pytest.raises(ad.NonFiniteError):
         tape.leaf(np.array([1.0, np.nan]))
-    x = tape.constant(np.array([800.0]))
-    with pytest.raises(ad.NonFiniteError):
-        ad.exp(x)  # overflows to inf
-
-
-def test_log_requires_positive():
-    tape = ad.Tape()
-    with pytest.raises(ValueError, match="positive"):
-        ad.log(tape.constant(np.array([1.0, 0.0])))
+    x = tape.constant(np.array([1e200]))
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+        ad.mul(x, x)  # overflows to inf
 
 
 def test_cross_tape_operands_rejected():

@@ -11,8 +11,6 @@ from pcil.contrastive import (
     al_gap,
     contrastive_loss_graph,
     encoder_update,
-    gradient_penalty,
-    infonce_loss,
     input_gradient_graph,
     interpolate_pairs,
     make_expert_reference,
@@ -34,23 +32,21 @@ def small_encoder(seed=0, state_dim=3, hidden=8, embed=4, **kw):
     )
 
 
-def trunk_encoder(seed=0, state_dim=3, hidden=8, embed=4, trunk_width=6):
-    rng = np.random.default_rng(seed)
-    trunk = ad.mlp_params(rng, [state_dim, trunk_width, trunk_width])
-    return Encoder(
-        rng, state_dim=state_dim, hidden_dim=hidden, embed_dim=embed,
-        trunk=trunk, trunk_out_dim=trunk_width,
-    )
-
-
 def reward_input_gradients(encoder, x_hat, reference):
     """Reference oracle: per-row gradient of the similarity reward w.r.t. its
     input, by one reverse pass down to the inputs."""
     tape = ad.Tape()
     x = tape.leaf(np.asarray(x_hat, dtype=np.float64))
-    emb = encoder.embed_graph(tape, x)
+    emb = encoder._forward(tape, x)[0]
     tape.backward(ad.tsum(ad.matmul(emb, tape.constant(np.asarray(reference)[:, None]))))
     return x.grad
+
+
+def penalty_value(encoder, expert, agent, reference, rng):
+    """The gradient penalty on freshly interpolated inputs, value only."""
+    x_hat = interpolate_pairs(expert, agent, rng)
+    tape = ad.Tape()
+    return float(penalty_graph(encoder._forward(tape, tape.constant(x_hat)), reference).data)
 
 
 def random_rotation(rng, dim):
@@ -89,7 +85,7 @@ class TestEmbed:
         c /= np.linalg.norm(c)
 
         def build(tape, leaves):
-            emb = enc.embed_graph(tape, leaves[0])
+            emb = enc._forward(tape, leaves[0])[0]
             return ad.tsum(ad.matmul(emb, tape.constant(c[:, None])))
 
         for trial in range(20):
@@ -97,22 +93,25 @@ class TestEmbed:
             err = check_gradients(build, [x])
             assert err < 1e-4
 
-    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
-    def test_tape_and_inference_paths_agree(self, with_trunk):
-        enc = trunk_encoder(seed=5) if with_trunk else small_encoder(seed=5)
+    def test_tape_and_inference_paths_agree(self):
+        enc = small_encoder(seed=5)
         x = np.random.default_rng(6).uniform(-2, 2, size=(7, 3))
         tape = ad.Tape()
-        graph = enc.embed_graph(tape, tape.constant(x))
+        graph = enc._forward(tape, tape.constant(x))[0]
         np.testing.assert_array_equal(graph.data, enc.embed(x))
 
-    def test_shared_trunk_features(self):
-        rng = np.random.default_rng(7)
-        trunk = ad.mlp_params(rng, [3, 8, 8])
-        enc = Encoder(rng, state_dim=3, hidden_dim=8, embed_dim=4, trunk=trunk, trunk_out_dim=8)
-        x = rng.uniform(-1, 1, size=(5, 3))
-        emb = enc.embed(x)
-        assert emb.shape == (5, 4)
-        assert np.all(np.abs(np.linalg.norm(emb, axis=1) - 1) <= 1e-9)
+    def test_zero_rows_give_an_empty_embedding(self):
+        enc = small_encoder()
+        emb = enc.embed(np.zeros((0, 3)))
+        assert emb.shape == (0, enc.embed_dim)
+        assert enc.norm_violations == 0 and enc.max_norm_error == 0.0
+        ref = make_expert_reference(enc, np.ones((2, 3)))
+        assert similarity_reward(enc, np.zeros((0, 3)), ref).shape == (0,)
+
+    def test_wrong_width_rejected(self):
+        enc = small_encoder()
+        with pytest.raises(ValueError, match="width 5, the encoder takes width 3"):
+            enc.embed(np.zeros((2, 5)))
 
 
 class TestInfoNCE:
@@ -161,19 +160,9 @@ class TestInfoNCE:
             val = loss_value(e, a, tau)
             assert 0.0 <= val <= 2.0 / tau + np.log(ne - 1 + na) + 1e-9
 
-    def test_encoder_level_wrapper(self):
-        enc = small_encoder(seed=9)
-        rng = np.random.default_rng(10)
-        batch = ContrastiveBatch(rng.normal(size=(8, 3)), rng.normal(size=(8, 3)))
-        val = infonce_loss(enc, batch)
-        assert np.isfinite(val) and val >= 0.0
-
 
 class _IdentityEmbed:
     """Stub whose 'embedding' is the raw input: reward gradient == reference."""
-
-    def embed_graph(self, tape, x, head_nodes=None):
-        return x
 
     def embed(self, inputs):
         return np.atleast_2d(inputs)
@@ -183,7 +172,7 @@ class TestSimilarityReward:
     def test_self_similarity_is_one(self):
         enc = small_encoder(seed=11)
         x = np.array([[0.5, -1.0, 2.0]])
-        ref = make_expert_reference(enc, x, mode="sample", rng=np.random.default_rng(0))
+        ref = make_expert_reference(enc, x)
         assert similarity_reward(enc, x, ref)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_and_antipodal(self):
@@ -195,21 +184,24 @@ class TestSimilarityReward:
     def test_empty_expert_set_rejected(self):
         enc = small_encoder()
         with pytest.raises(ValueError, match="at least one"):
-            make_expert_reference(enc, np.zeros((0, 3)), mode="mean")
+            make_expert_reference(enc, np.zeros((0, 3)))
+
+    def test_only_mean_mode_accepted(self):
+        with pytest.raises(ValueError, match="unknown reference mode 'sample'"):
+            make_expert_reference(small_encoder(), np.ones((2, 3)), mode="sample")
 
     def test_rewards_bounded(self):
         enc = small_encoder(seed=12)
         rng = np.random.default_rng(13)
         expert = rng.uniform(-3, 3, size=(16, 3))
-        for mode in ("sample", "mean"):
-            ref = make_expert_reference(enc, expert, mode=mode, rng=rng)
-            r = similarity_reward(enc, rng.uniform(-5, 5, size=(64, 3)), ref)
-            assert np.all(r >= -1.0 - 1e-9) and np.all(r <= 1.0 + 1e-9)
+        ref = make_expert_reference(enc, expert)
+        r = similarity_reward(enc, rng.uniform(-5, 5, size=(64, 3)), ref)
+        assert np.all(r >= -1.0 - 1e-9) and np.all(r <= 1.0 + 1e-9)
 
     def test_mean_mode_is_renormalized(self):
         enc = small_encoder(seed=14)
         rng = np.random.default_rng(15)
-        ref = make_expert_reference(enc, rng.uniform(-1, 1, size=(8, 3)), mode="mean")
+        ref = make_expert_reference(enc, rng.uniform(-1, 1, size=(8, 3)))
         assert np.linalg.norm(ref) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -223,10 +215,9 @@ class TestGradientPenalty:
         ref = rng.normal(size=enc.embed_dim)
         return expert, agent, ref / np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
-    def test_input_gradient_rows_match_oracle(self, with_trunk):
+    def test_input_gradient_rows_match_oracle(self):
         for seed in range(5):
-            enc = trunk_encoder(seed) if with_trunk else small_encoder(seed=seed)
+            enc = small_encoder(seed=seed)
             expert, agent, ref = self.probe(enc, 100 + seed)
             x_hat = interpolate_pairs(expert, agent, np.random.default_rng(seed))
             oracle = reward_input_gradients(enc, x_hat, ref)
@@ -244,7 +235,7 @@ class TestGradientPenalty:
     def test_value_matches_oracle(self):
         enc = small_encoder(seed=16)
         expert, agent, ref = self.probe(enc, 17)
-        val = gradient_penalty(enc, expert, agent, ref, np.random.default_rng(5))
+        val = penalty_value(enc, expert, agent, ref, np.random.default_rng(5))
         x_hat = interpolate_pairs(expert, agent, np.random.default_rng(5))
         norms = np.linalg.norm(reward_input_gradients(enc, x_hat, ref), axis=1)
         assert val == pytest.approx(np.mean((norms - 1.0) ** 2), rel=0.0, abs=1e-12)
@@ -255,13 +246,13 @@ class TestGradientPenalty:
         last = f"layer{ad.mlp_layer_count(enc.head) - 1}.w"
         enc.head[last] = np.zeros_like(enc.head[last])
         expert, agent, ref = self.probe(enc, 2, n=4)
-        assert gradient_penalty(enc, expert, agent, ref, np.random.default_rng(3)) == 1.0
+        assert penalty_value(enc, expert, agent, ref, np.random.default_rng(3)) == 1.0
 
     def test_empty_batch_rejected(self):
         enc = small_encoder()
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="non-empty"):
-            gradient_penalty(enc, np.zeros((0, 3)), np.ones((2, 3)), np.ones(4) / 2.0, rng)
+            penalty_value(enc, np.zeros((0, 3)), np.ones((2, 3)), np.ones(4) / 2.0, rng)
 
 
 def separable_batch(rng, n=24):
@@ -276,14 +267,13 @@ class TestEncoderUpdate:
         enc = small_encoder(seed=21, hidden=16, embed=6)
         batch = separable_batch(rng)
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
-        initial_loss = infonce_loss(enc, batch)
         initial_gap = al_gap(enc, batch.expert_inputs, batch.agent_inputs)
         losses = []
         for _ in range(200):
             loss, penalty = encoder_update(enc, batch, state, rng)
             losses.append(loss)
             assert np.isfinite(penalty)
-        assert losses[-1] < initial_loss
+        assert losses[-1] < losses[0]  # losses[0] is the loss before the first step
         emb_e = enc.embed(batch.expert_inputs)
         emb_a = enc.embed(batch.agent_inputs)
         ee = (emb_e @ emb_e.T)[np.triu_indices(len(emb_e), k=1)].mean()
@@ -294,33 +284,30 @@ class TestEncoderUpdate:
 
     def test_update_loss_gradient_matches_finite_differences(self):
         # end-to-end: d(loss + 10*penalty)/d(head params) of the graph the update
-        # builds, against central FD with the reference held fixed, standalone
-        # and on a shared trunk
-        for enc in (small_encoder(seed=23, hidden=5, embed=3),
-                    trunk_encoder(seed=24, hidden=5, embed=3, trunk_width=5)):
-            rng = np.random.default_rng(22)
-            batch = separable_batch(rng, n=4)
-            reference = make_expert_reference(enc, batch.expert_inputs, mode="mean")
-            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, rng)
-            names = enc.head.names()
+        # builds, against central FD with the reference held fixed
+        enc = small_encoder(seed=23, hidden=5, embed=3)
+        rng = np.random.default_rng(22)
+        batch = separable_batch(rng, n=4)
+        reference = make_expert_reference(enc, batch.expert_inputs)
+        x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, rng)
+        names = enc.head.names()
 
-            def build(tape, leaves):
-                forward, emb_e, emb_a = stacked_forward(
-                    tape, enc, dict(zip(names, leaves)),
-                    batch.expert_inputs, batch.agent_inputs, x_hat)
-                return update_loss_graph(enc, forward, emb_e, emb_a, reference, 10.0)[2]
+        def build(tape, leaves):
+            forward, emb_e, emb_a = stacked_forward(
+                tape, enc, dict(zip(names, leaves)),
+                batch.expert_inputs, batch.agent_inputs, x_hat)
+            return update_loss_graph(enc, forward, emb_e, emb_a, reference, 10.0)[2]
 
-            arrays = [enc.head[n].copy() for n in names]
-            err = check_gradients(build, arrays, h=1e-6, tol=1e-6)
-            assert err < 1e-6
+        arrays = [enc.head[n].copy() for n in names]
+        err = check_gradients(build, arrays, h=1e-6, tol=1e-6)
+        assert err < 1e-6
 
-    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
-    def test_stacked_update_matches_three_forward_oracle(self, with_trunk):
-        enc = trunk_encoder(seed=30) if with_trunk else small_encoder(seed=30)
+    def test_stacked_update_matches_three_forward_oracle(self):
+        enc = small_encoder(seed=30)
         rng = np.random.default_rng(31)
         batch = ContrastiveBatch(rng.uniform(-2, 2, size=(6, 3)), rng.uniform(-2, 2, size=(6, 3)))
         x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, np.random.default_rng(32))
-        reference = make_expert_reference(enc, batch.expert_inputs, mode="mean")
+        reference = make_expert_reference(enc, batch.expert_inputs)
         oracle = three_forward_update(enc, batch, x_hat, reference)
 
         tape = ad.Tape()
@@ -344,7 +331,7 @@ class TestEncoderUpdate:
         _, emb_e, _ = stacked_forward(tape, enc, None, expert, agent, x_hat)
         from_forward = contrastive._mean_direction(emb_e.data)
         np.testing.assert_allclose(
-            from_forward, make_expert_reference(enc, expert, mode="mean"), rtol=0.0, atol=1e-15)
+            from_forward, make_expert_reference(enc, expert), rtol=0.0, atol=1e-15)
 
     def test_update_takes_the_oracle_steps(self):
         # the update's own reference, x_hat and Adam step against the oracle, over
@@ -356,7 +343,7 @@ class TestEncoderUpdate:
         for step, n in enumerate((6, 6, 5, 6)):
             batch = separable_batch(np.random.default_rng(40 + step), n=n)
             x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, twin_rng)
-            reference = make_expert_reference(twin, batch.expert_inputs, mode="mean")
+            reference = make_expert_reference(twin, batch.expert_inputs)
             oracle_loss, oracle_penalty, grads = three_forward_update(twin, batch, x_hat, reference)
             ad.adam_step(twin.head, grads, twin_state)
 
@@ -366,21 +353,19 @@ class TestEncoderUpdate:
             for name in twin.head:
                 np.testing.assert_allclose(enc.head[name], twin.head[name], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
-    def test_update_reuses_its_workspace(self, with_trunk):
-        enc = trunk_encoder(seed=41) if with_trunk else small_encoder(seed=41)
+    def test_update_reuses_its_workspace(self):
+        enc = small_encoder(seed=41)
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
         rng = np.random.default_rng(42)
         encoder_update(enc, separable_batch(rng, n=6), state, rng)
         arrays = dict(enc._workspace)
-        layers = ad.mlp_layer_count(enc.head) + (ad.mlp_layer_count(enc.trunk) if with_trunk else 0)
+        layers = ad.mlp_layer_count(enc.head)
         assert len(arrays) == 3 * layers - 1  # product and sum per layer, ReLU on all but the last
         encoder_update(enc, separable_batch(rng, n=6), state, rng)
         assert all(enc._workspace[key] is arr for key, arr in arrays.items())
 
-    @pytest.mark.parametrize("with_trunk", [False, True], ids=["no_trunk", "trunk"])
-    def test_workspace_forward_matches_fresh_forward(self, with_trunk):
-        enc = trunk_encoder(seed=43) if with_trunk else small_encoder(seed=43)
+    def test_workspace_forward_matches_fresh_forward(self):
+        enc = small_encoder(seed=43)
         rng = np.random.default_rng(44)
         workspace = {}
         for rows in (7, 7, 4):  # reuse, then a new row count
@@ -414,8 +399,8 @@ def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
     the head gradients of ``loss + gp_weight * penalty``."""
     tape = ad.Tape()
     head_nodes = encoder.head.watch(tape)
-    emb_e = encoder.embed_graph(tape, tape.constant(batch.expert_inputs), head_nodes)
-    emb_a = encoder.embed_graph(tape, tape.constant(batch.agent_inputs), head_nodes)
+    emb_e = encoder._forward(tape, tape.constant(batch.expert_inputs), head_nodes)[0]
+    emb_a = encoder._forward(tape, tape.constant(batch.agent_inputs), head_nodes)[0]
     loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
     penalty = penalty_graph(encoder._forward(tape, tape.constant(x_hat), head_nodes), reference)
     tape.backward(ad.add(loss, ad.scale(penalty, gp_weight)))
@@ -428,6 +413,12 @@ class TestAlGap:
         enc = small_encoder(seed=24)
         x = np.random.default_rng(25).uniform(-1, 1, size=(8, 3))
         assert al_gap(enc, x, x) == pytest.approx(0.0, abs=1e-12)
+
+    def test_empty_batch_rejected(self):
+        enc = small_encoder()
+        for expert, agent in ((np.zeros((0, 3)), np.ones((2, 3))), (np.ones((2, 3)), np.zeros((0, 3)))):
+            with pytest.raises(ValueError, match="non-empty expert and agent"):
+                al_gap(enc, expert, agent)
 
     def test_bounded(self):
         enc = small_encoder(seed=26)

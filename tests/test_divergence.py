@@ -5,16 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pcil import autodiff as ad
 from pcil.divergence import (
-    RewardWitness,
+    _validate_pair,
     box_maximiser,
     constructive_witness,
     d_cont_estimate,
-    exact_pair_loss_gradient,
     inner_objective,
     sandwich_check,
-    table_encoder_gap,
-    taylor_check,
     tv_distance,
 )
 
@@ -49,6 +47,63 @@ def edge_oracle(p, q) -> float:
             t = np.clip(t, -1.0, 1.0)
             best = max(best, float(np.max(np.abs(a_fix + t * p[i]) * (b_fix + t * d[i]))))
     return best
+
+
+def table_encoder_gap(embeddings: np.ndarray, p, q) -> float:
+    """Expert-minus-agent mean reward for a one-unit-vector-per-point encoder.
+
+    The reference is the raw p-weighted mean embedding (no renormalisation):
+    that is the form whose gap provably never exceeds the box maximum. The
+    renormalised variant can exceed it, so it is the wrong bridge here; see
+    tests for a two-point counterexample.
+    """
+    p, q = _validate_pair(p, q)
+    emb = np.asarray(embeddings, dtype=np.float64)
+    if emb.shape[0] != p.size:
+        raise ValueError("need one embedding per support point")
+    norms = np.linalg.norm(emb, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        raise ValueError("table encoder embeddings must be unit vectors")
+    reference = emb.T @ p
+    rewards = emb @ reference
+    return float(rewards @ (p - q))
+
+
+def taylor_check(tau: float, trials: int, seed: int = 0) -> float:
+    """Max deviation between the exact loss gradient and its linear surrogate.
+
+    At equal positive/negative similarities the gradient of the exact
+    single-negative contrastive loss equals 1/(2*tau) times the gradient of
+    (s_n - s_p); the deviation away from equality is generally nonzero. The
+    exact gradient is computed through the autodiff tape, so this also
+    exercises the machinery the training losses run on.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        s = float(rng.uniform(-1.0, 1.0))
+        tape = ad.Tape()
+        s_p = tape.leaf(np.array(s))
+        s_n = tape.leaf(np.array(s))
+        scaled_p = ad.scale(s_p, 1.0 / tau)
+        scaled_n = ad.scale(s_n, 1.0 / tau)
+        logits = ad.concat([ad.reshape(scaled_p, (1,)), ad.reshape(scaled_n, (1,))], axis=0)
+        loss = ad.sub(ad.logsumexp(logits), scaled_p)
+        tape.backward(loss)
+        surrogate = np.array([-1.0, 1.0]) / (2.0 * tau)
+        deviation = max(
+            abs(float(s_p.grad) - surrogate[0]), abs(float(s_n.grad) - surrogate[1])
+        )
+        worst = max(worst, deviation)
+    return worst
+
+
+def exact_pair_loss_gradient(s_p: float, s_n: float, tau: float) -> np.ndarray:
+    """Closed-form gradient of the single-negative loss, for cross-checks."""
+    sig = 1.0 / (1.0 + np.exp(-(s_n - s_p) / tau))
+    return np.array([-sig / tau, sig / tau])
 
 
 def assert_exact(p, q):
@@ -140,7 +195,7 @@ class TestInnerObjective:
 
 class TestConstructiveWitness:
     def test_hand_case(self):
-        w = constructive_witness([1.0, 0.0], [0.0, 1.0], beta=0.5)
+        w = constructive_witness([1.0, 0.0], [0.0, 1.0])
         np.testing.assert_array_equal(w.g, [1.0, -0.5])
         assert w.alpha == pytest.approx(1.0)
         assert w.value == pytest.approx(1.5)
@@ -162,21 +217,17 @@ class TestConstructiveWitness:
         for _ in range(500):
             n = int(rng.integers(2, 9))
             p, q = random_pair(rng, n)
-            w = constructive_witness(p, q, beta=0.5)
+            w = constructive_witness(p, q)
             assert w.value >= 0.25 * tv_distance(p, q) - 1e-12
 
     def test_case_two_branch(self):
         # most expert mass sits where the agent dominates, forcing the
-        # +beta / -1 form of the witness
+        # +0.5 / -1 form of the witness
         p = np.array([0.9, 0.1])
         q = np.array([0.95, 0.05])
-        w = constructive_witness(p, q, beta=0.5)
+        w = constructive_witness(p, q)
         np.testing.assert_array_equal(w.g, [-1.0, 0.5])
         assert w.value >= 0.25 * tv_distance(p, q) - 1e-12
-
-    def test_invalid_beta_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            constructive_witness([1.0, 0.0], [0.0, 1.0], beta=0.8)
 
 
 class TestDContEstimate:
@@ -192,7 +243,7 @@ class TestDContEstimate:
         for _ in range(50):
             p, q = random_pair(rng, int(rng.integers(2, 9)))
             est = d_cont_estimate(p, q)
-            assert est >= constructive_witness(p, q, 0.5).value - 1e-12
+            assert est >= constructive_witness(p, q).value - 1e-12
 
     def test_interior_edge_point_beats_every_vertex(self):
         # the best vertex g = (-1, 1) gives 0.24; the maximum 0.25 sits inside
