@@ -62,7 +62,17 @@ def test_mean_tanh_linear_vs_finite_differences():
         assert err < 1e-4
 
 
-@pytest.mark.parametrize("name", ad.PRIMITIVES, ids=str)
+# Each case keeps a fixed id, the primitive's position in the registry when
+# the suite was first written, so deleting a primitive renames no other case.
+CASE_IDS = {
+    "add": "0", "sub": "1", "mul": "2", "scale": "3", "matmul": "5", "tanh": "7",
+    "relu": "8", "sigmoid": "9", "softplus": "10", "sqrt": "13", "sum": "14",
+    "mean": "15", "logsumexp": "16", "sqnorm": "17", "sphere_normalize": "18",
+    "concat": "19", "reshape": "20", "transpose": "21", "div": "22", "row_slice": "23",
+}
+
+
+@pytest.mark.parametrize("name", ad.PRIMITIVES, ids=CASE_IDS.__getitem__)
 def test_primitive_gradients_match_finite_differences(name):
     # 100 random instances per primitive, h=1e-5, relative tolerance 1e-4
     for trial in range(100):
@@ -72,7 +82,7 @@ def test_primitive_gradients_match_finite_differences(name):
 
 def test_primitive_registry_is_complete():
     names = {name for name, _, _ in primitive_cases(np.random.default_rng(0))}
-    assert names == set(ad.PRIMITIVES)
+    assert names == set(ad.PRIMITIVES) == set(CASE_IDS)
 
 
 def test_sphere_normalize_unit_norm_invariant():
