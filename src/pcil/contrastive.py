@@ -72,6 +72,10 @@ class Encoder:
         self.max_norm_error = 0.0
         self._workspace: dict = {}
 
+    def embed_graph(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None) -> ad.Tensor:
+        """Embedding as a tape graph; pass watched head nodes when training."""
+        return self._forward(tape, x, head_nodes)[0]
+
     def _forward(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None, workspace=None):
         """Tape forward through the head; pass watched head nodes when training.
 
@@ -224,11 +228,7 @@ def similarity_reward(encoder: Encoder, inputs: np.ndarray, reference: np.ndarra
     return emb @ np.asarray(reference, dtype=np.float64)
 
 
-def al_gap(
-    encoder: Encoder,
-    expert_inputs: np.ndarray,
-    agent_inputs: np.ndarray,
-) -> float:
+def al_gap(encoder: Encoder, expert_inputs: np.ndarray, agent_inputs: np.ndarray) -> float:
     """Mean expert reward minus mean agent reward, mean-mode reference.
 
     This is the apprenticeship-learning objective the contrastive loss

@@ -97,7 +97,7 @@ class TestEmbed:
         enc = small_encoder(seed=5)
         x = np.random.default_rng(6).uniform(-2, 2, size=(7, 3))
         tape = ad.Tape()
-        graph = enc._forward(tape, tape.constant(x))[0]
+        graph = enc.embed_graph(tape, tape.constant(x))
         np.testing.assert_array_equal(graph.data, enc.embed(x))
 
     def test_zero_rows_give_an_empty_embedding(self):
