@@ -18,6 +18,7 @@ the penalty each read their rows of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,24 @@ class Encoder:
     ``embed`` instruments the unit-norm contract: ``norm_violations`` counts
     outputs farther than 1e-9 from unit length (it should stay zero forever).
 
-    ``encoder_update``'s stacked forward writes its layer outputs into the
-    arrays of ``_workspace`` instead of allocating them afresh on every
-    update, so that no update has to fault their pages back in after the
-    previous one freed them. One encoder therefore runs one update at a
-    time.
+    The steady-state hot paths write into float64 arrays the encoder keeps
+    instead of allocating them afresh on every call, so that no call has to
+    fault pages back in after the allocator returned the previous call's
+    arrays to the system. The arrays only grow, and a call uses a prefix of
+    each (``ad.workspace_buffer``), so any row count reuses them.
+
+    - ``embed`` (and so ``similarity_reward``, ``make_expert_reference`` and
+      ``al_gap``) computes each layer's product, bias add and ReLU in place,
+      in the two arrays of ``_embed_workspace`` in turn. The embedding it
+      returns is a fresh array.
+    - ``encoder_update`` keeps in ``_workspace`` its stacked forward's layer
+      outputs and ReLU masks, its penalty chain's products and its
+      backward's adjoints (``ad.Tape.backward``). Its graph and the head
+      gradients are valid until the encoder's next update, so one encoder
+      runs one update at a time.
+
+    ``embed`` never touches ``_workspace``, so it may run while an update's
+    graph is live.
     """
 
     def __init__(
@@ -71,6 +85,7 @@ class Encoder:
         self.norm_violations = 0
         self.max_norm_error = 0.0
         self._workspace: dict = {}
+        self._embed_workspace: dict = {}
 
     def embed_graph(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None) -> ad.Tensor:
         """Embedding as a tape graph; pass watched head nodes when training."""
@@ -83,22 +98,26 @@ class Encoder:
         and, for every linear layer in order, its weight node and the mask of
         the ReLU that follows it (None for the last layer).
 
-        With a ``workspace`` dict, each layer's product, sum and ReLU output
-        are written into arrays kept there (made on first use, or when the
-        row count changes) and overwritten by the next forward that uses it:
-        the graph is valid only until then.
+        With a ``workspace`` dict, each layer's product, bias add and ReLU are
+        computed in place in one array kept there, and its ReLU mask (as 0/1
+        floats) in another (see ``ad.workspace_buffer``). The product and sum
+        nodes then hold the layer's output; no VJP reads their values, so the
+        gradients stay exact. The next forward with the workspace overwrites
+        the arrays, so the graph is valid only until then. Without a
+        workspace, every op makes a new array and the masks are boolean.
         """
         if head_nodes is None:
             head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
         layers = []
         for i, (w, b, relu_after) in enumerate(self._layers(head_nodes)):
             shape = (x.shape[0], w.shape[1])
-            x = ad.matmul(x, w, out=_buffer(workspace, (i, "matmul"), shape))
-            x = ad.add(x, b, out=_buffer(workspace, (i, "add"), shape))
+            y = ad.workspace_buffer(workspace, (i, "out"), shape)
+            x = ad.add(ad.matmul(x, w, out=y), b, out=y)
             mask = None
             if relu_after:
-                mask = x.data > 0.0
-                x = ad.relu(x, out=_buffer(workspace, (i, "relu"), shape))
+                mask = np.greater(x.data, 0.0,
+                                  out=ad.workspace_buffer(workspace, (i, "mask"), shape))
+                x = ad.relu(x, out=y, mask=mask)
             layers.append((w, mask))
         emb = ad.sphere_normalize(x, axis=-1)
         self._check_norms(emb.data)
@@ -125,10 +144,13 @@ class Encoder:
         if not np.all(np.isfinite(features)):
             raise ad.NonFiniteError("encoder inputs contain NaN or Inf")
         out = features
-        for w, b, relu_after in self._layers(self.head):
-            out = out @ w + b
+        for i, (w, b, relu_after) in enumerate(self._layers(self.head)):
+            # layer i reads one buffer and writes the other
+            y = ad.workspace_buffer(self._embed_workspace, i % 2, (len(features), w.shape[1]))
+            out = np.matmul(out, w, out=y)
+            np.add(out, b, out=out)
             if relu_after:
-                out = np.maximum(out, 0.0)
+                np.maximum(out, 0.0, out=out)
         emb = out / ad.norm_and_denominator(out)[1]
         self._check_norms(emb)
         return emb
@@ -140,17 +162,6 @@ class Encoder:
         self.max_norm_error = max(self.max_norm_error, err)
         if err > 1e-9:
             self.norm_violations += 1
-
-
-def _buffer(workspace, key, shape):
-    """The float64 array of ``shape`` kept under ``key`` in ``workspace``, made
-    anew if missing or shaped otherwise; None when there is no workspace."""
-    if workspace is None:
-        return None
-    buf = workspace.get(key)
-    if buf is None or buf.shape != shape:
-        buf = workspace[key] = np.empty(shape)
-    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +191,25 @@ def contrastive_loss_graph(
         raise ValueError("contrastive loss needs at least 1 agent item")
     sims_ee = ad.scale(ad.matmul(expert_emb, ad.transpose(expert_emb)), 1.0 / temperature)
     sims_ea = ad.scale(ad.matmul(expert_emb, ad.transpose(agent_emb)), 1.0 / temperature)
-    eye = np.eye(n_expert)
-    masked_ee = ad.add(sims_ee, tape.constant(_MASK * eye))
+    self_mask, off_diag = _infonce_constants(n_expert)
+    masked_ee = ad.add(sims_ee, tape.constant(self_mask))
     candidates = ad.concat([masked_ee, sims_ea], axis=1)
     lse = ad.logsumexp(candidates, axis=1)
-    off_diag = (1.0 - eye) / (n_expert - 1.0)
     pos_mean = ad.tsum(ad.mul(sims_ee, tape.constant(off_diag)), axis=1)
     return ad.tmean(ad.sub(lse, pos_mean))
+
+
+@functools.lru_cache(maxsize=4)
+def _infonce_constants(n_expert: int) -> tuple[np.ndarray, np.ndarray]:
+    """The additive mask of each anchor's own column and the weights that
+    average over its positives, for ``n_expert`` anchors; made once per
+    count and read-only."""
+    eye = np.eye(n_expert)
+    self_mask = _MASK * eye
+    off_diag = (1.0 - eye) / (n_expert - 1.0)
+    self_mask.setflags(write=False)
+    off_diag.setflags(write=False)
+    return self_mask, off_diag
 
 
 def encoder_inputs(x) -> np.ndarray:
@@ -223,22 +246,35 @@ def _mean_direction(emb: np.ndarray) -> np.ndarray:
 
 
 def similarity_reward(encoder: Encoder, inputs: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Cosine similarity of each input's embedding to the reference."""
+    """Cosine similarity of each input's embedding to the reference.
+
+    ``reference`` must be one finite vector as wide as the embeddings: a
+    ``ValueError`` names both widths otherwise, and a NaN or Inf in it raises
+    ``NonFiniteError``.
+    """
     emb = encoder.embed(encoder_inputs(inputs))
-    return emb @ np.asarray(reference, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
+    if ref.shape != emb.shape[1:]:
+        raise ValueError(
+            f"reference has shape {ref.shape}, the embeddings have width {emb.shape[1]}")
+    if not np.all(np.isfinite(ref)):
+        raise ad.NonFiniteError("reference contains NaN or Inf")
+    return emb @ ref
 
 
 def al_gap(encoder: Encoder, expert_inputs: np.ndarray, agent_inputs: np.ndarray) -> float:
     """Mean expert reward minus mean agent reward, mean-mode reference.
 
     This is the apprenticeship-learning objective the contrastive loss
-    implicitly maximises.
+    implicitly maximises. The expert rows are embedded once, for both the
+    reference and their rewards.
     """
     expert_inputs, agent_inputs = encoder_inputs(expert_inputs), encoder_inputs(agent_inputs)
     if len(expert_inputs) == 0 or len(agent_inputs) == 0:
         raise ValueError("al_gap needs non-empty expert and agent batches")
-    ref = make_expert_reference(encoder, expert_inputs)
-    expert_r = similarity_reward(encoder, expert_inputs, ref)
+    emb_e = encoder.embed(expert_inputs)
+    ref = _mean_direction(emb_e)
+    expert_r = emb_e @ ref
     agent_r = similarity_reward(encoder, agent_inputs, ref)
     return float(expert_r.mean() - agent_r.mean())
 
@@ -261,7 +297,8 @@ def interpolate_pairs(
     return u * e[:n] + (1.0 - u) * a[:n]
 
 
-def input_gradient_graph(forward, reference: np.ndarray, start: int = 0) -> ad.Tensor:
+def input_gradient_graph(forward, reference: np.ndarray, start: int = 0,
+                         workspace=None) -> ad.Tensor:
     """Rows of d<embed(x), reference>/dx for the rows ``start:`` of a forward.
 
     ``forward`` is the ``(emb, out, layers)`` triple of ``Encoder._forward``;
@@ -270,7 +307,8 @@ def input_gradient_graph(forward, reference: np.ndarray, start: int = 0) -> ad.T
     ``sphere_normalize``), then walks the layers backwards with their ReLU
     masks, sliced to those rows, held constant: ``g = (g * mask) @ W.T``.
     Every op is first order in the head parameters, so backward through the
-    rows is exact.
+    rows is exact. With a ``workspace`` dict (the forward's), the walk's
+    products are written into arrays kept there.
     """
     emb, out, layers = forward
     tape = emb.tape
@@ -283,17 +321,21 @@ def input_gradient_graph(forward, reference: np.ndarray, start: int = 0) -> ad.T
     # VJP of out / denom: ref / denom - emb <emb, ref> / norm
     radial = ad.mul(emb, ad.matmul(emb, tape.constant(ref[:, None])))
     g = ad.sub(ad.div(ref[None, :], denom), ad.div(radial, norm))
-    for w, mask in reversed(layers):
+    for i in reversed(range(len(layers))):
+        w, mask = layers[i]
         if mask is not None:
-            g = ad.mul(g, mask[start:])
-        g = ad.matmul(g, ad.transpose(w))
+            g = ad.mul(g, mask[start:],
+                       out=ad.workspace_buffer(workspace, (i, "penalty_masked"), g.shape))
+        shape = (g.shape[0], w.shape[0])
+        g = ad.matmul(g, ad.transpose(w),
+                      out=ad.workspace_buffer(workspace, (i, "penalty_matmul"), shape))
     return g
 
 
-def penalty_graph(forward, reference: np.ndarray, start: int = 0) -> ad.Tensor:
+def penalty_graph(forward, reference: np.ndarray, start: int = 0, workspace=None) -> ad.Tensor:
     """Gradient penalty ``mean((|grad_x r| - 1)^2)`` over the rows ``start:`` of
-    a forward, as a tape graph."""
-    g = input_gradient_graph(forward, reference, start)
+    a forward, as a tape graph; ``workspace`` as in ``input_gradient_graph``."""
+    g = input_gradient_graph(forward, reference, start, workspace)
     dev = ad.sub(ad.sqrt(ad.sqnorm(g, axis=1)), 1.0)
     return ad.tmean(ad.mul(dev, dev))
 
@@ -325,7 +367,8 @@ def update_loss_graph(encoder: Encoder, forward, emb_e, emb_a, reference, gp_wei
     """InfoNCE on ``emb_e``/``emb_a``, the penalty on the forward's remaining
     (``x_hat``) rows against ``reference``, and ``InfoNCE + gp_weight * penalty``."""
     loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
-    penalty = penalty_graph(forward, reference, emb_e.shape[0] + emb_a.shape[0])
+    penalty = penalty_graph(forward, reference, emb_e.shape[0] + emb_a.shape[0],
+                            encoder._workspace)
     return loss, penalty, ad.add(loss, ad.scale(penalty, gp_weight))
 
 
@@ -340,12 +383,12 @@ def encoder_update(
 
     Returns (representation loss, penalty value). The expert rows, the agent
     rows and their interpolations ``x_hat`` go through one stacked tape
-    forward, whose layer outputs reuse the encoder's ``_workspace`` arrays;
-    InfoNCE reads its expert and agent rows and the penalty its ``x_hat``
-    rows. The penalty probes the similarity reward against the
-    mean-mode reference, the renormalised mean of the forward's expert
-    embeddings (what ``make_expert_reference`` computes), held
-    constant for the step.
+    forward; InfoNCE reads its expert and agent rows and the penalty its
+    ``x_hat`` rows. The forward, the penalty chain and the backward reuse
+    the encoder's ``_workspace`` arrays. The penalty probes the similarity
+    reward against the mean-mode reference, the renormalised mean of the
+    forward's expert embeddings (what ``make_expert_reference`` computes),
+    held constant for the step.
     """
     expert = encoder_inputs(batch.expert_inputs)
     agent = encoder_inputs(batch.agent_inputs)
@@ -356,7 +399,7 @@ def encoder_update(
     forward, emb_e, emb_a = stacked_forward(tape, encoder, head_nodes, expert, agent, x_hat)
     reference = _mean_direction(emb_e.data)
     loss, penalty, total = update_loss_graph(encoder, forward, emb_e, emb_a, reference, gp_weight)
-    tape.backward(total)
+    tape.backward(total, encoder._workspace)
     grads = {name: node.grad for name, node in head_nodes.items()}
     ad.adam_step(encoder.head, grads, adam_state)
     return float(loss.data), float(penalty.data)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,106 @@ def test_non_finite_rejected():
     with pytest.raises(ad.NonFiniteError):
         tape.leaf(np.array([1.0, np.nan]))
     x = tape.constant(np.array([1e200]))
-    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError):
+    with pytest.raises(ad.NonFiniteError):
         ad.mul(x, x)  # overflows to inf
+
+
+# primitive -> (the op that overflows, a graph in which it does)
+OVERFLOWS = {
+    "add": ("add", lambda t: ad.add(t.constant([1e308]), t.constant([1e308]))),
+    "sub": ("sub", lambda t: ad.sub(t.constant([1e308]), t.constant([-1e308]))),
+    "mul": ("mul", lambda t: ad.mul(t.constant([1e200]), t.constant([1e200]))),
+    "scale": ("scale", lambda t: ad.scale(t.constant([1e200]), 1e200)),
+    "div": ("div", lambda t: ad.div(t.constant([1e200]), t.constant([1e-200]))),
+    "matmul": ("matmul", lambda t: ad.matmul(t.constant([[1e200, 1e200]]),
+                                             t.constant([[1e200], [-1e200]]))),
+    "sum": ("sum", lambda t: ad.tsum(t.constant([1e308, 1e308]))),
+    "mean": ("sum", lambda t: ad.tmean(t.constant([1e308, 1e308]))),
+    "sqnorm": ("sqnorm", lambda t: ad.sqnorm(t.constant([1e200, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_overflow_raises_the_typed_error_not_a_warning(name):
+    # with warnings as errors, numpy's RuntimeWarning must not escape first
+    op, build = OVERFLOWS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ad.NonFiniteError, match=f"'{op}'"):
+            build(ad.Tape())
+
+
+def test_overflowing_adjoint_is_left_for_adam_to_skip():
+    # the forward is finite, d/db of (a / b) / b overflows in the backward pass
+    params = ad.ParameterSet({"b": np.array([1e-300])})
+    state = ad.AdamState.for_params(params)
+    tape = ad.Tape()
+    b = params.watch(tape)["b"]
+    out = ad.tsum(ad.div(ad.div(tape.constant([1e-300]), b), b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape.backward(out)
+        ad.adam_step(params, {"b": b.grad}, state)
+    assert not np.all(np.isfinite(b.grad))
+    assert state.skipped == 1 and params["b"][0] == 1e-300
+
+
+def test_workspace_backward_matches_fresh_backward():
+    # every primitive case, bit for bit, with one workspace reused across all of
+    # them and across repeats, so its arrays arrive dirty and in every shape
+    workspace = {}
+    for trial in range(3):
+        for name, build, arrays in primitive_cases(np.random.default_rng(50 + trial)):
+            grads = []
+            for ws in (None, workspace, workspace):
+                tape = ad.Tape()
+                leaves = [tape.leaf(x.copy()) for x in arrays]
+                tape.backward(build(tape, leaves), ws)
+                grads.append([np.array(leaf.grad, copy=True) for leaf in leaves])
+            for fresh, reused in zip(grads[0], grads[1] + grads[2]):
+                assert fresh.shape == reused.shape, name
+                np.testing.assert_array_equal(reused, fresh, err_msg=name)
+    assert workspace["adjoints"]
+
+
+def test_workspace_backward_holds_no_more_arrays_than_one_pass_uses():
+    # the same graph over a growing row count: arrays grow, their number does not
+    def grad(rows, workspace):
+        tape = ad.Tape()
+        w = tape.leaf(np.ones((3, 4)))
+        hidden = ad.relu(ad.matmul(tape.constant(np.ones((rows, 3))), w))
+        tape.backward(ad.tmean(ad.mul(hidden, hidden)), workspace)
+        return w.grad
+
+    workspace = {}
+    for rows in range(1, 12):
+        reused = grad(rows, workspace)
+        if rows == 1:
+            count = len(workspace["adjoints"])
+        assert len(workspace["adjoints"]) <= count
+        np.testing.assert_array_equal(reused, grad(rows, None))
+
+
+def test_workspace_backward_keeps_shared_adjoints_apart():
+    # x feeds three ops, and the adjoint of y passes through to both parents of
+    # an add: freeing an array while another live adjoint still uses it would
+    # corrupt the sums
+    def build(tape, x):
+        y = ad.mul(x, x)
+        z = ad.add(y, y)
+        return ad.tsum(ad.add(ad.mul(z, ad.scale(x, 3.0)), ad.reshape(ad.transpose(z), (2, 3))))
+
+    x0 = np.random.default_rng(5).uniform(-1, 1, size=(2, 3))
+    workspace = {}
+    grads = []
+    for ws in (None, workspace, workspace):
+        tape = ad.Tape()
+        x = tape.leaf(x0)
+        tape.backward(build(tape, x), ws)
+        grads.append(x.grad.copy())
+    np.testing.assert_allclose(grads[0], 18.0 * x0 * x0 + 4.0 * x0, rtol=1e-14)
+    for reused in grads[1:]:
+        np.testing.assert_array_equal(reused, grads[0])
 
 
 def test_cross_tape_operands_rejected():
@@ -251,6 +351,26 @@ class TestAdam:
         np.testing.assert_array_equal(params["w"], before)
         assert state.skipped == 1
         assert state.step_count == 0
+
+    def test_steps_match_the_textbook_update(self):
+        # the in-place update against the formula written out, bit for bit
+        rng = np.random.default_rng(12)
+        params = ad.ParameterSet({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+        state = ad.AdamState.for_params(params, lr=1e-2)
+        value, m, v = ({k: params[k].copy() for k in params} for _ in range(3))
+        for k in params:
+            m[k][:] = v[k][:] = 0.0
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=params[k].shape) for k in params}
+            ad.adam_step(params, grads, state)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+                value[k] = value[k] - 1e-2 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+                np.testing.assert_array_equal(params[k], value[k])
+                np.testing.assert_array_equal(state.first_moment[k], m[k])
+                np.testing.assert_array_equal(state.second_moment[k], v[k])
 
     def test_missing_gradient_treated_as_zero(self):
         params, state = self.make()

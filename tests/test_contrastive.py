@@ -1,4 +1,5 @@
 import gc
+import re
 
 import numpy as np
 import pytest
@@ -94,11 +95,38 @@ class TestEmbed:
             assert err < 1e-4
 
     def test_tape_and_inference_paths_agree(self):
+        # one encoder over row counts that grow, shrink and repeat, so embed runs
+        # on reused buffers; no later call may write into an earlier result
         enc = small_encoder(seed=5)
-        x = np.random.default_rng(6).uniform(-2, 2, size=(7, 3))
-        tape = ad.Tape()
-        graph = enc.embed_graph(tape, tape.constant(x))
-        np.testing.assert_array_equal(graph.data, enc.embed(x))
+        rng = np.random.default_rng(6)
+        results = []
+        for rows in (7, 20, 3, 20, 1, 7):
+            x = rng.uniform(-2, 2, size=(rows, 3))
+            tape = ad.Tape()
+            graph = enc.embed_graph(tape, tape.constant(x))
+            emb = enc.embed(x)
+            np.testing.assert_array_equal(graph.data, emb)
+            results.append((emb, emb.copy()))
+        for emb, copy in results:
+            np.testing.assert_array_equal(emb, copy)
+
+    def test_embed_reuses_two_buffers(self):
+        enc = small_encoder(seed=7)
+        rng = np.random.default_rng(8)
+        enc.embed(rng.uniform(-2, 2, size=(20, 3)))
+        buffers = dict(enc._embed_workspace)
+        assert len(buffers) == 2
+        for rows in (7, 13, 20, 1, 20):  # grow, shrink and repeat up to the first count
+            enc.embed(rng.uniform(-2, 2, size=(rows, 3)))
+            assert enc._embed_workspace.keys() == buffers.keys()
+            assert all(enc._embed_workspace[k] is buf for k, buf in buffers.items())
+        enc.embed(rng.uniform(-2, 2, size=(21, 3)))  # more rows grow both, once
+        grown = dict(enc._embed_workspace)
+        assert grown.keys() == buffers.keys()
+        assert all(grown[k] is not buf for k, buf in buffers.items())
+        enc.embed(rng.uniform(-2, 2, size=(4, 3)))
+        assert all(enc._embed_workspace[k] is buf for k, buf in grown.items())
+        assert not enc._workspace  # the update's buffers are never touched
 
     def test_zero_rows_give_an_empty_embedding(self):
         enc = small_encoder()
@@ -186,6 +214,21 @@ class TestSimilarityReward:
         with pytest.raises(ValueError, match="at least one"):
             make_expert_reference(enc, np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (1, 4), ()])
+    def test_reference_of_the_wrong_shape_rejected(self, shape):
+        enc = small_encoder()  # embeddings of width 4
+        with pytest.raises(ValueError, match=rf"reference has shape {re.escape(str(shape))}, "
+                                             "the embeddings have width 4"):
+            similarity_reward(enc, np.ones((2, 3)), np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        enc = small_encoder()
+        ref = make_expert_reference(enc, np.ones((2, 3)))
+        ref[1] = bad
+        with pytest.raises(ad.NonFiniteError, match="reference"):
+            similarity_reward(enc, np.ones((2, 3)), ref)
+
     def test_only_mean_mode_accepted(self):
         with pytest.raises(ValueError, match="unknown reference mode 'sample'"):
             make_expert_reference(small_encoder(), np.ones((2, 3)), mode="sample")
@@ -268,6 +311,7 @@ class TestEncoderUpdate:
         batch = separable_batch(rng)
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
         initial_gap = al_gap(enc, batch.expert_inputs, batch.agent_inputs)
+        assert initial_gap == al_gap_composed(enc, batch.expert_inputs, batch.agent_inputs)
         losses = []
         for _ in range(200):
             loss, penalty = encoder_update(enc, batch, state, rng)
@@ -279,7 +323,9 @@ class TestEncoderUpdate:
         ee = (emb_e @ emb_e.T)[np.triu_indices(len(emb_e), k=1)].mean()
         ea = (emb_e @ emb_a.T).mean()
         assert ee > ea
-        assert al_gap(enc, batch.expert_inputs, batch.agent_inputs) > initial_gap
+        final_gap = al_gap(enc, batch.expert_inputs, batch.agent_inputs)
+        assert final_gap > initial_gap
+        assert final_gap == al_gap_composed(enc, batch.expert_inputs, batch.agent_inputs)
         assert enc.norm_violations == 0
 
     def test_update_loss_gradient_matches_finite_differences(self):
@@ -335,45 +381,83 @@ class TestEncoderUpdate:
 
     def test_update_takes_the_oracle_steps(self):
         # the update's own reference, x_hat and Adam step against the oracle, over
-        # consecutive updates that reuse the workspace, one with other row counts
-        enc, twin = (small_encoder(seed=37, hidden=16, embed=6) for _ in range(2))
-        state = ad.AdamState.for_params(enc.head, lr=1e-3)
-        twin_state = ad.AdamState.for_params(twin.head, lr=1e-3)
-        rng, twin_rng = np.random.default_rng(39), np.random.default_rng(39)
-        for step, n in enumerate((6, 6, 5, 6)):
-            batch = separable_batch(np.random.default_rng(40 + step), n=n)
-            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, twin_rng)
-            reference = make_expert_reference(twin, batch.expert_inputs)
-            oracle_loss, oracle_penalty, grads = three_forward_update(twin, batch, x_hat, reference)
-            ad.adam_step(twin.head, grads, twin_state)
+        # consecutive updates that reuse the workspace, one with other row counts;
+        # in the second run embed and similarity_reward run between the updates
+        for relabel in (False, True):
+            enc, twin = (small_encoder(seed=37, hidden=16, embed=6) for _ in range(2))
+            state = ad.AdamState.for_params(enc.head, lr=1e-3)
+            twin_state = ad.AdamState.for_params(twin.head, lr=1e-3)
+            rng, twin_rng = np.random.default_rng(39), np.random.default_rng(39)
+            for step, n in enumerate((6, 6, 5, 6)):
+                batch = separable_batch(np.random.default_rng(40 + step), n=n)
+                x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, twin_rng)
+                reference = make_expert_reference(twin, batch.expert_inputs)
+                oracle_loss, oracle_penalty, grads = three_forward_update(
+                    twin, batch, x_hat, reference)
+                ad.adam_step(twin.head, grads, twin_state)
 
-            loss, penalty = encoder_update(enc, batch, state, rng)
-            assert loss == pytest.approx(oracle_loss, rel=1e-12, abs=0.0)
-            assert penalty == pytest.approx(oracle_penalty, rel=1e-12, abs=0.0)
-            for name in twin.head:
-                np.testing.assert_allclose(enc.head[name], twin.head[name], rtol=0.0, atol=1e-12)
+                loss, penalty = encoder_update(enc, batch, state, rng)
+                assert loss == pytest.approx(oracle_loss, rel=1e-12, abs=0.0)
+                assert penalty == pytest.approx(oracle_penalty, rel=1e-12, abs=0.0)
+                for name in twin.head:
+                    np.testing.assert_allclose(
+                        enc.head[name], twin.head[name], rtol=0.0, atol=1e-12)
+                if relabel:
+                    states = np.random.default_rng(60 + step).uniform(-3, 3, size=(9 + 4 * step, 3))
+                    enc.embed(states[:3])
+                    ref = make_expert_reference(enc, batch.expert_inputs)
+                    assert np.all(np.abs(similarity_reward(enc, states, ref)) <= 1.0 + 1e-12)
 
     def test_update_reuses_its_workspace(self):
         enc = small_encoder(seed=41)
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
         rng = np.random.default_rng(42)
-        encoder_update(enc, separable_batch(rng, n=6), state, rng)
-        arrays = dict(enc._workspace)
+        for _ in range(2):  # the second update settles which adjoint arrays it keeps
+            encoder_update(enc, separable_batch(rng, n=6), state, rng)
         layers = ad.mlp_layer_count(enc.head)
-        assert len(arrays) == 3 * layers - 1  # product and sum per layer, ReLU on all but the last
-        encoder_update(enc, separable_batch(rng, n=6), state, rng)
-        assert all(enc._workspace[key] is arr for key, arr in arrays.items())
+        arrays = dict(enc._workspace)
+        adjoints = arrays.pop("adjoints")
+        # per layer: its output and, but for the last, its ReLU mask; per layer in
+        # the penalty chain: its product and, but for the last, its masked input
+        assert len(arrays) == 2 * (2 * layers - 1)
+        adjoint_ids = [id(a) for a in adjoints]
+        adam = dict(state.workspace)
+        assert len(adam) == 2
+        for n in (6, 5):  # the same rows again, then fewer
+            encoder_update(enc, separable_batch(rng, n=n), state, rng)
+            assert enc._workspace.keys() == arrays.keys() | {"adjoints"}
+            assert all(enc._workspace[key] is arr for key, arr in arrays.items())
+            assert all(state.workspace[key] is arr for key, arr in adam.items())
+            now = [id(a) for a in enc._workspace["adjoints"]]
+            assert now == adjoint_ids if n == 6 else set(now) <= set(adjoint_ids)
+
+    def test_workspace_update_matches_fresh_update(self):
+        # bit for bit: the update's graph and backward on the encoder's workspace,
+        # with an embed while the graph is live, against the same graph built and
+        # differentiated on new arrays
+        enc = small_encoder(seed=45, hidden=16, embed=6)
+        rng = np.random.default_rng(46)
+        for n in (6, 6, 4, 7):
+            batch = separable_batch(rng, n=n)
+            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, rng)
+            reference = make_expert_reference(enc, batch.expert_inputs)
+            fresh = update_gradients(enc, batch, x_hat, reference, None)
+            reused = update_gradients(enc, batch, x_hat, reference, enc._workspace,
+                                      between=lambda: enc.embed(rng.uniform(-2, 2, size=(11, 3))))
+            for name in enc.head:
+                np.testing.assert_array_equal(reused[name], fresh[name])
 
     def test_workspace_forward_matches_fresh_forward(self):
         enc = small_encoder(seed=43)
         rng = np.random.default_rng(44)
         workspace = {}
-        for rows in (7, 7, 4):  # reuse, then a new row count
+        for rows in (7, 7, 4, 9):  # reuse, fewer rows, then more
             x = rng.uniform(-2, 2, size=(rows, 3))
             fresh = ad.Tape()
             emb, out, _ = enc._forward(fresh, fresh.constant(x))
             tape = ad.Tape()
             emb_w, out_w, _ = enc._forward(tape, tape.constant(x), None, workspace)
+            enc.embed(rng.uniform(-2, 2, size=(rows + 5, 3)))  # may run while the graph is live
             np.testing.assert_array_equal(emb_w.data, emb.data)
             np.testing.assert_array_equal(out_w.data, out.data)
 
@@ -393,6 +477,23 @@ class TestEncoderUpdate:
         assert alive == 0
 
 
+def update_gradients(encoder, batch, x_hat, reference, workspace, between=lambda: None):
+    """Head gradients of the update objective from one stacked forward, with
+    its forward, penalty and backward all on ``workspace`` (None: new arrays);
+    ``between()`` runs after the graph is built and before the backward."""
+    tape = ad.Tape()
+    head_nodes = encoder.head.watch(tape)
+    n_e, n_a = len(batch.expert_inputs), len(batch.agent_inputs)
+    stacked = np.concatenate([batch.expert_inputs, batch.agent_inputs, x_hat])
+    forward = encoder._forward(tape, tape.constant(stacked), head_nodes, workspace)
+    loss = contrastive_loss_graph(ad.row_slice(forward[0], 0, n_e),
+                                  ad.row_slice(forward[0], n_e, n_e + n_a), encoder.temperature)
+    penalty = penalty_graph(forward, reference, n_e + n_a, workspace)
+    between()
+    tape.backward(ad.add(loss, ad.scale(penalty, 10.0)), workspace)
+    return {name: node.grad.copy() for name, node in head_nodes.items()}
+
+
 def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
     """Reference oracle: the update objective with separate tape forwards over the
     expert rows, the agent rows and ``x_hat``. Returns the loss, the penalty and
@@ -408,11 +509,31 @@ def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
     return float(loss.data), float(penalty.data), grads
 
 
+def al_gap_composed(encoder, expert, agent):
+    """``al_gap`` as the composition of the public reward calls."""
+    ref = make_expert_reference(encoder, expert)
+    return float(similarity_reward(encoder, expert, ref).mean()
+                 - similarity_reward(encoder, agent, ref).mean())
+
+
 class TestAlGap:
     def test_identical_batches_give_zero(self):
         enc = small_encoder(seed=24)
         x = np.random.default_rng(25).uniform(-1, 1, size=(8, 3))
         assert al_gap(enc, x, x) == pytest.approx(0.0, abs=1e-12)
+        assert al_gap(enc, x, x) == al_gap_composed(enc, x, x)
+
+    def test_expert_rows_embedded_once(self):
+        enc = small_encoder(seed=29)
+        rng = np.random.default_rng(30)
+        expert, agent = rng.uniform(-1, 1, size=(8, 3)), rng.uniform(-1, 1, size=(5, 3))
+        embedded = []
+        embed = enc.embed
+        enc.embed = lambda x: embedded.append(len(x)) or embed(x)
+        gap = al_gap(enc, expert, agent)
+        assert embedded == [8, 5]
+        del enc.embed
+        assert gap == al_gap_composed(enc, expert, agent)
 
     def test_empty_batch_rejected(self):
         enc = small_encoder()
@@ -424,8 +545,10 @@ class TestAlGap:
         enc = small_encoder(seed=26)
         rng = np.random.default_rng(27)
         for _ in range(20):
-            g = al_gap(enc, rng.uniform(-3, 3, size=(6, 3)), rng.uniform(-3, 3, size=(6, 3)))
+            expert, agent = rng.uniform(-3, 3, size=(6, 3)), rng.uniform(-3, 3, size=(6, 3))
+            g = al_gap(enc, expert, agent)
             assert -2.0 <= g <= 2.0
+            assert g == al_gap_composed(enc, expert, agent)
 
     def test_gap_invariant_under_rotation(self):
         # rotating all embeddings preserves every inner product the gap uses
