@@ -35,10 +35,28 @@ _NORM_CUTOFF = 1e-6
 _NORM_EPS = 1e-8
 
 
+#: Floating-point errors whose only effect is a NaN or Inf in the result.
+#: The ops under it leave those to the finiteness check of ``_make`` (or, in
+#: ``backward``, to ``adam_step``'s), so numpy neither warns first nor, under
+#: ``-W error``, raises a RuntimeWarning instead of the typed error.
+_quiet_fp = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_quiet_fp
 def norm_and_denominator(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
     """Norms along ``axis`` (kept as size 1) and the divisor that maps ``x`` onto
-    the unit sphere: the norm, padded by ``_NORM_EPS`` below ``_NORM_CUTOFF``."""
+    the unit sphere: the norm, padded by ``_NORM_EPS`` below ``_NORM_CUTOFF``.
+
+    A finite row whose sum of squares overflows (entries of 1e200, say) has
+    its norm recomputed after dividing it by its largest magnitude; every
+    other row keeps the plain sum of squares.
+    """
     norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    if np.isinf(norm).any():
+        peak = np.abs(x).max(axis=axis, keepdims=True)
+        scaled = x / peak
+        rescaled = peak * np.sqrt((scaled * scaled).sum(axis=axis, keepdims=True))
+        norm = np.where(np.isinf(norm) & np.isfinite(peak), rescaled, norm)
     return norm, np.where(norm < _NORM_CUTOFF, norm + _NORM_EPS, norm)
 
 
@@ -57,13 +75,6 @@ def workspace_buffer(workspace: dict | None, key, shape: tuple[int, ...]) -> np.
     if flat is None or flat.size < size:
         flat = workspace[key] = np.empty(size)
     return flat[:size].reshape(shape)
-
-
-#: Floating-point errors whose only effect is a NaN or Inf in the result.
-#: The ops under it leave those to the finiteness check of ``_make`` (or, in
-#: ``backward``, to ``adam_step``'s), so numpy neither warns first nor, under
-#: ``-W error``, raises a RuntimeWarning instead of the typed error.
-_quiet_fp = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class NonFiniteError(ArithmeticError):

@@ -89,46 +89,68 @@ def _encode_tensor(name, value) -> tuple[bytes, np.ndarray]:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read the tensors ``save_checkpoint`` wrote to ``path``, by name.
+
+    The file is read once, front to back, and each payload straight into the
+    array returned for it, so no payload is copied. Each array is a writable
+    float64 array of its own: its lifetime is independent of the others',
+    and it is aligned, which a view into one buffer of the whole file would
+    not be (payloads start at any byte). Bad magic, an unknown version, a
+    truncated file, a name that is not UTF-8 or that repeats, a NaN/Inf
+    entry or bytes after the last tensor raise ``CheckpointError``.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    offset = 0
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise CheckpointError(
-                f"truncated checkpoint: needed {n} bytes for {what} at byte {offset}, "
-                f"file has {len(blob)}"
-            )
-        chunk = blob[offset : offset + n]
-        offset += n
-        return chunk
+        def take(n: int, what: str, make=bytearray):
+            """``make(n)``, a buffer of ``n`` bytes, filled with the next ``n``
+            bytes of the file; they are checked to exist before it is made."""
+            nonlocal offset
+            have = size - offset
+            if n <= have:
+                buf = make(n)
+                have = fh.readinto(buf)  # short only if the file shrank after fstat
+            if have < n:
+                raise CheckpointError(
+                    f"truncated checkpoint: needed {n} bytes for {what} at byte {offset}, "
+                    f"file has {offset + have}"
+                )
+            offset += n
+            return buf
 
-    if take(4, "magic") != MAGIC:
-        raise CheckpointError("bad magic bytes, not a PCIL checkpoint")
-    version = _U32.unpack(take(4, "version"))[0]
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    count = _U32.unpack(take(4, "tensor count"))[0]
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len = _U32.unpack(take(4, "name length"))[0]
-        raw_name = take(name_len, "name")
-        try:
-            name = raw_name.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"tensor name at byte {offset - name_len} is not UTF-8") from exc
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor name {name!r} at byte {offset - name_len}")
-        rank = _U32.unpack(take(4, "rank"))[0]
-        dims = tuple(_U32.unpack(take(4, "dim"))[0] for _ in range(rank))
-        n_items = math.prod(dims)  # exact: np.prod would wrap around in int64
-        payload = take(8 * n_items, f"payload of {name!r}")
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-        if not np.all(np.isfinite(tensors[name])):
-            raise CheckpointError(f"tensor {name!r} holds NaN or Inf")
-    if offset != len(blob):
-        raise CheckpointError(f"trailing garbage after byte {offset}")
+        def u32(what: str) -> int:
+            return _U32.unpack(take(4, what))[0]
+
+        if take(4, "magic") != MAGIC:
+            raise CheckpointError("bad magic bytes, not a PCIL checkpoint")
+        version = u32("version")
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        count = u32("tensor count")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name_len = u32("name length")
+            raw_name = take(name_len, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(
+                    f"tensor name at byte {offset - name_len} is not UTF-8") from exc
+            if name in tensors:
+                raise CheckpointError(
+                    f"duplicate tensor name {name!r} at byte {offset - name_len}")
+            rank = u32("rank")
+            dims = tuple(u32("dim") for _ in range(rank))
+            n_items = math.prod(dims)  # exact: np.prod would wrap around in int64
+            payload = take(8 * n_items, f"payload of {name!r}",
+                           lambda n: np.empty(n // 8, dtype="<f8"))
+            # a no-op astype on little-endian hosts, a converting copy elsewhere
+            tensors[name] = payload.reshape(dims).astype(np.float64, copy=False)
+            if not np.all(np.isfinite(tensors[name])):
+                raise CheckpointError(f"tensor {name!r} holds NaN or Inf")
+        if offset != size:
+            raise CheckpointError(f"trailing garbage after byte {offset}")
     return tensors
 
 

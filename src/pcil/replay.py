@@ -17,6 +17,8 @@ makes compactness irrelevant.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +73,17 @@ class ReplayBuffer:
 
     The ring holds ``state``, ``action``, ``next_state`` and ``reward_env``
     arrays plus an int64 episode id per slot. They are allocated on the first
-    push, shaped by it, with ``np.zeros``, so the memory of a large ring is
-    mapped as pushes reach it rather than filled up front; every later push
-    must have the same shapes. ``done`` is not
-    stored: the id goes up right after a done push, so a window is the run of
-    chronologically consecutive slots that share its first slot's id, cut at
-    the newest transition.
+    push, shaped by it; every later push must have the same shapes. ``done``
+    is not stored: the id goes up right after a done push, so a window is the
+    run of chronologically consecutive slots that share its first slot's id,
+    cut at the newest transition.
+
+    Each field lives on its own anonymous memory map (``_zeros``), so a page
+    of a large ring becomes resident only when a push first writes to it. A
+    ``np.zeros`` ring gives no such promise: calloc maps fresh zero pages
+    lazily only when it takes the block from the system, and hands out (and
+    clears, making resident) freed heap it already holds, so the ring's
+    resident size would depend on what the process allocated before.
     """
 
     def __init__(self, capacity: int, seed: int = 0):
@@ -98,9 +105,9 @@ class ReplayBuffer:
         if self._shapes is None:
             self._shapes = shapes
             self._state, self._action, self._next_state = (
-                np.zeros((self.capacity, *shape)) for shape in shapes)
-            self._reward_env = np.zeros(self.capacity)
-            self._episode = np.zeros(self.capacity, dtype=np.int64)
+                _zeros((self.capacity, *shape)) for shape in shapes)
+            self._reward_env = _zeros((self.capacity,))
+            self._episode = _zeros((self.capacity,), np.int64)
         if shapes != self._shapes:
             for name, got, held in zip(("state", "action", "next_state"), shapes, self._shapes):
                 if got != held:
@@ -155,6 +162,25 @@ class ReplayBuffer:
             window_id=window_id,
             step_offset=step_offset.astype(np.float64),
         )
+
+
+#: Private pages where the platform has the flag (POSIX). ``mmap``'s default
+#: there is a shared map: its pages are kept as shared memory, and a forked
+#: child would write into the parent's ring.
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zero-filled array on an anonymous memory map of its own.
+
+    The kernel maps a page of it on the first write, and unmaps the whole map
+    when the array is freed. ``mmap`` rejects a length of 0, so an empty
+    array is an ordinary one.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes == 0:
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes, **_PRIVATE), dtype=dtype).reshape(shape)
 
 
 class DemoFormatError(ValueError):

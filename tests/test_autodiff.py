@@ -112,6 +112,22 @@ def test_sphere_normalize_tiny_input_stays_bounded():
     assert np.all(np.isfinite(v.grad))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1e200, 1e200]],
+    [[1e300] * 64],
+    [[1e300] * 64, [3.0, 4.0] + [0.0] * 62],
+], ids=["pair_of_1e200", "row_of_1e300", "mixed_batch"])
+def test_sphere_normalize_row_whose_square_overflows_is_unit(rows):
+    x = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.sphere_normalize(ad.Tape().constant(x)).data
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    if len(x) > 1:  # the ordinary row is normalised as it is on its own
+        alone = ad.sphere_normalize(ad.Tape().constant(x[1:])).data
+        np.testing.assert_array_equal(out[1:], alone)
+
+
 def test_backward_is_deterministic():
     def run():
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,25 @@ def test_round_trip(tmp_path):
     assert set(loaded) == set(tensors)
     for name in tensors:
         np.testing.assert_array_equal(loaded[name], tensors[name])
+
+
+def test_load_reads_each_payload_once_into_its_own_array(tmp_path):
+    rng = np.random.default_rng(1)
+    tensors = {"ring/state": rng.normal(size=(100_000, 4)), "head/layer0.w": rng.normal(size=(256, 256))}
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, tensors)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * path.stat().st_size
+    for name, value in tensors.items():
+        flags = loaded[name].flags
+        assert loaded[name].dtype == np.float64 and flags.writeable and flags.aligned
+        np.testing.assert_array_equal(loaded[name], value)
+        assert loaded[name].tobytes() == value.tobytes()  # bit-equal, signed zeros too
 
 
 def test_header_layout(tmp_path):

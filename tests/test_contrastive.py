@@ -1,5 +1,6 @@
 import gc
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,36 @@ class TestEmbed:
         enc.embed(rng.uniform(-2, 2, size=(4, 3)))
         assert all(enc._embed_workspace[k] is buf for k, buf in grown.items())
         assert not enc._workspace  # the update's buffers are never touched
+
+    @pytest.mark.parametrize("rows", [
+        contrastive._EMBED_BLOCK - 1, contrastive._EMBED_BLOCK, contrastive._EMBED_BLOCK + 1,
+        2 * contrastive._EMBED_BLOCK + 1, 5000])
+    def test_embed_walks_row_blocks(self, rows):
+        block = contrastive._EMBED_BLOCK
+        enc = Encoder(np.random.default_rng(9), state_dim=3)  # hidden width 256
+        x = np.random.default_rng(rows).uniform(-2, 2, size=(rows, 3))
+        emb = enc.embed(x)
+        kept = emb.copy()
+        blocks = np.concatenate([enc.embed(x[i:i + block]) for i in range(0, rows, block)])
+        np.testing.assert_array_equal(emb, blocks)
+        tape = ad.Tape()
+        np.testing.assert_allclose(emb, enc._forward(tape, tape.constant(x))[0].data,
+                                   rtol=0.0, atol=1e-12)
+        enc.embed(x[::-1])
+        np.testing.assert_array_equal(emb, kept)
+        assert sum(buf.size for buf in enc._embed_workspace.values()) <= 2 * block * 256
+        assert enc.norm_violations == 0
+
+    def test_embed_output_whose_square_overflows_is_unit(self):
+        enc = small_encoder(seed=9)
+        last = f"layer{ad.mlp_layer_count(enc.head) - 1}.w"
+        enc.head[last] = enc.head[last] * 1e199
+        x = np.random.default_rng(10).uniform(-2, 2, size=(6, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb = enc.embed(x)
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0.0, atol=1e-15)
+        assert enc.norm_violations == 0
 
     def test_zero_rows_give_an_empty_embedding(self):
         enc = small_encoder()

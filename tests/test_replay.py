@@ -1,11 +1,16 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcil
 from pcil import envs
 from pcil.replay import (
     DemoFormatError,
@@ -333,6 +338,58 @@ def test_push_shape_change_rejected(field):
     with pytest.raises(ValueError, match=rf"push: {field} has shape"):
         buf.push(bad)
     assert len(buf) == 1
+
+
+def test_zero_width_field_pushes_and_samples():
+    buf = ReplayBuffer(capacity=8, seed=0)
+    for i in range(10):
+        buf.push(Transition(state=np.zeros(0), action=np.array([float(i)]),
+                            next_state=np.zeros(0), reward_env=float(i), done=i == 4))
+    batch = buf.sample_nstep(16, n=3, gamma=0.9)
+    assert batch.states.shape == (16, 0) and batch.step_next_states.shape[1:] == (0,)
+    assert set(batch.step_actions[:, 0]) <= set(map(float, range(2, 10)))
+    np.testing.assert_array_equal(batch.step_rewards_env, batch.step_actions[:, 0])
+
+
+# Fifteen rings built in turn, each pushed 800 times beside 2.4 MB of
+# short-lived arrays, the previous ring alive until the next one exists: the
+# pattern of a benchmark that repeats its set-up. Prints the growth of peak RSS.
+_RING_SETUPS = textwrap.dedent("""
+    import numpy as np
+    from pcil.replay import ReplayBuffer, Transition
+
+    def peak_mb():
+        # VmHWM, not ru_maxrss: after exec, ru_maxrss starts at the parent's peak
+        with open("/proc/self/status") as fh:
+            line = next(line for line in fh if line.startswith("VmHWM:"))
+        return int(line.split()[1]) / 1024.0  # kB
+
+    rng = np.random.default_rng(0)
+
+    def setup():
+        short_lived = rng.normal(size=300_000)
+        ring = ReplayBuffer(100_000)
+        for i in range(800):
+            ring.push(Transition(np.full(3, float(i)), np.ones(1), np.full(3, i + 0.5),
+                                 float(short_lived[i]), i % 200 == 199))
+        return ring
+
+    start = peak_mb()
+    ring = None
+    for _ in range(15):
+        ring = setup()
+    print(peak_mb() - start)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_ring_memory_follows_pushes_across_setups():
+    # each ring has 7.2 MB of capacity and 800 pushes touch a few pages of it
+    src = os.path.dirname(os.path.dirname(pcil.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _RING_SETUPS], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert float(result.stdout) < 5.0
 
 
 class TestDemoFiles:
