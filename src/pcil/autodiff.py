@@ -9,9 +9,9 @@ build one per training step, run one backward pass. That pass consumes the
 tape: it drops the record and each node's links as soon as the node has
 passed its adjoint on, so reference counting frees the graph during the pass
 and only the leaves (with their ``.grad``) outlive it. A consumed tape raises
-:class:`TapeConsumedError` if asked to record or differentiate again. A pass
-given a workspace dict writes its adjoints into arrays kept there, so
-repeated passes over graphs of one structure allocate none.
+:class:`TapeConsumedError` if asked to record or differentiate again. Every
+vector-Jacobian product returns an array of its own (or a view of its
+input), and adjoints that meet at a node are summed into a new array.
 
 Everything is float64. Non-finite values are rejected at every op boundary so
 NaN/Inf can never propagate silently through a graph.
@@ -19,7 +19,6 @@ NaN/Inf can never propagate silently through a graph.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -143,20 +142,13 @@ class Tape:
         return self.leaf(data, requires_grad=False)
 
     @_quiet_fp
-    def backward(self, output: Tensor, workspace: dict | None = None) -> None:
+    def backward(self, output: Tensor) -> None:
         """Accumulate d(output)/d(leaf) into ``.grad`` of every grad-enabled leaf.
 
         ``output`` must be a scalar (size-1) node on this tape. The pass
         consumes the tape: interior nodes lose their links and adjoints as it
-        walks them, and a second call raises :class:`TapeConsumedError`.
-
-        Each VJP is called as ``vjp(g, out)``; ``out()`` returns the array to
-        write the parent's adjoint into, or None for a new one. With a
-        ``workspace`` dict, those arrays come from it and are reused within
-        and across passes (see :class:`_Adjoints`): every adjoint then lives
-        in the workspace, the leaves' ``.grad`` included, and is valid until
-        the next backward with that workspace. An adjoint that overflows is
-        left non-finite for the optimiser to reject.
+        walks them, and a second call raises :class:`TapeConsumedError`. An
+        adjoint that overflows is left non-finite for the optimiser to reject.
         """
         self._check_live()
         if output.tape is not self:
@@ -167,7 +159,6 @@ class Tape:
             )
         ops, self._ops = self._ops, None
         output.grad = np.ones_like(output.data)
-        adjoints = _Adjoints(workspace)
         while ops:
             node = ops.pop()
             g = node.grad
@@ -175,99 +166,10 @@ class Tape:
                 for parent, vjp in zip(node.parents, node.vjps):
                     if not parent.requires_grad:
                         continue
-                    pg = vjp(g, functools.partial(adjoints.take, parent.data.shape))
-                    if parent.grad is None:
-                        parent.grad = adjoints.hold(pg)
-                    else:
-                        parent.grad = adjoints.accumulate(parent.grad, pg)
-                adjoints.drop(g)
+                    pg = vjp(g)
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
             node.parents = node.vjps = ()
             node.grad = None
-        adjoints.close()
-
-
-class _Adjoints:
-    """Where one backward pass keeps its adjoints.
-
-    Without a workspace every VJP makes new arrays, and adjoints that meet
-    at a node are summed into a new one. With a workspace, VJPs write into
-    float64 arrays from the list ``workspace["adjoints"]``, and an array goes
-    back to the free ones as soon as no live adjoint uses it. An adjoint may
-    be a view of another one's array (a pass-through, a slice or a
-    transpose), so the live adjoints are counted per array. A pass then
-    needs about as much adjoint memory as its largest set of live adjoints,
-    and a later pass over a graph of the same structure allocates nothing.
-    Every array is free again when a pass starts, and the arrays a pass did
-    not take are forgotten when it ends.
-    """
-
-    def __init__(self, workspace: dict | None):
-        self.arrays = None if workspace is None else workspace.setdefault("adjoints", [])
-        self.free: dict[int, list] = {}  # size -> free arrays of that size, last freed last
-        for flat in self.arrays or ():
-            self.free.setdefault(flat.size, []).append(flat)
-        self.uses: dict[int, int] = {}  # id of an array taken in this pass -> live adjoints on it
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
-        """An array of ``shape`` on the last freed array of its size, else on
-        the smallest free array that is larger, else on a new one; None
-        without a workspace."""
-        if self.arrays is None:
-            return None
-        size = math.prod(shape)
-        fits = self.free.get(size)
-        if not fits:
-            larger = [n for n, flats in self.free.items() if n > size and flats]
-            fits = self.free[min(larger)] if larger else None
-        if fits:
-            flat = fits.pop()
-        else:
-            flat = np.empty(size)
-            self.arrays.append(flat)
-        self.uses[id(flat)] = 0
-        return flat[:size].reshape(shape)
-
-    def close(self) -> None:
-        """Forget the arrays this pass did not take, so that passes over ever
-        larger graphs do not pile up arrays that are too small."""
-        if self.arrays is not None:
-            self.arrays[:] = [flat for flat in self.arrays if id(flat) in self.uses]
-
-    def _array(self, adjoint) -> np.ndarray | None:
-        """The array taken in this pass that ``adjoint`` lives on, if any."""
-        base = getattr(adjoint, "base", None)
-        return base if base is not None and id(base) in self.uses else None
-
-    def hold(self, adjoint):
-        """Count ``adjoint`` as live; returns it."""
-        if self.arrays is not None:
-            flat = self._array(adjoint)
-            if flat is not None:
-                self.uses[id(flat)] += 1
-        return adjoint
-
-    def drop(self, adjoint) -> None:
-        """``adjoint`` is dead; free its array if no live adjoint uses it."""
-        if self.arrays is not None:
-            flat = self._array(adjoint)
-            if flat is not None:
-                self.uses[id(flat)] -= 1
-                self._free_if_unused(flat)
-
-    def _free_if_unused(self, flat) -> None:
-        if not self.uses[id(flat)]:
-            self.free.setdefault(flat.size, []).append(flat)
-
-    def accumulate(self, total, adjoint):
-        """``total + adjoint`` on an array of its own, held in place of ``total``."""
-        if self.arrays is None:
-            return total + adjoint
-        new_total = self.hold(np.add(total, adjoint, out=self.take(np.shape(total))))
-        self.drop(total)
-        unheld = self._array(adjoint)
-        if unheld is not None:
-            self._free_if_unused(unheld)
-        return new_total
 
 
 def _lift(tape: Tape, x) -> Tensor:
@@ -311,14 +213,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _adjoint(op, g: np.ndarray, other, shape: tuple[int, ...], out) -> np.ndarray:
-    """``op(g, other)`` summed back down to ``shape``, written into ``out()``
-    when no sum is needed."""
-    if g.shape == shape:
-        return op(g, other, out=out())
-    return _unbroadcast(op(g, other), shape)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
@@ -332,8 +226,7 @@ def add(a, b, out: np.ndarray | None = None) -> Tensor:
     data = np.add(a.data, b.data, out=out)
     return _make(
         "add", tape, data, (a, b),
-        (lambda g, out: _unbroadcast(g, a.data.shape),
-         lambda g, out: _unbroadcast(g, b.data.shape)),
+        (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(g, b.data.shape)),
     )
 
 
@@ -344,8 +237,7 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
     return _make(
         "sub", tape, data, (a, b),
-        (lambda g, out: _unbroadcast(g, a.data.shape),
-         lambda g, out: _adjoint(np.multiply, g, -1.0, b.data.shape, out)),
+        (lambda g: _unbroadcast(g, a.data.shape), lambda g: _unbroadcast(-g, b.data.shape)),
     )
 
 
@@ -358,8 +250,8 @@ def mul(a, b, out: np.ndarray | None = None) -> Tensor:
     return _make(
         "mul", tape, data, (a, b),
         (
-            lambda g, out: _adjoint(np.multiply, g, b.data, a.data.shape, out),
-            lambda g, out: _adjoint(np.multiply, g, a.data, b.data.shape, out),
+            lambda g: _unbroadcast(g * b.data, a.data.shape),
+            lambda g: _unbroadcast(g * a.data, b.data.shape),
         ),
     )
 
@@ -367,7 +259,7 @@ def mul(a, b, out: np.ndarray | None = None) -> Tensor:
 @_quiet_fp
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _make("scale", a.tape, a.data * c, (a,), (lambda g, out: np.multiply(g, c, out=out()),))
+    return _make("scale", a.tape, a.data * c, (a,), (lambda g: g * c,))
 
 
 @_quiet_fp
@@ -378,8 +270,8 @@ def div(a, b) -> Tensor:
     return _make(
         "div", tape, data, (a, b),
         (
-            lambda g, out: _adjoint(np.divide, g, b.data, a.data.shape, out),
-            lambda g, out: _unbroadcast(-g * data / b.data, b.data.shape),
+            lambda g: _unbroadcast(g / b.data, a.data.shape),
+            lambda g: _unbroadcast(-g * data / b.data, b.data.shape),
         ),
     )
 
@@ -401,15 +293,13 @@ def matmul(a, b, out: np.ndarray | None = None) -> Tensor:
     data = np.matmul(a.data, b.data, out=out)
     return _make(
         "matmul", tape, data, (a, b),
-        (lambda g, out: np.matmul(g, b.data.T, out=out()),
-         lambda g, out: np.matmul(a.data.T, g, out=out())),
+        (lambda g: g @ b.data.T, lambda g: a.data.T @ g),
     )
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
-    return _make("tanh", a.tape, data, (a,),
-                 (lambda g, out: np.multiply(g, 1.0 - data * data, out=out()),))
+    return _make("tanh", a.tape, data, (a,), (lambda g: g * (1.0 - data * data),))
 
 
 def relu(a: Tensor, out: np.ndarray | None = None, mask: np.ndarray | None = None) -> Tensor:
@@ -421,14 +311,13 @@ def relu(a: Tensor, out: np.ndarray | None = None, mask: np.ndarray | None = Non
     data = np.maximum(a.data, 0.0, out=out)
     if mask is None:
         mask = a.data > 0.0
-    return _make("relu", a.tape, data, (a,), (lambda g, out: np.multiply(g, mask, out=out()),))
+    return _make("relu", a.tape, data, (a,), (lambda g: g * mask,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     data = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
     data = np.where(a.data >= 0.0, data, 1.0 - data)
-    return _make("sigmoid", a.tape, data, (a,),
-                 (lambda g, out: np.multiply(g * data, 1.0 - data, out=out()),))
+    return _make("sigmoid", a.tape, data, (a,), (lambda g: g * data * (1.0 - data),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -436,8 +325,7 @@ def softplus(a: Tensor) -> Tensor:
     x = a.data
     return _make(
         "softplus", a.tape, data, (a,),
-        (lambda g, out: g * np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-x)),
-                                     np.exp(x) / (1.0 + np.exp(x))),),
+        (lambda g: g * np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x))),),
     )
 
 
@@ -445,7 +333,7 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise ValueError("sqrt requires non-negative inputs")
     data = np.sqrt(a.data)
-    return _make("sqrt", a.tape, data, (a,), (lambda g, out: g * 0.5 / np.maximum(data, 1e-300),))
+    return _make("sqrt", a.tape, data, (a,), (lambda g: g * 0.5 / np.maximum(data, 1e-300),))
 
 
 @_quiet_fp
@@ -453,13 +341,8 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     data = np.asarray(a.data.sum(axis=axis))
     shape = a.data.shape
 
-    def vjp(g, out):
-        full = out()
-        g = np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
-        if full is None:
-            return g.copy()
-        np.copyto(full, g)
-        return full
+    def vjp(g):
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape).copy()
 
     return _make("sum", a.tape, data, (a,), (vjp,))
 
@@ -478,8 +361,8 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     out = np.asarray((m + np.log(total)).squeeze() if axis is None else (m + np.log(total)).squeeze(axis=axis))
     softmax = shifted / total
 
-    def vjp(g, out):
-        return np.multiply(softmax, g if axis is None else np.expand_dims(g, axis), out=out())
+    def vjp(g):
+        return softmax * (g if axis is None else np.expand_dims(g, axis))
 
     return _make("logsumexp", a.tape, out, (a,), (vjp,))
 
@@ -489,8 +372,8 @@ def sqnorm(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum of squares, in full or along ``axis``."""
     data = np.asarray((a.data * a.data).sum(axis=axis))
 
-    def vjp(g, out):
-        return np.multiply(2.0 * a.data, g if axis is None else np.expand_dims(g, axis), out=out())
+    def vjp(g):
+        return 2.0 * a.data * (g if axis is None else np.expand_dims(g, axis))
 
     return _make("sqnorm", a.tape, data, (a,), (vjp,))
 
@@ -505,10 +388,10 @@ def sphere_normalize(a: Tensor, axis: int = -1) -> Tensor:
     norm, denom = norm_and_denominator(x, axis)
     data = x / denom
 
-    def vjp(g, out):
+    def vjp(g):
         inner = (g * x).sum(axis=axis, keepdims=True)
         coef = inner / (denom * denom * np.maximum(norm, 1e-300))
-        return np.subtract(g / denom, x * coef, out=out())
+        return g / denom - x * coef
 
     return _make("sphere_normalize", a.tape, data, (a,), (vjp,))
 
@@ -526,7 +409,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         sl = [slice(None)] * data.ndim
         sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
         sl = tuple(sl)
-        return lambda g, out: g[sl]
+        return lambda g: g[sl]
 
     return _make("concat", tape, data, tuple(tensors), tuple(make_vjp(i) for i in range(len(tensors))))
 
@@ -534,13 +417,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     old = a.data.shape
-    return _make("reshape", a.tape, a.data.reshape(shape), (a,), (lambda g, out: g.reshape(old),))
+    return _make("reshape", a.tape, a.data.reshape(shape), (a,), (lambda g: g.reshape(old),))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"transpose expects a 2-D operand, got shape {a.data.shape}")
-    return _make("transpose", a.tape, a.data.T, (a,), (lambda g, out: g.T,))
+    return _make("transpose", a.tape, a.data.T, (a,), (lambda g: g.T,))
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
@@ -549,13 +432,8 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
         raise ValueError(f"row_slice expects a 2-D operand, got shape {a.data.shape}")
     shape = a.data.shape
 
-    def vjp(g, out):
-        full = out()
-        if full is None:
-            full = np.zeros(shape)
-        else:
-            full[:start] = 0.0
-            full[stop:] = 0.0
+    def vjp(g):
+        full = np.zeros(shape)
         full[start:stop] = g
         return full
 

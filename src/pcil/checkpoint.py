@@ -80,7 +80,7 @@ def _encode_tensor(name, value) -> tuple[bytes, np.ndarray]:
         )
     if not np.all(np.isfinite(arr)):
         raise CheckpointError(f"tensor {name!r} holds NaN or Inf")
-    arr = np.ascontiguousarray(arr, dtype="<f8")
+    arr = np.asarray(arr, dtype="<f8", order="C")  # ascontiguousarray would make 0-d 1-d
     header = b"".join(
         [_U32.pack(len(encoded)), encoded, _U32.pack(arr.ndim)]
         + [_U32.pack(dim) for dim in arr.shape]

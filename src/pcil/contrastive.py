@@ -69,10 +69,9 @@ class Encoder:
       256), however many rows a call has. Each block's normalised rows are
       written into the embedding ``embed`` returns, a fresh array.
     - ``encoder_update`` keeps in ``_workspace`` its stacked forward's layer
-      outputs and ReLU masks, its penalty chain's products and its
-      backward's adjoints (``ad.Tape.backward``). Its graph and the head
-      gradients are valid until the encoder's next update, so one encoder
-      runs one update at a time.
+      outputs and ReLU masks and its penalty chain's products. Its graph is
+      valid until the encoder's next update, so one encoder runs one update
+      at a time. Its backward makes new arrays (``ad.Tape.backward``).
 
     ``embed`` never touches ``_workspace``, so it may run while an update's
     graph is live.
@@ -395,8 +394,8 @@ def encoder_update(
     Returns (representation loss, penalty value). The expert rows, the agent
     rows and their interpolations ``x_hat`` go through one stacked tape
     forward; InfoNCE reads its expert and agent rows and the penalty its
-    ``x_hat`` rows. The forward, the penalty chain and the backward reuse
-    the encoder's ``_workspace`` arrays. The penalty probes the similarity
+    ``x_hat`` rows. The forward and the penalty chain reuse the encoder's
+    ``_workspace`` arrays. The penalty probes the similarity
     reward against the mean-mode reference, the renormalised mean of the
     forward's expert embeddings (what ``make_expert_reference`` computes),
     held constant for the step.
@@ -410,7 +409,7 @@ def encoder_update(
     forward, emb_e, emb_a = stacked_forward(tape, encoder, head_nodes, expert, agent, x_hat)
     reference = _mean_direction(emb_e.data)
     loss, penalty, total = update_loss_graph(encoder, forward, emb_e, emb_a, reference, gp_weight)
-    tape.backward(total, encoder._workspace)
+    tape.backward(total)
     grads = {name: node.grad for name, node in head_nodes.items()}
     ad.adam_step(encoder.head, grads, adam_state)
     return float(loss.data), float(penalty.data)

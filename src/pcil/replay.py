@@ -188,21 +188,39 @@ class DemoFormatError(ValueError):
 
 
 def save_demos(path, transitions: list[Transition], header_comment: str | None = None) -> None:
+    """Write ``transitions`` to ``path``, one JSON row each, as ``load_demos`` reads them.
+
+    A transition whose state, action or next state has another length than
+    the first transition's, or that holds NaN or Inf, raises
+    ``DemoFormatError`` naming its index before ``path`` is opened.
+    """
     if not transitions:
         raise ValueError("at least one transition required")
+    lines = []
+    for i, t in enumerate(transitions):
+        row = {
+            "state": [float(v) for v in t.state],
+            "action": [float(v) for v in t.action],
+            "next_state": [float(v) for v in t.next_state],
+            "reward_env": float(t.reward_env),
+            "done": bool(t.done),
+        }
+        lengths = (len(row["state"]), len(row["action"]), len(row["next_state"]))
+        if i == 0:
+            first = lengths
+        if lengths != first:
+            raise DemoFormatError(
+                f"cannot save demos to {path}: transition {i}: state/action/next_state "
+                f"lengths {lengths} differ from the first transition's {first}")
+        try:
+            lines.append(json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n")
+        except ValueError:  # allow_nan=False rejects NaN and +-Inf
+            raise DemoFormatError(
+                f"cannot save demos to {path}: transition {i}: NaN or Inf value") from None
     with open(path, "w", encoding="utf-8") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        for t in transitions:
-            row = {
-                "state": [float(v) for v in t.state],
-                "action": [float(v) for v in t.action],
-                "next_state": [float(v) for v in t.next_state],
-                "reward_env": float(t.reward_env),
-                "done": bool(t.done),
-            }
-            fh.write(json.dumps(row, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 def load_demos(path) -> list[Transition]:

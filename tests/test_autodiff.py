@@ -248,62 +248,17 @@ def test_overflowing_adjoint_is_left_for_adam_to_skip():
     assert state.skipped == 1 and params["b"][0] == 1e-300
 
 
-def test_workspace_backward_matches_fresh_backward():
-    # every primitive case, bit for bit, with one workspace reused across all of
-    # them and across repeats, so its arrays arrive dirty and in every shape
-    workspace = {}
-    for trial in range(3):
-        for name, build, arrays in primitive_cases(np.random.default_rng(50 + trial)):
-            grads = []
-            for ws in (None, workspace, workspace):
-                tape = ad.Tape()
-                leaves = [tape.leaf(x.copy()) for x in arrays]
-                tape.backward(build(tape, leaves), ws)
-                grads.append([np.array(leaf.grad, copy=True) for leaf in leaves])
-            for fresh, reused in zip(grads[0], grads[1] + grads[2]):
-                assert fresh.shape == reused.shape, name
-                np.testing.assert_array_equal(reused, fresh, err_msg=name)
-    assert workspace["adjoints"]
-
-
-def test_workspace_backward_holds_no_more_arrays_than_one_pass_uses():
-    # the same graph over a growing row count: arrays grow, their number does not
-    def grad(rows, workspace):
-        tape = ad.Tape()
-        w = tape.leaf(np.ones((3, 4)))
-        hidden = ad.relu(ad.matmul(tape.constant(np.ones((rows, 3))), w))
-        tape.backward(ad.tmean(ad.mul(hidden, hidden)), workspace)
-        return w.grad
-
-    workspace = {}
-    for rows in range(1, 12):
-        reused = grad(rows, workspace)
-        if rows == 1:
-            count = len(workspace["adjoints"])
-        assert len(workspace["adjoints"]) <= count
-        np.testing.assert_array_equal(reused, grad(rows, None))
-
-
 def test_workspace_backward_keeps_shared_adjoints_apart():
     # x feeds three ops, and the adjoint of y passes through to both parents of
-    # an add: freeing an array while another live adjoint still uses it would
-    # corrupt the sums
-    def build(tape, x):
-        y = ad.mul(x, x)
-        z = ad.add(y, y)
-        return ad.tsum(ad.add(ad.mul(z, ad.scale(x, 3.0)), ad.reshape(ad.transpose(z), (2, 3))))
-
+    # an add, so a sum that wrote into an adjoint another consumer still reads
+    # would corrupt the result
     x0 = np.random.default_rng(5).uniform(-1, 1, size=(2, 3))
-    workspace = {}
-    grads = []
-    for ws in (None, workspace, workspace):
-        tape = ad.Tape()
-        x = tape.leaf(x0)
-        tape.backward(build(tape, x), ws)
-        grads.append(x.grad.copy())
-    np.testing.assert_allclose(grads[0], 18.0 * x0 * x0 + 4.0 * x0, rtol=1e-14)
-    for reused in grads[1:]:
-        np.testing.assert_array_equal(reused, grads[0])
+    tape = ad.Tape()
+    x = tape.leaf(x0)
+    y = ad.mul(x, x)
+    z = ad.add(y, y)
+    tape.backward(ad.tsum(ad.add(ad.mul(z, ad.scale(x, 3.0)), ad.reshape(ad.transpose(z), (2, 3)))))
+    np.testing.assert_allclose(x.grad, 18.0 * x0 * x0 + 4.0 * x0, rtol=1e-14)
 
 
 def test_cross_tape_operands_rejected():

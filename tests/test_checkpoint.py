@@ -25,6 +25,7 @@ def test_round_trip(tmp_path):
     loaded = load_checkpoint(path)
     assert set(loaded) == set(tensors)
     for name in tensors:
+        assert loaded[name].shape == tensors[name].shape, name  # assert_array_equal broadcasts
         np.testing.assert_array_equal(loaded[name], tensors[name])
 
 

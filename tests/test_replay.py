@@ -440,6 +440,31 @@ class TestDemoFiles:
         with pytest.raises(ValueError, match="at least one"):
             save_demos(tmp_path / "demos.jsonl", [])
 
+    @pytest.mark.parametrize("field,value", [
+        ("state", np.array([0.0, np.nan, 0.0])), ("action", np.array([np.inf])),
+        ("next_state", np.array([0.0, 0.0, -np.inf])), ("reward_env", np.nan),
+    ])
+    def test_save_rejects_a_non_finite_transition_and_writes_nothing(self, tmp_path, field, value):
+        demos = self.episodes(n_episodes=1, length=4)
+        demos[2] = dataclasses.replace(demos[2], **{field: value})
+        kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+        kept.write_bytes(b"old")
+        for path in (kept, absent):
+            with pytest.raises(DemoFormatError, match="transition 2: NaN or Inf"):
+                save_demos(path, demos)
+        assert kept.read_bytes() == b"old" and not absent.exists()
+
+    @pytest.mark.parametrize("field", ["state", "action", "next_state"])
+    def test_save_rejects_a_ragged_transition_and_writes_nothing(self, tmp_path, field):
+        demos = self.episodes(n_episodes=1, length=4)
+        demos[3] = dataclasses.replace(demos[3], **{field: np.append(getattr(demos[3], field), 0.5)})
+        kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+        kept.write_bytes(b"old")
+        for path in (kept, absent):
+            with pytest.raises(DemoFormatError, match="transition 3: .*differ"):
+                save_demos(path, demos)
+        assert kept.read_bytes() == b"old" and not absent.exists()
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "demos.jsonl"
         save_demos(path, self.episodes(n_episodes=1, length=3))
