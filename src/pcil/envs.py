@@ -10,6 +10,12 @@ Two deterministic tasks at desk scale, one easy and one exploration-hard:
 Conventions shared by both: actions live in ``[-1, 1]^action_dim``, per-step
 rewards in ``[0, 1]``, episodes run a fixed number of steps with no early
 termination, and ``step`` is a pure function of (state, action).
+
+``step``, ``observe`` and the scripted experts compute on Python floats: they
+unpack the state and the action once and return new arrays, since numpy's
+per-call overhead dwarfs a dozen flops on 2-4 numbers.
+``reward_from_observation`` is the vectorised form of the reward ``step``
+returns, for batches of observations; both evaluate one formula.
 """
 
 from __future__ import annotations
@@ -35,6 +41,30 @@ class EnvState:
 
     vector: np.ndarray
     step_index: int = 0
+
+
+def _clipped_action(action, action_dim: int) -> list[float]:
+    """The entries of ``action`` as Python floats clipped to ``[-1, 1]``.
+
+    Any shape with ``action_dim`` entries is accepted. Another size, or a NaN
+    entry, raises ``ValueError``; +-inf is clipped like any other value.
+    """
+    values = np.asarray(action, dtype=np.float64).ravel().tolist()
+    if len(values) != action_dim:
+        raise ValueError(f"action has {len(values)} entries, expected action_dim={action_dim}")
+    if any(map(math.isnan, values)):
+        raise ValueError(f"action {values} has a NaN entry")
+    return [min(max(v, -1.0), 1.0) for v in values]
+
+
+def _point_mass_reward(x, y):
+    # for floats and arrays alike: np.exp, as math.exp may differ in the last
+    # bit, and x * x, which rounds once where ** may go through pow
+    return np.exp(-4.0 * (x * x + y * y))
+
+
+def _pendulum_reward(cos_theta):
+    return (cos_theta + 1.0) / 2.0
 
 
 class PointMass:
@@ -71,17 +101,16 @@ class PointMass:
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
         """Vectorised ground-truth reward; ``obs`` is (..., 4)."""
         obs = np.asarray(obs, dtype=np.float64)
-        d2 = obs[..., 0] ** 2 + obs[..., 1] ** 2
-        return np.exp(-4.0 * d2)
+        return _point_mass_reward(obs[..., 0], obs[..., 1])
 
     def step(self, state: EnvState, action) -> tuple[EnvState, float, bool]:
         if state.step_index >= self.spec.episode_length:
             raise ValueError("cannot step a finished episode")
-        a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        x, y, vx, vy = state.vector
+        ax, ay = _clipped_action(action, self.spec.action_dim)
+        x, y, vx, vy = state.vector.tolist()
         dt = self.spec.dt
-        vx += dt * (self.force_scale * a[0] - self.drag * vx)
-        vy += dt * (self.force_scale * a[1] - self.drag * vy)
+        vx += dt * (self.force_scale * ax - self.drag * vx)
+        vy += dt * (self.force_scale * ay - self.drag * vy)
         x += dt * vx
         y += dt * vy
         w = self.arena_halfwidth
@@ -92,18 +121,20 @@ class PointMass:
             y = min(max(y, -w), w)
             vy = 0.0
         nxt = EnvState(np.array([x, y, vx, vy]), state.step_index + 1)
-        reward = float(self.reward_from_observation(nxt.vector))
+        reward = float(_point_mass_reward(x, y))
         done = nxt.step_index >= self.spec.episode_length
         return nxt, reward, done
 
     def expert_action(self, state: EnvState) -> np.ndarray:
+        return self._expert(*state.vector.tolist())
+
+    def _expert(self, x: float, y: float, vx: float, vy: float) -> np.ndarray:
         # saturated PD toward the goal behaves near-bang-bang far out and
         # critically damped close in
-        x, y, vx, vy = state.vector
         kp, kd = 12.0, 5.0
         ax = (-kp * x - kd * vx) / self.force_scale
         ay = (-kp * y - kd * vy) / self.force_scale
-        return np.clip(np.array([ax, ay]), -1.0, 1.0)
+        return np.array([min(max(ax, -1.0), 1.0), min(max(ay, -1.0), 1.0)])
 
 
 class Pendulum:
@@ -142,25 +173,27 @@ class Pendulum:
         return EnvState(np.array([theta, theta_dot]))
 
     def observe(self, state: EnvState) -> np.ndarray:
-        theta, theta_dot = state.vector
+        theta, theta_dot = state.vector.tolist()
         return np.array([math.cos(theta), math.sin(theta), theta_dot])
 
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64)
-        return (obs[..., 0] + 1.0) / 2.0
+        return _pendulum_reward(obs[..., 0])
 
     def energy(self, state: EnvState) -> float:
         """Mechanical energy, zero level at the pivot."""
-        theta, theta_dot = state.vector
+        return self._energy(*state.vector.tolist())
+
+    def _energy(self, theta: float, theta_dot: float) -> float:
         ml2 = self.mass * self.length**2
         return 0.5 * ml2 * theta_dot**2 + self.mass * self.gravity * self.length * math.cos(theta)
 
     def step(self, state: EnvState, action) -> tuple[EnvState, float, bool]:
         if state.step_index >= self.spec.episode_length:
             raise ValueError("cannot step a finished episode")
-        a = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0], -1.0, 1.0))
+        (a,) = _clipped_action(action, self.spec.action_dim)
         torque = a * self.torque_limit
-        theta, theta_dot = state.vector
+        theta, theta_dot = state.vector.tolist()
         h = self.spec.dt / self.substeps
         g_over_l = self.gravity / self.length
         inv_ml2 = 1.0 / (self.mass * self.length**2)
@@ -170,23 +203,25 @@ class Pendulum:
             )
             theta += h * theta_dot
         nxt = EnvState(np.array([theta, theta_dot]), state.step_index + 1)
-        reward = (math.cos(theta) + 1.0) / 2.0
+        reward = _pendulum_reward(math.cos(theta))
         done = nxt.step_index >= self.spec.episode_length
         return nxt, reward, done
 
     def expert_action(self, state: EnvState) -> np.ndarray:
+        return self._expert(*state.vector.tolist())
+
+    def _expert(self, theta: float, theta_dot: float) -> np.ndarray:
         # bang-bang energy pumping slightly past the upright level, then PD
         # capture inside the cone the torque limit can actually hold
-        theta, theta_dot = state.vector
         wrapped = math.atan2(math.sin(theta), math.cos(theta))
         if abs(wrapped) < 0.3 and abs(theta_dot) < 2.0:
             u = (-30.0 * wrapped - 8.0 * theta_dot) / self.torque_limit
         else:
             target = 1.05 * self.mass * self.gravity * self.length
-            deficit = target - self.energy(state)
+            deficit = target - self._energy(theta, theta_dot)
             direction = math.copysign(1.0, theta_dot) if abs(theta_dot) > 1e-3 else 1.0
             u = math.copysign(1.0, deficit) * direction
-        return np.clip(np.array([u]), -1.0, 1.0)
+        return np.array([min(max(u, -1.0), 1.0)])
 
 
 _ENVS = {"point_mass": PointMass, "pendulum": Pendulum}
@@ -237,14 +272,19 @@ def expert_policy(env):
     """Observation-to-action wrapper around the env's scripted controller.
 
     The controllers are written against internal state; this reconstructs it
-    from the observation so the expert can be used anywhere a policy fits.
+    from the observation so the expert can be used anywhere a policy fits. An
+    observation of any shape with ``state_dim`` entries is accepted.
     """
+    state_dim = env.spec.state_dim
 
     def policy(obs):
-        obs = np.asarray(obs, dtype=np.float64)
+        values = np.asarray(obs, dtype=np.float64).ravel().tolist()
+        if len(values) != state_dim:
+            raise ValueError(
+                f"observation has {len(values)} entries, expected state_dim={state_dim}")
         if env.spec.name == "point_mass":
-            return env.expert_action(EnvState(obs.copy()))
-        theta = math.atan2(obs[1], obs[0])
-        return env.expert_action(EnvState(np.array([theta, obs[2]])))
+            return env._expert(*values)
+        cos_theta, sin_theta, theta_dot = values
+        return env._expert(math.atan2(sin_theta, cos_theta), theta_dot)
 
     return policy

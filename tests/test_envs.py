@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -70,11 +71,53 @@ def test_stepping_done_state_rejected():
 
 
 def test_actions_outside_box_are_clipped():
-    env = make_env("point_mass")
-    state = EnvState(np.zeros(4))
-    big, _, _ = env.step(EnvState(np.zeros(4)), np.array([10.0, -10.0]))
-    clipped, _, _ = env.step(state, np.array([1.0, -1.0]))
-    np.testing.assert_array_equal(big.vector, clipped.vector)
+    for name, bound in [("point_mass", [1.0, -1.0]), ("pendulum", [1.0]), ("pendulum", [-1.0])]:
+        env = make_env(name)
+        state = env.reset(0)
+        clipped, _, _ = env.step(state, np.array(bound))
+        for scale in (10.0, math.inf):
+            big, _, _ = env.step(state, scale * np.array(bound))
+            np.testing.assert_array_equal(big.vector, clipped.vector)
+
+
+@pytest.mark.parametrize("name, action", [
+    ("point_mass", [0.5]), ("point_mass", [0.1, 0.2, 0.3]), ("pendulum", []), ("pendulum", [0.1, 0.2]),
+])
+def test_step_rejects_an_action_of_the_wrong_size(name, action):
+    env = make_env(name)
+    size = f"{len(action)} entries, expected action_dim={env.spec.action_dim}"
+    with pytest.raises(ValueError, match=size):
+        env.step(env.reset(0), np.array(action))
+
+
+@pytest.mark.parametrize("name, shape", [("point_mass", (1, 2)), ("point_mass", (2, 1)),
+                                         ("pendulum", (1, 1))])
+def test_step_takes_an_action_of_any_shape_with_action_dim_entries(name, shape):
+    env = make_env(name)
+    state = env.reset(0)
+    flat = np.linspace(-0.6, 0.4, env.spec.action_dim)
+    expected, _, _ = env.step(state, flat)
+    got, _, _ = env.step(state, flat.reshape(shape))
+    np.testing.assert_array_equal(got.vector, expected.vector)
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_step_rejects_a_nan_action(name):
+    env = make_env(name)
+    action = np.zeros(env.spec.action_dim)
+    action[-1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        env.step(env.reset(0), action)
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_expert_policy_rejects_an_observation_of_the_wrong_width(name):
+    env = make_env(name)
+    policy = expert_policy(env)
+    obs = env.observe(env.reset(0))
+    for wrong in (obs[:-1], np.append(obs, 0.0)):
+        with pytest.raises(ValueError, match=f"expected state_dim={env.spec.state_dim}"):
+            policy(wrong)
 
 
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
@@ -149,3 +192,179 @@ def test_run_episode_counts_steps():
     assert len(transitions) == env.spec.episode_length
     assert transitions[-1][4] is True
     assert all(t[4] is False for t in transitions[:-1])
+
+
+# The numpy implementations of step, observe and the experts that the envs
+# had before they computed on Python floats. They are the oracles the float
+# path must match bit for bit.
+
+
+def _oracle_point_mass_reward(obs):
+    obs = np.asarray(obs, dtype=np.float64)
+    d2 = obs[..., 0] ** 2 + obs[..., 1] ** 2
+    return np.exp(-4.0 * d2)
+
+
+def _oracle_point_mass_step(env, state, action):
+    a = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+    x, y, vx, vy = state.vector
+    dt = env.spec.dt
+    vx += dt * (env.force_scale * a[0] - env.drag * vx)
+    vy += dt * (env.force_scale * a[1] - env.drag * vy)
+    x += dt * vx
+    y += dt * vy
+    w = env.arena_halfwidth
+    if x < -w or x > w:
+        x = min(max(x, -w), w)
+        vx = 0.0
+    if y < -w or y > w:
+        y = min(max(y, -w), w)
+        vy = 0.0
+    nxt = EnvState(np.array([x, y, vx, vy]), state.step_index + 1)
+    reward = float(_oracle_point_mass_reward(nxt.vector))
+    return nxt, reward, nxt.step_index >= env.spec.episode_length
+
+
+def _oracle_point_mass_expert(env, state):
+    x, y, vx, vy = state.vector
+    kp, kd = 12.0, 5.0
+    ax = (-kp * x - kd * vx) / env.force_scale
+    ay = (-kp * y - kd * vy) / env.force_scale
+    return np.clip(np.array([ax, ay]), -1.0, 1.0)
+
+
+def _oracle_pendulum_observe(state):
+    theta, theta_dot = state.vector
+    return np.array([math.cos(theta), math.sin(theta), theta_dot])
+
+
+def _oracle_pendulum_reward(obs):
+    obs = np.asarray(obs, dtype=np.float64)
+    return (obs[..., 0] + 1.0) / 2.0
+
+
+def _oracle_pendulum_energy(env, state):
+    theta, theta_dot = state.vector
+    ml2 = env.mass * env.length**2
+    return 0.5 * ml2 * theta_dot**2 + env.mass * env.gravity * env.length * math.cos(theta)
+
+
+def _oracle_pendulum_step(env, state, action):
+    a = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0], -1.0, 1.0))
+    torque = a * env.torque_limit
+    theta, theta_dot = state.vector
+    h = env.spec.dt / env.substeps
+    g_over_l = env.gravity / env.length
+    inv_ml2 = 1.0 / (env.mass * env.length**2)
+    for _ in range(env.substeps):
+        theta_dot += h * (g_over_l * math.sin(theta) + torque * inv_ml2 - env.damping * theta_dot)
+        theta += h * theta_dot
+    nxt = EnvState(np.array([theta, theta_dot]), state.step_index + 1)
+    reward = (math.cos(theta) + 1.0) / 2.0
+    return nxt, reward, nxt.step_index >= env.spec.episode_length
+
+
+def _oracle_pendulum_expert(env, state):
+    theta, theta_dot = state.vector
+    wrapped = math.atan2(math.sin(theta), math.cos(theta))
+    if abs(wrapped) < 0.3 and abs(theta_dot) < 2.0:
+        u = (-30.0 * wrapped - 8.0 * theta_dot) / env.torque_limit
+    else:
+        target = 1.05 * env.mass * env.gravity * env.length
+        deficit = target - _oracle_pendulum_energy(env, state)
+        direction = math.copysign(1.0, theta_dot) if abs(theta_dot) > 1e-3 else 1.0
+        u = math.copysign(1.0, deficit) * direction
+    return np.clip(np.array([u]), -1.0, 1.0)
+
+
+def _oracle_expert_policy(env, obs):
+    obs = np.asarray(obs, dtype=np.float64)
+    if env.spec.name == "point_mass":
+        return _oracle_point_mass_expert(env, EnvState(obs.copy()))
+    theta = math.atan2(obs[1], obs[0])
+    return _oracle_pendulum_expert(env, EnvState(np.array([theta, obs[2]])))
+
+
+ORACLES = {
+    "point_mass": (_oracle_point_mass_step, lambda state: state.vector.copy(),
+                   _oracle_point_mass_expert, _oracle_point_mass_reward),
+    "pendulum": (_oracle_pendulum_step, _oracle_pendulum_observe,
+                 _oracle_pendulum_expert, _oracle_pendulum_reward),
+}
+
+
+def _assert_same_bits(got, expected):
+    """Equal values, dtype and bytes, so a flipped sign of zero fails too."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def _oracle_actions(env, rng, state, step):
+    """In-box, out-of-box, +-0.0, +-1.0, +-inf and expert actions. On
+    point_mass the first 150 steps push away from the goal, mostly toward the
+    nearest corner, far enough to hit the arena's walls."""
+    dim = env.spec.action_dim
+    kind = rng.integers(6)
+    if env.spec.name == "point_mass" and step < 150:
+        return 3.0 * np.where(rng.random(dim) < 0.9, 1.0, -1.0) * np.sign(state.vector[:2] + 1e-9)
+    if kind == 0:
+        return rng.uniform(-1.0, 1.0, size=dim)
+    if kind == 1:
+        return rng.uniform(-5.0, 5.0, size=dim)
+    if kind == 2:
+        return rng.choice([0.0, -0.0], size=dim)
+    if kind == 3:
+        return rng.choice([-1.0, 1.0, -math.inf, math.inf], size=dim)
+    return env.expert_action(state)
+
+
+def _check_against_oracle(env, policy, state, action):
+    """Compares observe, the experts and one step with the oracles; returns the step."""
+    step_oracle, observe_oracle, expert_oracle, _ = ORACLES[env.spec.name]
+    obs = env.observe(state)
+    _assert_same_bits(obs, observe_oracle(state))
+    _assert_same_bits(env.expert_action(state), expert_oracle(env, state))
+    _assert_same_bits(policy(obs), _oracle_expert_policy(env, obs))
+    if env.spec.name == "pendulum":
+        energy, energy_o = env.energy(state), _oracle_pendulum_energy(env, state)
+        assert type(energy) is float and energy == energy_o
+        assert math.copysign(1.0, energy) == math.copysign(1.0, energy_o)
+    nxt, reward, done = env.step(state, action)
+    nxt_o, reward_o, done_o = step_oracle(env, state, action)
+    _assert_same_bits(nxt.vector, nxt_o.vector)
+    assert nxt.step_index == nxt_o.step_index
+    assert type(reward) is float and reward == reward_o
+    assert math.copysign(1.0, reward) == math.copysign(1.0, reward_o)
+    assert done is done_o
+    return nxt, reward, done
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_float_path_matches_the_numpy_oracle_bit_for_bit(name):
+    env = make_env(name)
+    policy = expert_policy(env)
+    # every sign pattern of zero in the state and the action: at rest at the
+    # origin the expert's action is -0.0, and a step keeps or drops the sign
+    zeros = [0.0, -0.0]
+    for vector in itertools.product(zeros, repeat=env.reset(0).vector.size):
+        for action in itertools.product(zeros, repeat=env.spec.action_dim):
+            _check_against_oracle(env, policy, EnvState(np.array(vector)), np.array(action))
+    rng = np.random.default_rng(20261018)
+    observations, wall_hits = [], 0
+    for seed in range(4):
+        state = env.reset(seed)
+        done = False
+        while not done:
+            observations.append(env.observe(state))
+            # the first episode follows the expert alone, so its PD capture runs
+            action = env.expert_action(state) if seed == 0 else _oracle_actions(
+                env, rng, state, state.step_index)
+            state, _, done = _check_against_oracle(env, policy, state, action)
+            if name == "point_mass":
+                wall_hits += np.any(np.abs(state.vector[:2]) == env.arena_halfwidth)
+        assert state.step_index == env.spec.episode_length
+    if name == "point_mass":
+        assert wall_hits > 0
+    batch = np.array(observations)
+    _assert_same_bits(env.reward_from_observation(batch), ORACLES[name][3](batch))
