@@ -300,13 +300,13 @@ def _assert_same_bits(got, expected):
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
-def _oracle_actions(env, rng, state, step):
+def _oracle_actions(env, rng, state):
     """In-box, out-of-box, +-0.0, +-1.0, +-inf and expert actions. On
     point_mass the first 150 steps push away from the goal, mostly toward the
     nearest corner, far enough to hit the arena's walls."""
     dim = env.spec.action_dim
     kind = rng.integers(6)
-    if env.spec.name == "point_mass" and step < 150:
+    if env.spec.name == "point_mass" and state.step_index < 150:
         return 3.0 * np.where(rng.random(dim) < 0.9, 1.0, -1.0) * np.sign(state.vector[:2] + 1e-9)
     if kind == 0:
         return rng.uniform(-1.0, 1.0, size=dim)
@@ -358,8 +358,7 @@ def test_float_path_matches_the_numpy_oracle_bit_for_bit(name):
         while not done:
             observations.append(env.observe(state))
             # the first episode follows the expert alone, so its PD capture runs
-            action = env.expert_action(state) if seed == 0 else _oracle_actions(
-                env, rng, state, state.step_index)
+            action = env.expert_action(state) if seed == 0 else _oracle_actions(env, rng, state)
             state, _, done = _check_against_oracle(env, policy, state, action)
             if name == "point_mass":
                 wall_hits += np.any(np.abs(state.vector[:2]) == env.arena_halfwidth)
