@@ -28,11 +28,6 @@ from . import autodiff as ad
 #: Additive mask that removes an anchor's own column from its candidate set.
 _MASK = -1e9
 
-#: Rows per block of ``Encoder.embed``'s layer walk. 512-row blocks cost the
-#: benchmark's ``pcil_iteration`` about 2% of its iteration rate: they split its
-#: 768-row relabel in two.
-_EMBED_BLOCK = 1024
-
 
 @dataclass
 class ContrastiveBatch:
@@ -45,14 +40,16 @@ class ContrastiveBatch:
 class Encoder:
     """Feed-forward encoder with unit-sphere output projection.
 
-    A 4-layer MLP ``input -> hidden x3 -> embed_dim`` on the raw state.
-
-    ``_layers`` is the one place that knows the layer structure: every layer
-    but the last is followed by a ReLU. The tape forward (``_forward``) and
-    the numpy inference forward (``embed``) both walk it.
+    A 4-layer MLP ``input -> hidden x3 -> embed_dim`` on the raw state. Its
+    layers are walked by the module-level MLP forwards of ``autodiff``, the
+    one place that knows the layer structure: the tape forward
+    (``_forward``) calls ``ad.mlp_forward`` and the numpy inference forward
+    (``embed``) calls ``ad.mlp_infer``. The encoder adds its input checks,
+    the sphere projection and the norm check around them.
 
     ``embed`` instruments the unit-norm contract: ``norm_violations`` counts
-    outputs farther than 1e-9 from unit length (it should stay zero forever).
+    outputs farther than 1e-9 from unit length, or not finite (it should stay
+    zero forever), and ``max_norm_error`` keeps the largest distance seen.
 
     The steady-state hot paths write into float64 arrays the encoder keeps
     instead of allocating them afresh on every call, so that no call has to
@@ -61,13 +58,9 @@ class Encoder:
     each (``ad.workspace_buffer``), so any row count reuses them.
 
     - ``embed`` (and so ``similarity_reward``, ``make_expert_reference`` and
-      ``al_gap``) walks the layers over blocks of ``_EMBED_BLOCK`` (1024)
-      rows, one block after another; a call of up to 1024 rows is one
-      block. Each block computes each layer's product, bias add and ReLU in
-      place, in the two arrays of ``_embed_workspace`` in turn, so they never
-      hold more than 2 x 1024 x (widest layer) floats (4 MiB at hidden width
-      256), however many rows a call has. Each block's normalised rows are
-      written into the embedding ``embed`` returns, a fresh array.
+      ``al_gap``) keeps in ``_embed_workspace`` the two arrays ``ad.mlp_infer``
+      walks its row blocks on. The head's output is a fresh array, normalised
+      in place into the embedding ``embed`` returns.
     - ``encoder_update`` keeps in ``_workspace`` its stacked forward's layer
       outputs and ReLU masks and its penalty chain's products. Its graph is
       valid until the encoder's next update, so one encoder runs one update
@@ -104,64 +97,34 @@ class Encoder:
 
         Returns the embedding, the head's output before the sphere projection
         and, for every linear layer in order, its weight node and the mask of
-        the ReLU that follows it (None for the last layer).
-
-        With a ``workspace`` dict, each layer's product, bias add and ReLU are
-        computed in place in one array kept there, and its ReLU mask (as 0/1
-        floats) in another (see ``ad.workspace_buffer``). The product and sum
-        nodes then hold the layer's output; no VJP reads their values, so the
-        gradients stay exact. The next forward with the workspace overwrites
-        the arrays, so the graph is valid only until then. Without a
-        workspace, every op makes a new array and the masks are boolean.
+        the ReLU that follows it (None for the last layer). ``workspace`` is
+        that of ``ad.mlp_forward``.
         """
         if head_nodes is None:
             head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
-        layers = []
-        for i, (w, b, relu_after) in enumerate(self._layers(head_nodes)):
-            shape = (x.shape[0], w.shape[1])
-            y = ad.workspace_buffer(workspace, (i, "out"), shape)
-            x = ad.add(ad.matmul(x, w, out=y), b, out=y)
-            mask = None
-            if relu_after:
-                mask = np.greater(x.data, 0.0,
-                                  out=ad.workspace_buffer(workspace, (i, "mask"), shape))
-                x = ad.relu(x, out=y, mask=mask)
-            layers.append((w, mask))
-        emb = ad.sphere_normalize(x, axis=-1)
+        out, layers = ad.mlp_forward(x, head_nodes, workspace)
+        emb = ad.sphere_normalize(out, axis=-1)
         self._check_norms(emb.data)
-        return emb, x, layers
-
-    @staticmethod
-    def _layers(head):
-        """Yield ``(w, b, relu_after)`` for every linear layer of ``head``.
-
-        ``head`` maps ``layer{i}.w``/``layer{i}.b`` to numpy arrays or to tape
-        nodes alike.
-        """
-        count = ad.mlp_layer_count(head)
-        for i in range(count):
-            yield head[f"layer{i}.w"], head[f"layer{i}.b"], i < count - 1
+        return emb, out, layers
 
     def embed(self, inputs: np.ndarray) -> np.ndarray:
-        """Unit-norm embeddings, inference path."""
+        """Unit-norm embeddings, inference path.
+
+        Raises ``NonFiniteError`` for a NaN or Inf input, and for a finite one
+        whose layer products overflow so that its output norm is not finite.
+        """
         features = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        width = self.head["layer0.w"].shape[0]
+        width = next(ad.mlp_layers(self.head))[0].shape[0]
         if features.ndim != 2 or features.shape[1] != width:
             raise ValueError(
                 f"encoder inputs have width {features.shape[-1]}, the encoder takes width {width}")
         if not np.all(np.isfinite(features)):
             raise ad.NonFiniteError("encoder inputs contain NaN or Inf")
-        emb = np.empty((len(features), self.embed_dim))
-        for start in range(0, len(features), _EMBED_BLOCK):
-            out = features[start:start + _EMBED_BLOCK]
-            for i, (w, b, relu_after) in enumerate(self._layers(self.head)):
-                # layer i reads one buffer and writes the other
-                y = ad.workspace_buffer(self._embed_workspace, i % 2, (len(out), w.shape[1]))
-                out = np.matmul(out, w, out=y)
-                np.add(out, b, out=out)
-                if relu_after:
-                    np.maximum(out, 0.0, out=out)
-            np.divide(out, ad.norm_and_denominator(out)[1], out=emb[start:start + len(out)])
+        out = ad.mlp_infer(self.head, features, self._embed_workspace)
+        norm, denom = ad.norm_and_denominator(out)
+        if not np.all(np.isfinite(norm)):
+            raise ad.NonFiniteError("encoder outputs are not finite: a layer's product overflowed")
+        emb = np.divide(out, denom, out=out)
         self._check_norms(emb)
         return emb
 
@@ -169,8 +132,9 @@ class Encoder:
         if not len(emb):
             return
         err = float(np.max(np.abs(np.linalg.norm(emb, axis=-1) - 1.0)))
-        self.max_norm_error = max(self.max_norm_error, err)
-        if err > 1e-9:
+        # NaN compares false both ways: it counts as a violation and stays recorded
+        self.max_norm_error = float(np.maximum(self.max_norm_error, err))
+        if not err <= 1e-9:
             self.norm_violations += 1
 
 

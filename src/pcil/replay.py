@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ class Transition:
     next_state: np.ndarray
     reward_env: float
     done: bool
+
+
+def _check_gamma(gamma) -> None:
+    if not isinstance(gamma, numbers.Real) or not 0.0 <= gamma <= 1.0:  # NaN fails too
+        raise ValueError(f"gamma must be a finite value in [0, 1], got {gamma!r}")
 
 
 @dataclass
@@ -63,8 +69,14 @@ class NStepBatch:
         return len(self.states)
 
     def nstep_rewards(self, step_rewards: np.ndarray, gamma: float) -> np.ndarray:
-        """Fold per-step rewards into one discounted sum per window."""
-        weighted = np.asarray(step_rewards, dtype=np.float64) * gamma**self.step_offset
+        """Fold per-step rewards, one per step of the batch, into one sum per
+        window discounted by ``gamma``, a finite value in [0, 1]."""
+        rewards = np.asarray(step_rewards, dtype=np.float64)
+        if rewards.shape != self.step_offset.shape:
+            raise ValueError(f"step_rewards has shape {rewards.shape}, the batch has "
+                             f"{len(self.step_offset)} steps: expected shape {self.step_offset.shape}")
+        _check_gamma(gamma)
+        weighted = rewards * gamma**self.step_offset
         return np.bincount(self.window_id, weights=weighted, minlength=len(self))
 
 
@@ -130,7 +142,8 @@ class ReplayBuffer:
         return self._rng.integers(0, self._size, size=batch_size)
 
     def sample_nstep(self, batch_size: int, n: int, gamma: float) -> NStepBatch:
-        """Sample ``batch_size`` windows of up to ``n`` consecutive steps."""
+        """Sample ``batch_size`` windows of up to ``n`` consecutive steps,
+        discounted by ``gamma``, a finite value in [0, 1]."""
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         size = self._size
@@ -138,6 +151,7 @@ class ReplayBuffer:
             raise ValueError(f"buffer holds {size} transitions, need at least n={n}")
         if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
             raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+        _check_gamma(gamma)
         oldest = self._next if size == self.capacity else 0
         logical = self.sample_indices(batch_size)[:, None] + np.arange(n)
         slot = (oldest + np.minimum(logical, size - 1)) % self.capacity

@@ -277,6 +277,107 @@ def test_mlp_init_bounds():
     assert np.all(np.abs(params["layer0.b"]) <= bound)
 
 
+def critic_head(seed=0):
+    """A critic-shaped MLP: its last layer, of width 1, has no ReLU."""
+    return ad.mlp_params(np.random.default_rng(seed), [5, 64, 64, 1])
+
+
+def plain_mlp(params, x):
+    """Reference oracle: the MLP as plain numpy expressions, one layer at a time."""
+    layers = list(ad.mlp_layers(params))
+    for i, (w, b, _) in enumerate(layers):
+        x = x @ w + b
+        if i < len(layers) - 1:
+            x = np.maximum(x, 0.0)
+    return x
+
+
+class TestMLP:
+    def test_layers_in_order_with_a_relu_after_all_but_the_last(self):
+        params = ad.mlp_params(np.random.default_rng(1), [5, 7, 6, 1])
+        layers = list(ad.mlp_layers(params))
+        assert [w.shape for w, _, _ in layers] == [(5, 7), (7, 6), (6, 1)]
+        assert [b.shape for _, b, _ in layers] == [(7,), (6,), (1,)]
+        assert [relu for _, _, relu in layers] == [True, True, False]
+        assert all(layers[i][0] is params[name]
+                   for i, name in enumerate(n for n in params if n.endswith(".w")))
+        tape = ad.Tape()
+        nodes = params.watch(tape)
+        assert [w for w, _, _ in ad.mlp_layers(nodes)] == [nodes[n] for n in nodes if n.endswith(".w")]
+
+    @pytest.mark.parametrize("rows", [
+        ad._INFER_BLOCK - 1, ad._INFER_BLOCK, ad._INFER_BLOCK + 1, 2 * ad._INFER_BLOCK + 1, 5000])
+    def test_infer_walks_row_blocks(self, rows):
+        block = ad._INFER_BLOCK
+        params = critic_head(seed=2)
+        workspace = {}
+        x = np.random.default_rng(rows).uniform(-2, 2, size=(rows, 5))
+        out = ad.mlp_infer(params, x, workspace)
+        assert out.shape == (rows, 1)
+        assert (out < 0.0).any() and (out > 0.0).any()  # no ReLU on the last layer
+        kept = out.copy()
+        blocks = np.concatenate([ad.mlp_infer(params, x[i:i + block], workspace)
+                                 for i in range(0, rows, block)])
+        np.testing.assert_array_equal(out, blocks)
+        np.testing.assert_allclose(out, plain_mlp(params, x), rtol=0.0, atol=1e-12)
+        tape = ad.Tape()
+        graph, _ = ad.mlp_forward(tape.constant(x), params.watch(tape))
+        np.testing.assert_allclose(out, graph.data, rtol=0.0, atol=1e-12)
+        ad.mlp_infer(params, x[::-1], workspace)
+        np.testing.assert_array_equal(out, kept)
+        assert sum(buf.size for buf in workspace.values()) <= 2 * block * 64
+
+    def test_infer_reuses_two_buffers(self):
+        params = critic_head(seed=3)
+        rng = np.random.default_rng(4)
+        workspace = {}
+        ad.mlp_infer(params, rng.uniform(-2, 2, size=(20, 5)), workspace)
+        buffers = dict(workspace)
+        assert len(buffers) == 2
+        for rows in (7, 13, 20, 1, 20):  # grow, shrink and repeat up to the first count
+            ad.mlp_infer(params, rng.uniform(-2, 2, size=(rows, 5)), workspace)
+            assert workspace.keys() == buffers.keys()
+            assert all(workspace[k] is buf for k, buf in buffers.items())
+        ad.mlp_infer(params, rng.uniform(-2, 2, size=(21, 5)), workspace)  # grows both, once
+        grown = dict(workspace)
+        assert grown.keys() == buffers.keys()
+        assert all(grown[k] is not buf for k, buf in buffers.items())
+        ad.mlp_infer(params, rng.uniform(-2, 2, size=(4, 5)), workspace)
+        assert all(workspace[k] is buf for k, buf in grown.items())
+
+    def test_workspace_forward_matches_fresh_forward(self):
+        params = critic_head(seed=6)
+        rng = np.random.default_rng(7)
+        workspace, infer_workspace = {}, {}
+        for rows in (7, 7, 4, 9):  # reuse, fewer rows, then more
+            x = rng.uniform(-2, 2, size=(rows, 5))
+            fresh = ad.Tape()
+            out, layers = ad.mlp_forward(fresh.constant(x), params.watch(fresh))
+            tape = ad.Tape()
+            out_w, layers_w = ad.mlp_forward(tape.constant(x), params.watch(tape), workspace)
+            # the numpy form may run while the graph is live
+            ad.mlp_infer(params, rng.uniform(-2, 2, size=(rows + 5, 5)), infer_workspace)
+            np.testing.assert_array_equal(out_w.data, out.data)
+            assert [mask is None for _, mask in layers_w] == [False, False, True]
+            for (w, mask), (w_w, mask_w) in zip(layers[:-1], layers_w[:-1]):
+                assert mask.dtype == bool and mask_w.dtype == np.float64
+                np.testing.assert_array_equal(mask_w, mask)
+                np.testing.assert_array_equal(w_w.data, w.data)
+
+    @pytest.mark.parametrize("workspace", [None, {}], ids=["fresh", "workspace"])
+    def test_forward_gradients_match_finite_differences(self, workspace):
+        params = critic_head(seed=8)
+        names = params.names()
+        x = np.random.default_rng(9).uniform(-1, 1, size=(3, 5))
+        weights = np.random.default_rng(10).normal(size=(3, 1))
+
+        def build(tape, leaves):
+            out, _ = ad.mlp_forward(leaves[0], dict(zip(names, leaves[1:])), workspace)
+            return ad.tsum(ad.mul(out, tape.constant(weights)))
+
+        check_gradients(build, [x] + [params[n].copy() for n in names])
+
+
 class TestAdam:
     def make(self, lr=1e-3):
         params = ad.ParameterSet({"w": np.array([1.0, -2.0, 3.0])})

@@ -130,10 +130,10 @@ class TestEmbed:
         assert not enc._workspace  # the update's buffers are never touched
 
     @pytest.mark.parametrize("rows", [
-        contrastive._EMBED_BLOCK - 1, contrastive._EMBED_BLOCK, contrastive._EMBED_BLOCK + 1,
-        2 * contrastive._EMBED_BLOCK + 1, 5000])
+        ad._INFER_BLOCK - 1, ad._INFER_BLOCK, ad._INFER_BLOCK + 1,
+        2 * ad._INFER_BLOCK + 1, 5000])
     def test_embed_walks_row_blocks(self, rows):
-        block = contrastive._EMBED_BLOCK
+        block = ad._INFER_BLOCK
         enc = Encoder(np.random.default_rng(9), state_dim=3)  # hidden width 256
         x = np.random.default_rng(rows).uniform(-2, 2, size=(rows, 3))
         emb = enc.embed(x)
@@ -150,14 +150,41 @@ class TestEmbed:
 
     def test_embed_output_whose_square_overflows_is_unit(self):
         enc = small_encoder(seed=9)
-        last = f"layer{ad.mlp_layer_count(enc.head) - 1}.w"
-        enc.head[last] = enc.head[last] * 1e199
+        last_w = list(ad.mlp_layers(enc.head))[-1][0]
+        last_w *= 1e199
         x = np.random.default_rng(10).uniform(-2, 2, size=(6, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             emb = enc.embed(x)
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0.0, atol=1e-15)
         assert enc.norm_violations == 0
+
+    def test_finite_row_whose_layer_products_overflow_raises_the_typed_error(self):
+        enc = Encoder(np.random.default_rng(0), 3)
+        row = np.array([[1.7e308, -1.7e308, 1.7e308]])
+        ref = make_expert_reference(enc, np.ones((2, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError, match="encoder outputs are not finite"):
+                enc.embed(row)
+            with pytest.raises(ad.NonFiniteError, match="encoder outputs are not finite"):
+                similarity_reward(enc, np.concatenate([np.ones((3, 3)), row]), ref)
+            tape = ad.Tape()
+            with pytest.raises(ad.NonFiniteError, match="'matmul' produced non-finite values"):
+                enc.embed_graph(tape, tape.constant(row))
+        assert enc.norm_violations == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_counts_as_a_norm_violation(self, bad):
+        enc = small_encoder()
+        enc._check_norms(np.array([[1.0, 0.0, 0.0, 0.0]]))
+        assert enc.norm_violations == 0 and enc.max_norm_error == 0.0
+        enc._check_norms(np.array([[1.0, 0.0, 0.0, 0.0], [bad, 0.0, 0.0, 0.0]]))
+        assert enc.norm_violations == 1
+        np.testing.assert_equal(enc.max_norm_error, bad)  # NaN equals NaN here
+        enc._check_norms(np.array([[0.0, 1.0, 0.0, 0.0]]))  # a later unit row keeps the record
+        assert enc.norm_violations == 1
+        np.testing.assert_equal(enc.max_norm_error, bad)  # NaN equals NaN here
 
     def test_zero_rows_give_an_empty_embedding(self):
         enc = small_encoder()
@@ -317,8 +344,8 @@ class TestGradientPenalty:
     def test_constant_reward_gives_one(self):
         # a zero last-layer weight makes every embedding the same, so grad_x r == 0
         enc = small_encoder(seed=1)
-        last = f"layer{ad.mlp_layer_count(enc.head) - 1}.w"
-        enc.head[last] = np.zeros_like(enc.head[last])
+        last_w = list(ad.mlp_layers(enc.head))[-1][0]
+        last_w[...] = 0.0
         expert, agent, ref = self.probe(enc, 2, n=4)
         assert penalty_value(enc, expert, agent, ref, np.random.default_rng(3)) == 1.0
 
@@ -444,7 +471,7 @@ class TestEncoderUpdate:
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
         rng = np.random.default_rng(42)
         encoder_update(enc, separable_batch(rng, n=6), state, rng)
-        layers = ad.mlp_layer_count(enc.head)
+        layers = len(list(ad.mlp_layers(enc.head)))
         arrays = dict(enc._workspace)
         # per layer: its output and, but for the last, its ReLU mask; per layer in
         # the penalty chain: its product and, but for the last, its masked input

@@ -329,7 +329,41 @@ def test_bad_batch_size_rejected(batch_size):
         buf.sample_nstep(batch_size, n=2, gamma=0.9)
 
 
-@pytest.mark.parametrize("field", ["state", "action", "next_state"])
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -0.1, 1.01, "0.9", None])
+def test_bad_gamma_rejected(gamma):
+    buf = ReplayBuffer(capacity=8, seed=0)
+    fill_episodes(buf, [6])
+    with pytest.raises(ValueError, match=re.escape(f"gamma must be a finite value in [0, 1], "
+                                                   f"got {gamma!r}")):
+        buf.sample_nstep(4, n=2, gamma=gamma)
+    batch = buf.sample_nstep(4, n=2, gamma=0.9)
+    with pytest.raises(ValueError, match=re.escape(f"gamma must be a finite value in [0, 1], "
+                                                   f"got {gamma!r}")):
+        batch.nstep_rewards(np.ones_like(batch.step_offset), gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma", [0, 0.0, np.float64(0.5), 1, 1.0])
+def test_gamma_at_and_inside_the_bounds_accepted(gamma):
+    buf = ReplayBuffer(capacity=8, seed=0)
+    fill_episodes(buf, [6])
+    batch = buf.sample_nstep(4, n=2, gamma=gamma)
+    lengths = np.bincount(batch.window_id, minlength=4)
+    np.testing.assert_array_equal(batch.discounts, [float(gamma) ** k for k in lengths])
+
+
+@pytest.mark.parametrize("shape", [(11,), (13,), (12, 2), ()],
+                         ids=["one_too_few", "one_too_many", "two_columns", "scalar"])
+def test_nstep_rewards_of_the_wrong_shape_rejected(shape):
+    buf = ReplayBuffer(capacity=16, seed=0)
+    fill_episodes(buf, [16])
+    batch = buf.sample_nstep(4, n=3, gamma=0.9)
+    assert batch.step_offset.shape == (12,)  # four full windows
+    with pytest.raises(ValueError, match=re.escape(
+            f"step_rewards has shape {shape}, the batch has 12 steps: expected shape (12,)")):
+        batch.nstep_rewards(np.ones(shape), gamma=0.9)
+
+
+@pytest.mark.parametrize("field",["state", "action", "next_state"])
 def test_push_shape_change_rejected(field):
     buf = ReplayBuffer(capacity=8, seed=0)
     buf.push(make_transition(0))
