@@ -514,6 +514,8 @@ def mlp_params(rng: np.random.Generator, sizes: Sequence[int]) -> ParameterSet:
     """
     if len(sizes) < 2:
         raise ValueError("an MLP needs at least an input and an output width")
+    if min(sizes) < 1:
+        raise ValueError(f"every MLP width must be at least 1, got {list(sizes)}")
     params = ParameterSet()
     for i in range(len(sizes) - 1):
         w, b = linear_init(rng, sizes[i], sizes[i + 1])
@@ -570,8 +572,9 @@ def mlp_infer(params, x: np.ndarray, workspace: dict) -> np.ndarray:
     hidden layer's product, bias add and ReLU run in place in the two arrays
     of ``workspace`` in turn (see ``workspace_buffer``), so they never hold
     more than 2 x 1024 x (widest layer) floats; the last layer writes the
-    block's rows of the result. An overflow raises and warns nothing: it
-    leaves NaN or Inf (or, past a ReLU, a finite value) for the caller to check.
+    block's rows of the result. A layer whose output (before its ReLU) is not
+    finite raises ``NonFiniteError`` and warns nothing, as ``mlp_forward``
+    raises for the same rows: a ReLU would hide a -Inf or NaN as 0.
     """
     layers = list(mlp_layers(params))
     result = np.empty((len(x), layers[-1][0].shape[1]))
@@ -585,6 +588,10 @@ def mlp_infer(params, x: np.ndarray, workspace: dict) -> np.ndarray:
                 y = result[start:start + len(out)]
             out = np.matmul(out, w, out=y)
             np.add(out, b, out=out)
+            # NaN and -Inf show in the min; a hidden +Inf turns into NaN or
+            # +-Inf at the next layer, so only the last needs its max as well
+            if not (np.isfinite(out.min()) and (relu_after or np.isfinite(out.max()))):
+                raise NonFiniteError(f"'mlp_infer' produced non-finite values in layer {i}")
             if relu_after:
                 np.maximum(out, 0.0, out=out)
     return result
@@ -595,14 +602,21 @@ def mlp_infer(params, x: np.ndarray, workspace: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+#: Adam's moment decay rates and denominator padding, the same for every network.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments and counters for one ParameterSet."""
+    """Adam moments and counters for one ParameterSet.
+
+    The learning rate is the one setting; the decay rates and the padding are
+    the module constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+    """
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     skipped: int = 0
     first_moment: dict = field(default_factory=dict)
@@ -611,8 +625,8 @@ class AdamState:
     workspace: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params: ParameterSet, lr: float = 1e-4, **kw) -> "AdamState":
-        state = cls(lr=lr, **kw)
+    def for_params(cls, params: ParameterSet, lr: float = 1e-4) -> "AdamState":
+        state = cls(lr=lr)
         for name, value in params.items():
             state.first_moment[name] = np.zeros_like(value)
             state.second_moment[name] = np.zeros_like(value)
@@ -633,8 +647,8 @@ def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: Adam
             return params, state
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, value in params.items():
         g = grads.get(name)
         if g is None:
@@ -645,17 +659,17 @@ def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: Adam
         denom = workspace_buffer(state.workspace, 1, value.shape)
         # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
         # value -= lr * (m/c1) / (sqrt(v/c2) + eps)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=step)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=step)
-        step *= 1.0 - state.beta2
+        step *= 1.0 - ADAM_BETA2
         v += step
         np.divide(m, c1, out=step)
         step *= state.lr
         np.divide(v, c2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         value -= step
     return params, state

@@ -155,6 +155,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def save_parameter_sets(path, sets: Mapping[str, ParameterSet]) -> None:
+    """Write every set in ``sets`` to ``path`` as tensors named ``group/name``.
+
+    A group name with a ``/`` would load back as another group, so it raises
+    ``CheckpointError`` naming the group, and leaves ``path`` as it was.
+    """
+    for group in sets:
+        if "/" in group:
+            raise CheckpointError(f"group name {group!r} contains '/'")
     flat = {
         f"{group}/{name}": value
         for group, params in sets.items()

@@ -28,6 +28,10 @@ from . import autodiff as ad
 #: Additive mask that removes an anchor's own column from its candidate set.
 _MASK = -1e9
 
+#: Weight of the gradient penalty in the encoder update's objective
+#: ``InfoNCE + GP_WEIGHT * penalty``.
+GP_WEIGHT = 10.0
+
 
 @dataclass
 class ContrastiveBatch:
@@ -40,7 +44,9 @@ class ContrastiveBatch:
 class Encoder:
     """Feed-forward encoder with unit-sphere output projection.
 
-    A 4-layer MLP ``input -> hidden x3 -> embed_dim`` on the raw state. Its
+    A 4-layer MLP ``input -> hidden x3 -> embed_dim`` on the raw state. The
+    InfoNCE temperature is the class constant ``temperature``, and the
+    update's penalty weight the module constant ``GP_WEIGHT``. Its
     layers are walked by the module-level MLP forwards of ``autodiff``, the
     one place that knows the layer structure: the tape forward
     (``_forward``) calls ``ad.mlp_forward`` and the numpy inference forward
@@ -70,17 +76,15 @@ class Encoder:
     graph is live.
     """
 
+    temperature = 0.07
+
     def __init__(
         self,
         rng: np.random.Generator,
         state_dim: int,
         hidden_dim: int = 256,
         embed_dim: int = 64,
-        temperature: float = 0.07,
     ):
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        self.temperature = temperature
         self.embed_dim = embed_dim
         self.head = ad.mlp_params(rng, [state_dim, hidden_dim, hidden_dim, hidden_dim, embed_dim])
         self.norm_violations = 0
@@ -111,22 +115,28 @@ class Encoder:
         """Unit-norm embeddings, inference path.
 
         Raises ``NonFiniteError`` for a NaN or Inf input, and for a finite one
-        whose layer products overflow so that its output norm is not finite.
+        whose layer products overflow (see ``ad.mlp_infer``).
         """
-        features = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+        features = self._checked_inputs(inputs)
+        out = ad.mlp_infer(self.head, features, self._embed_workspace)
+        emb = np.divide(out, ad.norm_and_denominator(out)[1], out=out)
+        self._check_norms(emb)
+        return emb
+
+    def _checked_inputs(self, inputs) -> np.ndarray:
+        """``inputs`` as 2-D float64 rows as wide as the head's input.
+
+        Another width raises ``ValueError`` naming both widths, and a NaN or
+        Inf entry ``NonFiniteError``.
+        """
+        features = encoder_inputs(inputs)
         width = next(ad.mlp_layers(self.head))[0].shape[0]
         if features.ndim != 2 or features.shape[1] != width:
             raise ValueError(
                 f"encoder inputs have width {features.shape[-1]}, the encoder takes width {width}")
         if not np.all(np.isfinite(features)):
             raise ad.NonFiniteError("encoder inputs contain NaN or Inf")
-        out = ad.mlp_infer(self.head, features, self._embed_workspace)
-        norm, denom = ad.norm_and_denominator(out)
-        if not np.all(np.isfinite(norm)):
-            raise ad.NonFiniteError("encoder outputs are not finite: a layer's product overflowed")
-        emb = np.divide(out, denom, out=out)
-        self._check_norms(emb)
-        return emb
+        return features
 
     def _check_norms(self, emb: np.ndarray) -> None:
         if not len(emb):
@@ -337,13 +347,13 @@ def stacked_forward(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, 
     return forward, emb_e, emb_a
 
 
-def update_loss_graph(encoder: Encoder, forward, emb_e, emb_a, reference, gp_weight: float):
+def update_loss_graph(encoder: Encoder, forward, emb_e, emb_a, reference):
     """InfoNCE on ``emb_e``/``emb_a``, the penalty on the forward's remaining
-    (``x_hat``) rows against ``reference``, and ``InfoNCE + gp_weight * penalty``."""
+    (``x_hat``) rows against ``reference``, and ``InfoNCE + GP_WEIGHT * penalty``."""
     loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
     penalty = penalty_graph(forward, reference, emb_e.shape[0] + emb_a.shape[0],
                             encoder._workspace)
-    return loss, penalty, ad.add(loss, ad.scale(penalty, gp_weight))
+    return loss, penalty, ad.add(loss, ad.scale(penalty, GP_WEIGHT))
 
 
 def encoder_update(
@@ -351,9 +361,8 @@ def encoder_update(
     batch: ContrastiveBatch,
     adam_state: ad.AdamState,
     rng: np.random.Generator,
-    gp_weight: float = 10.0,
 ) -> tuple[float, float]:
-    """One Adam step on ``InfoNCE + gp_weight * gradient penalty``.
+    """One Adam step on ``InfoNCE + GP_WEIGHT * gradient penalty``.
 
     Returns (representation loss, penalty value). The expert rows, the agent
     rows and their interpolations ``x_hat`` go through one stacked tape
@@ -362,17 +371,18 @@ def encoder_update(
     ``_workspace`` arrays. The penalty probes the similarity
     reward against the mean-mode reference, the renormalised mean of the
     forward's expert embeddings (what ``make_expert_reference`` computes),
-    held constant for the step.
+    held constant for the step. Both batches are checked as ``embed`` checks
+    its inputs.
     """
-    expert = encoder_inputs(batch.expert_inputs)
-    agent = encoder_inputs(batch.agent_inputs)
+    expert = encoder._checked_inputs(batch.expert_inputs)
+    agent = encoder._checked_inputs(batch.agent_inputs)
     x_hat = interpolate_pairs(expert, agent, rng)
 
     tape = ad.Tape()
     head_nodes = encoder.head.watch(tape)
     forward, emb_e, emb_a = stacked_forward(tape, encoder, head_nodes, expert, agent, x_hat)
     reference = _mean_direction(emb_e.data)
-    loss, penalty, total = update_loss_graph(encoder, forward, emb_e, emb_a, reference, gp_weight)
+    loss, penalty, total = update_loss_graph(encoder, forward, emb_e, emb_a, reference)
     tape.backward(total)
     grads = {name: node.grad for name, node in head_nodes.items()}
     ad.adam_step(encoder.head, grads, adam_state)

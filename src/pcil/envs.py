@@ -9,7 +9,9 @@ Two deterministic tasks at desk scale, one easy and one exploration-hard:
 
 Conventions shared by both: actions live in ``[-1, 1]^action_dim``, per-step
 rewards in ``[0, 1]``, episodes run a fixed number of steps with no early
-termination, and ``step`` is a pure function of (state, action).
+termination, and ``step`` is a pure function of (state, action). The physics
+(and ``spec``) are class constants: ``EXPERT_REFERENCE_RETURN`` was measured
+with these values and holds for no others.
 
 ``step``, ``observe`` and the scripted experts compute on Python floats: they
 unpack the state and the action once and return new arrays, since numpy's
@@ -76,19 +78,11 @@ class PointMass:
     Initial states: position uniform in ``[-start_halfwidth, +]^2``, at rest.
     """
 
-    def __init__(
-        self,
-        drag: float = 0.2,
-        force_scale: float = 4.0,
-        start_halfwidth: float = 0.8,
-        arena_halfwidth: float = 4.0,
-        episode_length: int = 300,
-    ):
-        self.spec = EnvSpec("point_mass", 4, 2, episode_length, 0.02)
-        self.drag = drag
-        self.force_scale = force_scale
-        self.start_halfwidth = start_halfwidth
-        self.arena_halfwidth = arena_halfwidth
+    drag = 0.2
+    force_scale = 4.0
+    start_halfwidth = 0.8
+    arena_halfwidth = 4.0
+    spec = EnvSpec("point_mass", state_dim=4, action_dim=2, episode_length=300, dt=0.02)
 
     def reset(self, seed: int) -> EnvState:
         rng = np.random.default_rng(seed)
@@ -148,23 +142,13 @@ class Pendulum:
     Initial states: theta uniform in pi +/- 0.1, theta_dot in +/- 0.05.
     """
 
-    def __init__(
-        self,
-        gravity: float = 10.0,
-        mass: float = 1.0,
-        length: float = 1.0,
-        damping: float = 0.05,
-        torque_limit: float = 2.5,
-        substeps: int = 4,
-        episode_length: int = 400,
-    ):
-        self.spec = EnvSpec("pendulum", 3, 1, episode_length, 0.02)
-        self.gravity = gravity
-        self.mass = mass
-        self.length = length
-        self.damping = damping
-        self.torque_limit = torque_limit
-        self.substeps = substeps
+    gravity = 10.0
+    mass = 1.0
+    length = 1.0
+    damping = 0.05
+    torque_limit = 2.5
+    substeps = 4
+    spec = EnvSpec("pendulum", state_dim=3, action_dim=1, episode_length=400, dt=0.02)
 
     def reset(self, seed: int) -> EnvState:
         rng = np.random.default_rng(seed)
@@ -238,13 +222,13 @@ def env_names() -> list[str]:
     return sorted(_ENVS)
 
 
-def make_env(name: str, **physics):
-    """Instantiate an environment by name with optional physics overrides."""
+def make_env(name: str):
+    """Instantiate an environment by name; its physics are the class's constants."""
     try:
         cls = _ENVS[name]
     except KeyError:
         raise ValueError(f"unknown environment {name!r}, expected one of {env_names()}")
-    return cls(**physics)
+    return cls()
 
 
 def run_episode(env, policy, seed: int):

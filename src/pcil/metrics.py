@@ -1,4 +1,8 @@
-"""Metrics schema shared by the trainer and the experiment harness."""
+"""Schema of the evaluation rows a training run logs as CSV.
+
+No trainer or experiment harness writes these rows yet; the schema fixes the
+columns and their formatting ahead of them.
+"""
 
 from __future__ import annotations
 

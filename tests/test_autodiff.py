@@ -277,6 +277,12 @@ def test_mlp_init_bounds():
     assert np.all(np.abs(params["layer0.b"]) <= bound)
 
 
+@pytest.mark.parametrize("sizes", [[3], [3, 0, 1], [3, 8, 0]])
+def test_mlp_params_rejects_a_missing_or_empty_layer(sizes):
+    with pytest.raises(ValueError, match="an MLP needs|at least 1"):
+        ad.mlp_params(np.random.default_rng(0), sizes)
+
+
 def critic_head(seed=0):
     """A critic-shaped MLP: its last layer, of width 1, has no ReLU."""
     return ad.mlp_params(np.random.default_rng(seed), [5, 64, 64, 1])
@@ -376,6 +382,34 @@ class TestMLP:
             return ad.tsum(ad.mul(out, tape.constant(weights)))
 
         check_gradients(build, [x] + [params[n].copy() for n in names])
+
+    @pytest.mark.parametrize("case", ["hidden_minus_inf", "hidden_plus_inf", "output_plus_inf"])
+    def test_overflowing_layer_raises_in_both_forms(self, case):
+        # finite rows whose products overflow: a hidden -Inf that the ReLU would
+        # turn into 0, a hidden +Inf that turns into NaN at the next layer, and
+        # a +Inf in the last layer only, which has no ReLU and no next layer
+        params = critic_head(seed=11)
+        layers = list(ad.mlp_layers(params))
+        row = np.full((1, 5), 1e308)
+        if case == "hidden_minus_inf":
+            layers[0][0][:] = -1.0
+        elif case == "hidden_plus_inf":
+            layers[0][0][:] = 1.0
+        else:
+            # the output is 1e300 * relu(sum of the row): finite for the other rows
+            row = np.full((1, 5), 1e10)
+            layers[0][0][:, 0], layers[0][1][0] = 1.0, 0.0
+            layers[1][0][:], layers[1][1][:] = 0.0, 0.0
+            layers[1][0][0, 0] = 1.0
+            layers[2][0][:], layers[2][1][:] = 1e300, 0.0
+        x = np.concatenate([np.random.default_rng(12).uniform(-2, 2, size=(4, 5)), row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError, match="'mlp_infer' produced non-finite values"):
+                ad.mlp_infer(params, x, {})
+            tape = ad.Tape()
+            with pytest.raises(ad.NonFiniteError, match="produced non-finite values"):
+                ad.mlp_forward(tape.constant(x), params.watch(tape))
 
 
 class TestAdam:

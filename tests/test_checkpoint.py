@@ -86,6 +86,19 @@ def test_parameter_set_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded["actor"]["layer0.w"], sets["actor"]["layer0.w"])
 
 
+def test_group_name_with_a_slash_rejected_before_target_is_touched(tmp_path):
+    # "critic/target" would load back as group "critic", parameter "target/layer0.w"
+    path = tmp_path / "agent.bin"
+    save_parameter_sets(path, {"actor": ParameterSet({"layer0.w": np.ones((2, 2))})})
+    before = path.read_bytes()
+    sets = {"actor": ParameterSet({"layer0.w": np.zeros((2, 2))}),
+            "critic/target": ParameterSet({"layer0.w": np.zeros((3, 1))})}
+    with pytest.raises(CheckpointError, match=r"group name 'critic/target' contains '/'"):
+        save_parameter_sets(path, sets)
+    assert path.read_bytes() == before
+    assert _list_dir(tmp_path) == ["agent.bin"]
+
+
 def test_non_utf8_name_reports_offset(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, {"ok": np.zeros(2), "xy": np.ones(3)})

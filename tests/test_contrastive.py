@@ -24,13 +24,12 @@ from pcil.contrastive import (
 from gradcheck import check_gradients
 
 
-def small_encoder(seed=0, state_dim=3, hidden=8, embed=4, **kw):
+def small_encoder(seed=0, state_dim=3, hidden=8, embed=4):
     return Encoder(
         np.random.default_rng(seed),
         state_dim=state_dim,
         hidden_dim=hidden,
         embed_dim=embed,
-        **kw,
     )
 
 
@@ -165,10 +164,25 @@ class TestEmbed:
         ref = make_expert_reference(enc, np.ones((2, 3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ad.NonFiniteError, match="encoder outputs are not finite"):
+            with pytest.raises(ad.NonFiniteError, match="'mlp_infer' produced non-finite values"):
                 enc.embed(row)
-            with pytest.raises(ad.NonFiniteError, match="encoder outputs are not finite"):
+            with pytest.raises(ad.NonFiniteError, match="'mlp_infer' produced non-finite values"):
                 similarity_reward(enc, np.concatenate([np.ones((3, 3)), row]), ref)
+            tape = ad.Tape()
+            with pytest.raises(ad.NonFiniteError, match="'matmul' produced non-finite values"):
+                enc.embed_graph(tape, tape.constant(row))
+        assert enc.norm_violations == 0
+
+    def test_hidden_overflow_the_relu_would_hide_raises_the_typed_error(self):
+        # every first-layer pre-activation of this row is -Inf: past the ReLU it
+        # would be 0, and the output the later layers' biases, finite and unit
+        enc = small_encoder(seed=0)
+        next(ad.mlp_layers(enc.head))[0][:] = -1.0
+        row = np.array([[1e308] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteError, match="'mlp_infer' produced non-finite values"):
+                enc.embed(row)
             tape = ad.Tape()
             with pytest.raises(ad.NonFiniteError, match="'matmul' produced non-finite values"):
                 enc.embed_graph(tape, tape.constant(row))
@@ -386,6 +400,20 @@ class TestEncoderUpdate:
         assert final_gap == al_gap_composed(enc, batch.expert_inputs, batch.agent_inputs)
         assert enc.norm_violations == 0
 
+    @pytest.mark.parametrize("wrong", ["expert", "agent"])
+    def test_update_rejects_a_batch_of_the_wrong_width(self, wrong):
+        enc = small_encoder(seed=25)
+        state = ad.AdamState.for_params(enc.head, lr=1e-3)
+        rng = np.random.default_rng(26)
+        rows = {"expert": np.ones((8, 3)), "agent": np.zeros((8, 3))}
+        rows[wrong] = np.ones((8, 4))
+        before = {name: enc.head[name].copy() for name in enc.head}
+        with pytest.raises(ValueError, match="width 4, the encoder takes width 3"):
+            encoder_update(enc, ContrastiveBatch(rows["expert"], rows["agent"]), state, rng)
+        assert state.step_count == 0
+        for name in enc.head:
+            np.testing.assert_array_equal(enc.head[name], before[name])
+
     def test_update_loss_gradient_matches_finite_differences(self):
         # end-to-end: d(loss + 10*penalty)/d(head params) of the graph the update
         # builds, against central FD with the reference held fixed
@@ -400,7 +428,7 @@ class TestEncoderUpdate:
             forward, emb_e, emb_a = stacked_forward(
                 tape, enc, dict(zip(names, leaves)),
                 batch.expert_inputs, batch.agent_inputs, x_hat)
-            return update_loss_graph(enc, forward, emb_e, emb_a, reference, 10.0)[2]
+            return update_loss_graph(enc, forward, emb_e, emb_a, reference)[2]
 
         arrays = [enc.head[n].copy() for n in names]
         err = check_gradients(build, arrays, h=1e-6, tol=1e-6)
@@ -418,7 +446,7 @@ class TestEncoderUpdate:
         head_nodes = enc.head.watch(tape)
         forward, emb_e, emb_a = stacked_forward(
             tape, enc, head_nodes, batch.expert_inputs, batch.agent_inputs, x_hat)
-        loss, penalty, total = update_loss_graph(enc, forward, emb_e, emb_a, reference, 10.0)
+        loss, penalty, total = update_loss_graph(enc, forward, emb_e, emb_a, reference)
         tape.backward(total)
         assert float(loss.data) == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
         assert float(penalty.data) == pytest.approx(oracle[1], rel=1e-12, abs=0.0)
