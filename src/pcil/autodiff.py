@@ -42,19 +42,19 @@ _quiet_fp = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_quiet_fp
-def norm_and_denominator(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
-    """Norms along ``axis`` (kept as size 1) and the divisor that maps ``x`` onto
-    the unit sphere: the norm, padded by ``_NORM_EPS`` below ``_NORM_CUTOFF``.
+def norm_and_denominator(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norms along the last axis (kept as size 1) and the divisor that maps ``x``
+    onto the unit sphere: the norm, padded by ``_NORM_EPS`` below ``_NORM_CUTOFF``.
 
     A finite row whose sum of squares overflows (entries of 1e200, say) has
     its norm recomputed after dividing it by its largest magnitude; every
     other row keeps the plain sum of squares.
     """
-    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if np.isinf(norm).any():
-        peak = np.abs(x).max(axis=axis, keepdims=True)
+        peak = np.abs(x).max(axis=-1, keepdims=True)
         scaled = x / peak
-        rescaled = peak * np.sqrt((scaled * scaled).sum(axis=axis, keepdims=True))
+        rescaled = peak * np.sqrt((scaled * scaled).sum(axis=-1, keepdims=True))
         norm = np.where(np.isinf(norm) & np.isfinite(peak), rescaled, norm)
     return norm, np.where(norm < _NORM_CUTOFF, norm + _NORM_EPS, norm)
 
@@ -257,12 +257,6 @@ def mul(a, b, out: np.ndarray | None = None) -> Tensor:
 
 
 @_quiet_fp
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _make("scale", a.tape, a.data * c, (a,), (lambda g: g * c,))
-
-
-@_quiet_fp
 def div(a, b) -> Tensor:
     tape = _tape_of(a, b)
     a, b = _lift(tape, a), _lift(tape, b)
@@ -349,7 +343,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
 
 def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
+    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
@@ -367,29 +361,18 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     return _make("logsumexp", a.tape, out, (a,), (vjp,))
 
 
-@_quiet_fp
-def sqnorm(a: Tensor, axis: int | None = None) -> Tensor:
-    """Sum of squares, in full or along ``axis``."""
-    data = np.asarray((a.data * a.data).sum(axis=axis))
-
-    def vjp(g):
-        return 2.0 * a.data * (g if axis is None else np.expand_dims(g, axis))
-
-    return _make("sqnorm", a.tape, data, (a,), (vjp,))
-
-
-def sphere_normalize(a: Tensor, axis: int = -1) -> Tensor:
-    """Project rows (along ``axis``) onto the unit sphere.
+def sphere_normalize(a: Tensor) -> Tensor:
+    """Project rows (along the last axis) onto the unit sphere.
 
     Inputs with norm below 1e-6 get an epsilon-padded denominator instead of
     blowing up; everything else divides by the exact norm.
     """
     x = a.data
-    norm, denom = norm_and_denominator(x, axis)
+    norm, denom = norm_and_denominator(x)
     data = x / denom
 
     def vjp(g):
-        inner = (g * x).sum(axis=axis, keepdims=True)
+        inner = (g * x).sum(axis=-1, keepdims=True)
         coef = inner / (denom * denom * np.maximum(norm, 1e-300))
         return g / denom - x * coef
 
@@ -438,14 +421,6 @@ def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
         return full
 
     return _make("row_slice", a.tape, a.data[start:stop], (a,), (vjp,))
-
-
-#: Every differentiable primitive, for enumeration in gradient-check suites.
-PRIMITIVES = (
-    "add", "sub", "mul", "div", "scale", "matmul", "tanh", "relu", "sigmoid",
-    "softplus", "sqrt", "sum", "mean", "logsumexp", "sqnorm", "sphere_normalize",
-    "concat", "reshape", "transpose", "row_slice",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -633,18 +608,27 @@ class AdamState:
         return state
 
 
-def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: AdamState):
+def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: AdamState) -> None:
     """One in-place Adam update with bias correction.
 
-    A non-finite gradient anywhere skips the whole update (moments and
-    parameters untouched) and bumps ``state.skipped``.
+    A parameter without a gradient takes a zero one. A gradient whose name
+    is no parameter's, or whose shape is not its parameter's, raises
+    ``ValueError`` naming it before anything changes. A non-finite gradient
+    anywhere skips the whole update (moments and parameters untouched) and
+    bumps ``state.skipped``.
     """
+    for name, g in grads.items():
+        if name not in params:
+            raise ValueError(f"adam_step: gradient {name!r} matches no parameter")
+        if g is not None and np.shape(g) != params[name].shape:
+            raise ValueError(f"adam_step: gradient {name!r} has shape {np.shape(g)}, "
+                             f"the parameter {params[name].shape}")
     for name in params:
         g = grads.get(name)
         if g is not None and not np.all(np.isfinite(g)):
             state.skipped += 1
             _log.warning("adam_step: non-finite gradient for %r, update skipped", name)
-            return params, state
+            return
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1 ** t
@@ -672,4 +656,3 @@ def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: Adam
         denom += ADAM_EPS
         step /= denom
         value -= step
-    return params, state

@@ -129,15 +129,13 @@ class SandwichReport:
     d_cont_est: float
     lower_ok: bool
     upper_ok: bool
-    stronger_half_lower: bool  # does the maximum also clear 0.5 * TV?
 
 
 def sandwich_check(p, q) -> SandwichReport:
     """Check 0.25 * TV <= max value <= 2 * TV, with 1e-9 tolerance.
 
     The maximum is exact, so both checks test the analytic bounds
-    themselves. The report also notes whether it clears 0.5 * TV, which is
-    observed empirically but not asserted anywhere.
+    themselves.
     """
     tv = tv_distance(p, q)
     est = d_cont_estimate(p, q)
@@ -146,5 +144,4 @@ def sandwich_check(p, q) -> SandwichReport:
         d_cont_est=est,
         lower_ok=est >= 0.25 * tv - 1e-9,
         upper_ok=est <= 2.0 * tv + 1e-9,
-        stronger_half_lower=est >= 0.5 * tv - 1e-9,
     )

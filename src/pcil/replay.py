@@ -9,9 +9,9 @@ window keeps only the steps that share its first step's id, so one that
 would run past a terminal transition is truncated there and its bootstrap
 discount shrinks to gamma^(actual length).
 
-Demonstrations are JSON Lines, one transition per line, with an optional
-leading ``#`` comment header. Human-inspectable and diff-friendly; desk scale
-makes compactness irrelevant.
+Demonstrations are JSON Lines, one transition per line. The loader skips
+lines that start with ``#``, so a hand-written comment may sit among them.
+Human-inspectable and diff-friendly; desk scale makes compactness irrelevant.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class DemoFormatError(ValueError):
     """Malformed demonstration file."""
 
 
-def save_demos(path, transitions: list[Transition], header_comment: str | None = None) -> None:
+def save_demos(path, transitions: list[Transition]) -> None:
     """Write ``transitions`` to ``path``, one JSON row each, as ``load_demos`` reads them.
 
     A transition whose state, action or next state has another length than
@@ -232,13 +232,18 @@ def save_demos(path, transitions: list[Transition], header_comment: str | None =
             raise DemoFormatError(
                 f"cannot save demos to {path}: transition {i}: NaN or Inf value") from None
     with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
         fh.writelines(lines)
 
 
 def load_demos(path) -> list[Transition]:
-    """Read a demo file; every row must be finite and shaped like the first."""
+    """Read a demo file; every row must be finite and shaped like the first.
+
+    In each row, ``state``, ``action`` and ``next_state`` must be lists of
+    JSON numbers, ``reward_env`` a number and ``done`` a boolean. Anything
+    else (a string, a boolean among the numbers, a bare number for a list)
+    raises ``DemoFormatError`` naming the line and its byte offset, as do a
+    ragged or non-finite row.
+    """
     transitions: list[Transition] = []
     linenos: list[int] = []  # where each transition came from, for error messages
     offsets: list[int] = []
@@ -257,11 +262,11 @@ def load_demos(path) -> list[Transition]:
                 try:
                     row = json.loads(stripped.decode("utf-8"))
                     transitions.append(Transition(
-                        state=np.array(row["state"], dtype=np.float64),
-                        action=np.array(row["action"], dtype=np.float64),
-                        next_state=np.array(row["next_state"], dtype=np.float64),
-                        reward_env=float(row["reward_env"]),
-                        done=bool(row["done"]),
+                        state=_numbers(row, "state"),
+                        action=_numbers(row, "action"),
+                        next_state=_numbers(row, "next_state"),
+                        reward_env=float(_typed(row, "reward_env", (int, float), "a number")),
+                        done=_typed(row, "done", (bool,), "true or false"),
                     ))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise malformed(-1, exc) from exc
@@ -282,6 +287,28 @@ def load_demos(path) -> list[Transition]:
     if not finite.all():
         raise malformed(int(np.argmin(finite)), "NaN or Inf value")
     return transitions
+
+
+def _numbers(row: dict, key: str) -> np.ndarray:
+    """``row[key]``, a list of JSON numbers, as a float64 vector."""
+    raw = row[key]
+    values = np.array(raw)
+    kind = values.dtype.kind
+    # numpy gives a string, a null or a nested list another dtype or rank, and
+    # a list of booleans a bool array; a boolean among numbers becomes a
+    # number, so the element types are looked at too (in C, through map)
+    if values.ndim != 1 or kind not in "iuf" or bool in map(type, raw):
+        raise TypeError(f"{key!r} must be a list of numbers, got {raw!r}")
+    return values if kind == "f" else values.astype(np.float64)
+
+
+def _typed(row: dict, key: str, types: tuple, what: str):
+    """``row[key]``, whose type must be one of ``types`` exactly: a bool,
+    though an int subclass, is no number."""
+    value = row[key]
+    if type(value) not in types:
+        raise TypeError(f"{key!r} must be {what}, got {value!r}")
+    return value
 
 
 def demo_arrays(transitions: list[Transition]):

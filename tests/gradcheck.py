@@ -84,8 +84,9 @@ def primitive_cases(rng):
     cases.append(("sub", lambda t, ls: scalarize(t, ad.sub(ls[0], ls[1]), w23), [a, b]))
     a, b = rand(2, 3), rand(3)
     cases.append(("mul", lambda t, ls: scalarize(t, ad.mul(ls[0], ls[1]), w23), [a, b]))
-    c = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
-    cases.append(("scale", lambda t, ls: scalarize(t, ad.scale(ls[0], c), w23), [rand(2, 3)]))
+    # the draws of the deleted ``scale`` case, kept so that no later case's
+    # inputs change
+    rng.uniform(0.5, 2.0), rng.choice([-1.0, 1.0]), rand(2, 3)
     a, b = rand(2, 3), rand(3, 2)
     cases.append(("matmul", lambda t, ls: scalarize(t, ad.matmul(ls[0], ls[1]), w22), [a, b]))
     cases.append(("tanh", lambda t, ls: scalarize(t, ad.tanh(ls[0]), w23), [rand(2, 3)]))
@@ -100,18 +101,12 @@ def primitive_cases(rng):
     cases.append(("mean", lambda t, ls: scalarize(t, ad.tmean(ls[0], axis=0), w3), [rand(2, 3)]))
     w2b = rand(2)
     cases.append(("logsumexp", lambda t, ls: scalarize(t, ad.logsumexp(ls[0], axis=1), w2b), [rand(2, 3)]))
-    w2c = rand(2)
-    cases.append(("sqnorm", lambda t, ls: scalarize(t, ad.sqnorm(ls[0], axis=1), w2c), [rand(2, 3)]))
+    rand(2), rand(2, 3)  # the draws of the deleted ``sqnorm`` case, as above
     sn = rand(2, 3)
     sn += np.sign(sn.sum(axis=1, keepdims=True)) * 0.5  # norms well above the cutoff
     cases.append(("sphere_normalize", lambda t, ls: scalarize(t, ad.sphere_normalize(ls[0]), w23), [sn]))
-    a, b = rand(2, 3), rand(1, 3)
+    concat_a, concat_b = rand(2, 3), rand(1, 3)
     w33 = rand(3, 3)
-    cases.append((
-        "concat",
-        lambda t, ls: scalarize(t, ad.concat([ls[0], ls[1]], axis=0), w33),
-        [a, b],
-    ))
     w32 = rand(3, 2)
     cases.append(("reshape", lambda t, ls: scalarize(t, ad.reshape(ls[0], (3, 2)), w32), [rand(2, 3)]))
     w32b = rand(3, 2)
@@ -127,5 +122,14 @@ def primitive_cases(rng):
         lambda t, ls: ad.add(scalarize(t, ad.row_slice(ls[0], 1, 3), w23b),
                              scalarize(t, ad.row_slice(ls[0], 0, 2), w23c)),
         [rand(4, 3)],
+    ))
+    # the concat case also joins along axis 1, as InfoNCE does; its third input
+    # and weights are drawn last, so that no other case's inputs change
+    concat_c, w25 = rand(2, 2), rand(2, 5)
+    cases.append((
+        "concat",
+        lambda t, ls: ad.add(scalarize(t, ad.concat([ls[0], ls[1]], axis=0), w33),
+                             scalarize(t, ad.concat([ls[0], ls[2]], axis=1), w25)),
+        [concat_a, concat_b, concat_c],
     ))
     return cases

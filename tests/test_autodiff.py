@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,14 +69,14 @@ def test_mean_tanh_linear_vs_finite_differences():
 # Each case keeps a fixed id, the primitive's position in the registry when
 # the suite was first written, so deleting a primitive renames no other case.
 CASE_IDS = {
-    "add": "0", "sub": "1", "mul": "2", "scale": "3", "matmul": "5", "tanh": "7",
+    "add": "0", "sub": "1", "mul": "2", "matmul": "5", "tanh": "7",
     "relu": "8", "sigmoid": "9", "softplus": "10", "sqrt": "13", "sum": "14",
-    "mean": "15", "logsumexp": "16", "sqnorm": "17", "sphere_normalize": "18",
+    "mean": "15", "logsumexp": "16", "sphere_normalize": "18",
     "concat": "19", "reshape": "20", "transpose": "21", "div": "22", "row_slice": "23",
 }
 
 
-@pytest.mark.parametrize("name", ad.PRIMITIVES, ids=CASE_IDS.__getitem__)
+@pytest.mark.parametrize("name", CASE_IDS, ids=CASE_IDS.__getitem__)
 def test_primitive_gradients_match_finite_differences(name):
     # 100 random instances per primitive, h=1e-5, relative tolerance 1e-4
     # each primitive draws from its own seed stream
@@ -84,9 +86,42 @@ def test_primitive_gradients_match_finite_differences(name):
         check_gradients(*cases[name])
 
 
+def made_ops(source: str) -> set[str]:
+    """The op names of the ``_make("<op>", ...)`` calls in ``source``; a call
+    whose op is not a string literal shows as ``line N: not a literal``."""
+    ops = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_make":
+            op = node.args[0] if node.args else None
+            literal = isinstance(op, ast.Constant) and isinstance(op.value, str)
+            ops.add(op.value if literal else f"line {node.lineno}: not a literal")
+    return ops
+
+
 def test_primitive_registry_is_complete():
+    # every op the module records has a gradient-check case, and every case
+    # checks a recorded op or ``mean`` (a ``mul`` of a ``sum``)
+    ops = made_ops(Path(ad.__file__).read_text())
     names = {name for name, _, _ in primitive_cases(np.random.default_rng(0))}
-    assert names == set(ad.PRIMITIVES) == set(CASE_IDS)
+    assert ops - names == set()
+    assert names - ops == {"mean"}
+    assert names == set(CASE_IDS)
+
+
+def test_made_ops_reads_every_make_call():
+    source = '''
+def add(a, b):
+    return _make("add", tape, a.data + b.data, (a, b), vjps)
+def tmean(a):
+    return mul(tsum(a), 0.5)
+def odd(a, op):
+    node = _make(op, a.tape, a.data, (a,), ())
+    return other._make("attribute", a), make("plain", a)
+class Tape:
+    def leaf(self, data):
+        return _make("leaf", self, data, (), ())
+'''
+    assert made_ops(source) == {"add", "line 7: not a literal", "leaf"}
 
 
 def test_sphere_normalize_unit_norm_invariant():
@@ -145,7 +180,7 @@ def test_backward_is_deterministic():
 def test_backward_rejects_non_scalar():
     tape = ad.Tape()
     x = tape.leaf(np.ones(3))
-    y = ad.scale(x, 2.0)
+    y = ad.mul(x, 2.0)
     with pytest.raises(ValueError, match="scalar"):
         tape.backward(y)
 
@@ -176,7 +211,7 @@ def test_num_ops_survives_backward():
     x = tape.constant(np.ones((4, 3)))
     out = ad.tmean(ad.relu(ad.matmul(x, w)))
     before = tape.num_ops
-    assert before == 4  # matmul, relu, and the sum and scale of tmean
+    assert before == 4  # matmul, relu, and the sum and mul of tmean
     tape.backward(out)
     assert tape.num_ops == before
 
@@ -213,13 +248,11 @@ OVERFLOWS = {
     "add": ("add", lambda t: ad.add(t.constant([1e308]), t.constant([1e308]))),
     "sub": ("sub", lambda t: ad.sub(t.constant([1e308]), t.constant([-1e308]))),
     "mul": ("mul", lambda t: ad.mul(t.constant([1e200]), t.constant([1e200]))),
-    "scale": ("scale", lambda t: ad.scale(t.constant([1e200]), 1e200)),
     "div": ("div", lambda t: ad.div(t.constant([1e200]), t.constant([1e-200]))),
     "matmul": ("matmul", lambda t: ad.matmul(t.constant([[1e200, 1e200]]),
                                              t.constant([[1e200], [-1e200]]))),
     "sum": ("sum", lambda t: ad.tsum(t.constant([1e308, 1e308]))),
     "mean": ("sum", lambda t: ad.tmean(t.constant([1e308, 1e308]))),
-    "sqnorm": ("sqnorm", lambda t: ad.sqnorm(t.constant([1e200, 1.0]))),
 }
 
 
@@ -257,7 +290,7 @@ def test_workspace_backward_keeps_shared_adjoints_apart():
     x = tape.leaf(x0)
     y = ad.mul(x, x)
     z = ad.add(y, y)
-    tape.backward(ad.tsum(ad.add(ad.mul(z, ad.scale(x, 3.0)), ad.reshape(ad.transpose(z), (2, 3)))))
+    tape.backward(ad.tsum(ad.add(ad.mul(z, ad.mul(x, 3.0)), ad.reshape(ad.transpose(z), (2, 3)))))
     np.testing.assert_allclose(x.grad, 18.0 * x0 * x0 + 4.0 * x0, rtol=1e-14)
 
 
@@ -267,6 +300,55 @@ def test_cross_tape_operands_rejected():
     b = t2.leaf(np.ones(2))
     with pytest.raises(ValueError, match="tape"):
         ad.add(a, b)
+
+
+def test_backward_of_another_tapes_node_rejected():
+    t1, t2 = ad.Tape(), ad.Tape()
+    out = ad.tsum(t2.leaf(np.ones(2)))
+    with pytest.raises(ValueError, match="does not belong to this tape"):
+        t1.backward(out)
+    t1.leaf(np.ones(1))  # the rejected call left both tapes live
+    t2.backward(out)
+
+
+def test_op_without_a_tensor_operand_rejected():
+    with pytest.raises(TypeError, match="at least one operand must be a Tensor"):
+        ad.add(np.ones(2), 1.0)
+
+
+@pytest.mark.parametrize("op", [
+    lambda t: ad.matmul(t.constant(np.ones(3)), t.constant(np.ones((3, 2)))),
+    lambda t: ad.matmul(t.constant(np.ones((2, 3))), t.constant(np.ones(3))),
+    lambda t: ad.transpose(t.constant(np.ones(3))),
+    lambda t: ad.row_slice(t.constant(np.ones((2, 3, 1))), 0, 1),
+], ids=["matmul_left", "matmul_right", "transpose", "row_slice"])
+def test_two_d_ops_reject_another_rank(op):
+    with pytest.raises(ValueError, match="2-D"):
+        op(ad.Tape())
+
+
+def test_sqrt_of_a_negative_input_rejected():
+    tape = ad.Tape()
+    with pytest.raises(ValueError, match="non-negative"):
+        ad.sqrt(tape.leaf(np.array([4.0, -1e-300])))
+
+
+def test_empty_concat_rejected():
+    with pytest.raises(ValueError, match="at least one tensor"):
+        ad.concat([])
+
+
+def test_parameter_set_copy_is_independent():
+    params = ad.ParameterSet({"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(3)})
+    copy = params.copy()
+    assert copy.names() == params.names()
+    for name in params:
+        np.testing.assert_array_equal(copy[name], params[name])
+        assert not np.shares_memory(copy[name], params[name])
+    copy["w"] += 1.0  # in place, as a Polyak update writes a target
+    params["b"][:] = 5.0
+    np.testing.assert_array_equal(params["w"], np.arange(6.0).reshape(2, 3))
+    np.testing.assert_array_equal(copy["b"], np.zeros(3))
 
 
 def test_mlp_init_bounds():
@@ -483,3 +565,29 @@ class TestAdam:
         before = params["w"].copy()
         ad.adam_step(params, {}, state)
         np.testing.assert_array_equal(params["w"], before)
+
+    @pytest.mark.parametrize("grads, message", [
+        ({"W": np.ones(3)}, "gradient 'W' matches no parameter"),
+        ({"w": np.ones((2, 3))}, r"gradient 'w' has shape \(2, 3\), the parameter \(3,\)"),
+        ({"w": np.ones(1)}, r"gradient 'w' has shape \(1,\), the parameter \(3,\)"),
+        ({"w": np.full(3, np.nan), "v": np.ones(3)}, "gradient 'v' matches no parameter"),
+    ], ids=["misspelled_name", "broadcastable_shape", "shape_of_one", "before_the_finite_check"])
+    def test_gradient_it_cannot_match_raises_and_changes_nothing(self, grads, message):
+        params, state = self.make()
+        assert ad.adam_step(params, {"w": np.array([0.5, -0.1, 2.0])}, state) is None
+        kept = (params["w"].copy(), state.first_moment["w"].copy(),
+                state.second_moment["w"].copy(), state.step_count, state.skipped)
+        with pytest.raises(ValueError, match=message):
+            ad.adam_step(params, grads, state)
+        np.testing.assert_array_equal(params["w"], kept[0])
+        np.testing.assert_array_equal(state.first_moment["w"], kept[1])
+        np.testing.assert_array_equal(state.second_moment["w"], kept[2])
+        assert (state.step_count, state.skipped) == kept[3:] == (1, 0)
+
+    def test_shape_mismatch_in_a_two_d_parameter_is_not_broadcast(self):
+        params = ad.ParameterSet({"w": np.ones((2, 3))})
+        state = ad.AdamState.for_params(params, lr=1e-3)
+        with pytest.raises(ValueError, match=r"gradient 'w' has shape \(3,\), the parameter \(2, 3\)"):
+            ad.adam_step(params, {"w": np.array([1.0, -1.0, 0.5])}, state)
+        np.testing.assert_array_equal(params["w"], np.ones((2, 3)))
+        assert not state.first_moment["w"].any() and state.step_count == 0

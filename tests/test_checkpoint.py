@@ -73,6 +73,32 @@ def test_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_unknown_version_rejected(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"x": np.zeros(2)})
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"x": np.zeros(2)})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CheckpointError, match=f"trailing garbage after byte {size}"):
+        load_checkpoint(path)
+
+
+def test_tensor_without_a_group_rejected_by_the_set_loader(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, {"actor/layer0.w": np.zeros(2), "loose": np.ones(1)})
+    with pytest.raises(CheckpointError, match="tensor 'loose' has no group/name structure"):
+        load_parameter_sets(path)
+
+
 def test_parameter_set_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     sets = {

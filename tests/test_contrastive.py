@@ -114,19 +114,18 @@ class TestEmbed:
         enc = small_encoder(seed=7)
         rng = np.random.default_rng(8)
         enc.embed(rng.uniform(-2, 2, size=(20, 3)))
-        buffers = dict(enc._embed_workspace)
-        assert len(buffers) == 2
+        buffers = dict(enc._workspace)
+        assert buffers.keys() == {0, 1}  # never the update's (layer, role) keys
         for rows in (7, 13, 20, 1, 20):  # grow, shrink and repeat up to the first count
             enc.embed(rng.uniform(-2, 2, size=(rows, 3)))
-            assert enc._embed_workspace.keys() == buffers.keys()
-            assert all(enc._embed_workspace[k] is buf for k, buf in buffers.items())
+            assert enc._workspace.keys() == buffers.keys()
+            assert all(enc._workspace[k] is buf for k, buf in buffers.items())
         enc.embed(rng.uniform(-2, 2, size=(21, 3)))  # more rows grow both, once
-        grown = dict(enc._embed_workspace)
+        grown = dict(enc._workspace)
         assert grown.keys() == buffers.keys()
         assert all(grown[k] is not buf for k, buf in buffers.items())
         enc.embed(rng.uniform(-2, 2, size=(4, 3)))
-        assert all(enc._embed_workspace[k] is buf for k, buf in grown.items())
-        assert not enc._workspace  # the update's buffers are never touched
+        assert all(enc._workspace[k] is buf for k, buf in grown.items())
 
     @pytest.mark.parametrize("rows", [
         ad._INFER_BLOCK - 1, ad._INFER_BLOCK, ad._INFER_BLOCK + 1,
@@ -144,7 +143,7 @@ class TestEmbed:
                                    rtol=0.0, atol=1e-12)
         enc.embed(x[::-1])
         np.testing.assert_array_equal(emb, kept)
-        assert sum(buf.size for buf in enc._embed_workspace.values()) <= 2 * block * 256
+        assert sum(buf.size for buf in enc._workspace.values()) <= 2 * block * 256
         assert enc.norm_violations == 0
 
     def test_embed_output_whose_square_overflows_is_unit(self):
@@ -571,7 +570,7 @@ def update_gradients(encoder, batch, x_hat, reference, workspace, between=lambda
                                   ad.row_slice(forward[0], n_e, n_e + n_a), encoder.temperature)
     penalty = penalty_graph(forward, reference, n_e + n_a, workspace)
     between()
-    tape.backward(ad.add(loss, ad.scale(penalty, 10.0)))
+    tape.backward(ad.add(loss, ad.mul(penalty, 10.0)))
     return {name: node.grad.copy() for name, node in head_nodes.items()}
 
 
@@ -585,7 +584,7 @@ def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
     emb_a = encoder._forward(tape, tape.constant(batch.agent_inputs), head_nodes)[0]
     loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
     penalty = penalty_graph(encoder._forward(tape, tape.constant(x_hat), head_nodes), reference)
-    tape.backward(ad.add(loss, ad.scale(penalty, gp_weight)))
+    tape.backward(ad.add(loss, ad.mul(penalty, gp_weight)))
     grads = {name: node.grad for name, node in head_nodes.items()}
     return float(loss.data), float(penalty.data), grads
 

@@ -70,6 +70,13 @@ def test_stepping_done_state_rejected():
         env.step(state, np.zeros(2))
 
 
+def test_stepping_a_finished_pendulum_episode_rejected():
+    env = make_env("pendulum")
+    state = EnvState(env.reset(0).vector, step_index=env.spec.episode_length)
+    with pytest.raises(ValueError, match="finished"):
+        env.step(state, np.zeros(1))
+
+
 def test_actions_outside_box_are_clipped():
     for name, bound in [("point_mass", [1.0, -1.0]), ("pendulum", [1.0]), ("pendulum", [-1.0])]:
         env = make_env(name)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -439,7 +440,9 @@ class TestDemoFiles:
     def test_round_trip(self, tmp_path):
         demos = self.episodes()
         path = tmp_path / "demos.jsonl"
-        save_demos(path, demos, header_comment="mean_return=123.0")
+        save_demos(path, demos)
+        # hand-written comment lines, as the loader skips them
+        path.write_text("# mean_return=123.0\n# seeds 0-9\n" + path.read_text())
         loaded = load_demos(path)
         assert len(loaded) == len(demos)
         for a, b in zip(demos, loaded):
@@ -451,8 +454,8 @@ class TestDemoFiles:
     def test_same_content_same_bytes(self, tmp_path):
         demos = self.episodes(n_episodes=1, length=5)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_demos(p1, demos, header_comment="x")
-        save_demos(p2, demos, header_comment="x")
+        save_demos(p1, demos)
+        save_demos(p2, demos)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_file_names_offset(self, tmp_path):
@@ -515,8 +518,8 @@ class TestDemoFiles:
     ])
     def test_non_finite_value_names_line_and_offset(self, tmp_path, field, value):
         path = tmp_path / "demos.jsonl"
-        save_demos(path, self.episodes(n_episodes=1, length=3), header_comment="x")
-        lines = path.read_text().splitlines()
+        save_demos(path, self.episodes(n_episodes=1, length=3))
+        lines = ["# x"] + path.read_text().splitlines()
         offset = sum(len(line) + 1 for line in lines[:3])
         lines[3], count = re.subn(rf'("{field}":\[?)[-0-9.e]+', rf"\g<1>{value}", lines[3], count=1)
         assert count == 1
@@ -533,6 +536,38 @@ class TestDemoFiles:
         offset = len(lines[0]) + len(lines[1]) + 2
         with pytest.raises(DemoFormatError, match=rf"line 3 \(byte offset {offset}\): .*utf-8"):
             load_demos(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("state", [1, 2, "3"]), ("action", [True]), ("next_state", [0.5, False, 0.5]),
+        ("state", 5), ("next_state", [[1.0, 2.0, 3.0]]), ("state", [1.0, None, 3.0]),
+        ("reward_env", "0.5"), ("reward_env", True), ("reward_env", [0.5]),
+        ("done", "false"), ("done", 0),
+    ], ids=["string_in_state", "boolean_action", "boolean_among_numbers", "bare_number",
+            "nested_list", "null", "string_reward", "boolean_reward", "list_reward",
+            "string_done", "number_done"])
+    def test_value_of_the_wrong_type_names_line_and_offset(self, tmp_path, field, value):
+        path = tmp_path / "demos.jsonl"
+        save_demos(path, self.episodes(n_episodes=1, length=3))
+        lines = path.read_text().splitlines()
+        offset = len(lines[0]) + 1
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DemoFormatError,
+                           match=rf"line 2 \(byte offset {offset}\): '{field}' must be"):
+            load_demos(path)
+
+    def test_integers_load_as_floats(self, tmp_path):
+        path = tmp_path / "demos.jsonl"
+        path.write_text('{"state":[1,2,3],"action":[0],"next_state":[1,2,4],'
+                        '"reward_env":1,"done":true}\n')
+        (t,) = load_demos(path)
+        for value, expected in ((t.state, [1.0, 2.0, 3.0]), (t.action, [0.0]),
+                                (t.next_state, [1.0, 2.0, 4.0])):
+            assert value.dtype == np.float64
+            np.testing.assert_array_equal(value, expected)
+        assert type(t.reward_env) is float and t.reward_env == 1.0 and t.done is True
 
     @pytest.mark.parametrize("field", ["state", "action", "next_state"])
     def test_ragged_row_names_line_and_offset(self, tmp_path, field):
