@@ -36,12 +36,13 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray]) -> None:
     """Write ``tensors`` to ``path``, replacing any file there atomically.
 
     Every name and tensor is checked before anything is written: a name that
-    is not a UTF-8-encodable string, a value that is not a float64 array, a
-    NaN/Inf entry or a dimension of 2**32 or more raises ``CheckpointError``
-    naming the tensor, and leaves ``path`` as it was. The file is written to a
-    temporary file in the same directory and renamed onto ``path``, so a
-    reader (or a crash) sees the old file or the new one, never a part. The
-    rename is not followed by an fsync, so it does not survive power loss.
+    is not a UTF-8-encodable string, a value that is not an array of real
+    numbers (a string or a boolean is none), a NaN/Inf entry or a dimension
+    of 2**32 or more raises ``CheckpointError`` naming the tensor, and leaves
+    ``path`` as it was. The file is written to a temporary file in the same
+    directory and renamed onto ``path``, so a reader (or a crash) sees the
+    old file or the new one, never a part. The rename is not followed by an
+    fsync, so it does not survive power loss.
     """
     records = [_encode_tensor(name, value) for name, value in tensors.items()]
     path = os.fspath(path)
@@ -71,9 +72,12 @@ def _encode_tensor(name, value) -> tuple[bytes, np.ndarray]:
     except UnicodeEncodeError as exc:
         raise CheckpointError(f"tensor name {name!r} is not valid UTF-8") from exc
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"tensor {name!r} is not a float64 array: {exc}") from exc
+        raise CheckpointError(f"tensor {name!r} is not an array of real numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":  # float64 would take "1.5" and True as numbers
+        raise CheckpointError(f"tensor {name!r} is not an array of real numbers: dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if any(dim > _U32_MAX for dim in arr.shape):
         raise CheckpointError(
             f"tensor {name!r} has shape {arr.shape}; every dimension must be below 2**32"

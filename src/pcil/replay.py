@@ -204,35 +204,17 @@ class DemoFormatError(ValueError):
 def save_demos(path, transitions: list[Transition]) -> None:
     """Write ``transitions`` to ``path``, one JSON row each, as ``load_demos`` reads them.
 
-    A transition whose state, action or next state has another length than
-    the first transition's, or that holds NaN or Inf, raises
-    ``DemoFormatError`` naming its index before ``path`` is opened.
+    Numpy arrays and scalars become Python values and nothing is coerced, so a
+    row that breaks ``load_demos``' rules raises ``DemoFormatError`` naming its
+    transition before ``path`` is opened.
     """
-    if not transitions:
-        raise ValueError("at least one transition required")
-    lines = []
-    for i, t in enumerate(transitions):
-        row = {
-            "state": [float(v) for v in t.state],
-            "action": [float(v) for v in t.action],
-            "next_state": [float(v) for v in t.next_state],
-            "reward_env": float(t.reward_env),
-            "done": bool(t.done),
-        }
-        lengths = (len(row["state"]), len(row["action"]), len(row["next_state"]))
-        if i == 0:
-            first = lengths
-        if lengths != first:
-            raise DemoFormatError(
-                f"cannot save demos to {path}: transition {i}: state/action/next_state "
-                f"lengths {lengths} differ from the first transition's {first}")
-        try:
-            lines.append(json.dumps(row, separators=(",", ":"), allow_nan=False) + "\n")
-        except ValueError:  # allow_nan=False rejects NaN and +-Inf
-            raise DemoFormatError(
-                f"cannot save demos to {path}: transition {i}: NaN or Inf value") from None
+    rows = ({"state": _plain(t.state), "action": _plain(t.action), "next_state": _plain(t.next_state),
+             "reward_env": _plain(t.reward_env), "done": _plain(t.done)} for t in transitions)
+    checked, arrays = _validated(rows, f"cannot save demos to {path}", "transition {}".format)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        for s, a, n, r, t in zip(*[arr.tolist() for arr in arrays], checked):
+            row = {"state": s, "action": a, "next_state": n, "reward_env": r, "done": t.done}
+            fh.write(_ENCODER.encode(row) + "\n")
 
 
 def load_demos(path) -> list[Transition]:
@@ -244,60 +226,75 @@ def load_demos(path) -> list[Transition]:
     raises ``DemoFormatError`` naming the line and its byte offset, as do a
     ragged or non-finite row.
     """
-    transitions: list[Transition] = []
-    linenos: list[int] = []  # where each transition came from, for error messages
-    offsets: list[int] = []
-    offset = 0
+    places = []  # the line number and byte offset of each row
 
-    def malformed(i: int, why) -> DemoFormatError:
-        return DemoFormatError(
-            f"malformed demo file {path}: line {linenos[i]} (byte offset {offsets[i]}): {why}")
-
-    with open(path, "rb") as fh:  # bytes: exact offsets, and bad UTF-8 fails inside the try
+    def rows(fh):
+        offset = 0
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if stripped and not stripped.startswith(b"#"):
-                linenos.append(lineno)
-                offsets.append(offset)
-                try:
-                    row = json.loads(stripped.decode("utf-8"))
-                    transitions.append(Transition(
-                        state=_numbers(row, "state"),
-                        action=_numbers(row, "action"),
-                        next_state=_numbers(row, "next_state"),
-                        reward_env=float(_typed(row, "reward_env", (int, float), "a number")),
-                        done=_typed(row, "done", (bool,), "true or false"),
-                    ))
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise malformed(-1, exc) from exc
+                places.append((lineno, offset))
+                yield json.loads(stripped.decode("utf-8"))
             offset += len(line)
+
+    with open(path, "rb") as fh:  # bytes: exact offsets, and bad UTF-8 fails as its row's ValueError
+        return _validated(rows(fh), f"malformed demo file {path}",
+                          lambda i: "line {} (byte offset {})".format(*places[i]))[0]
+
+
+#: One encoder for all rows (``json.dumps`` with options makes one a call); a row holds no cycle.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+_BOOLEANS = frozenset({bool, np.bool_})
+_NUMPY = (np.ndarray, np.generic)
+
+
+def _plain(value):
+    """A numpy array or scalar as Python values; anything else as it is."""
+    return value.tolist() if isinstance(value, _NUMPY) else value
+
+
+def _validated(rows, source: str, row_name) -> tuple[list[Transition], tuple[np.ndarray, ...]]:
+    """Demo ``rows``, taken as they come, as transitions and their ``demo_arrays``,
+    by ``load_demos``' rules. A row that breaks one raises ``DemoFormatError``
+    naming ``source`` and ``row_name(i)``, i its index."""
+    transitions: list[Transition] = []
+    try:
+        for row in rows:  # a row that fails to parse raises here too
+            transitions.append(Transition(
+                state=_numbers(row, "state"),
+                action=_numbers(row, "action"),
+                next_state=_numbers(row, "next_state"),
+                reward_env=float(_typed(row, "reward_env", (int, float), "a number")),
+                done=_typed(row, "done", (bool,), "true or false"),
+            ))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DemoFormatError(f"{source}: {row_name(len(transitions))}: {exc}") from exc
     if not transitions:
-        raise DemoFormatError(f"demo file {path} is empty: at least one transition required")
-    # vectorised whole-file checks keep loading fast; rows are located only on failure
+        raise DemoFormatError(f"{source}: at least one transition required")
+    # vectorised whole-set checks keep this fast; rows are located only on failure
     try:
         arrays = demo_arrays(transitions)
     except ValueError:
         shapes = [(t.state.shape, t.action.shape, t.next_state.shape) for t in transitions]
         i = next(i for i, s in enumerate(shapes) if s != shapes[0])
-        raise malformed(i, f"state/action/next_state shapes {shapes[i]} differ from "
-                           f"the first row's {shapes[0]}") from None
-    finite = np.ones(len(transitions), dtype=bool)
-    for arr in arrays:
-        finite &= np.isfinite(arr.reshape(len(transitions), -1)).all(axis=1)
+        raise DemoFormatError(f"{source}: {row_name(i)}: state/action/next_state shapes "
+                              f"{shapes[i]} differ from the first row's {shapes[0]}") from None
+    finite = np.logical_and.reduce(
+        [np.isfinite(arr.reshape(len(transitions), -1)).all(axis=1) for arr in arrays])
     if not finite.all():
-        raise malformed(int(np.argmin(finite)), "NaN or Inf value")
-    return transitions
+        raise DemoFormatError(f"{source}: {row_name(int(np.argmin(finite)))}: NaN or Inf value")
+    return transitions, arrays
 
 
 def _numbers(row: dict, key: str) -> np.ndarray:
-    """``row[key]``, a list of JSON numbers, as a float64 vector."""
+    """``row[key]``, a list of numbers, as a float64 vector."""
     raw = row[key]
     values = np.array(raw)
     kind = values.dtype.kind
     # numpy gives a string, a null or a nested list another dtype or rank, and
-    # a list of booleans a bool array; a boolean among numbers becomes a
-    # number, so the element types are looked at too (in C, through map)
-    if values.ndim != 1 or kind not in "iuf" or bool in map(type, raw):
+    # a list of booleans a bool array; a boolean among numbers (Python's or
+    # numpy's) becomes a number, so the element types are looked at too (in C)
+    if values.ndim != 1 or kind not in "iuf" or not _BOOLEANS.isdisjoint(map(type, raw)):
         raise TypeError(f"{key!r} must be a list of numbers, got {raw!r}")
     return values if kind == "f" else values.astype(np.float64)
 

@@ -179,7 +179,7 @@ def _list_dir(path):
         ("wide", np.zeros((0, 2**32)), r"'wide' has shape \(0, 4294967296\)"),
         ("\ud800", np.zeros(2), r"name '\\ud800' is not valid UTF-8"),
         (7, np.zeros(2), r"name 7 is not a string"),
-        ("text", np.array(["a"]), r"'text' is not a float64 array"),
+        ("text", np.array(["a"]), r"'text' is not an array of real numbers"),
     ],
     ids=["nan", "inf", "dim_2_32", "lone_surrogate", "non_str_name", "non_numeric"],
 )
@@ -215,3 +215,16 @@ def test_save_replaces_existing_file(tmp_path):
     loaded = load_checkpoint(path)
     assert list(loaded) == ["b"] and loaded["b"] == 2.0
     assert _list_dir(tmp_path) == ["ckpt.bin"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1.5", ["1", "2"], True, np.array([True, False]), np.array([1 + 2j]), [1.0, None]],
+    ids=["string", "strings", "boolean", "boolean_array", "complex", "null"],
+)
+def test_tensor_of_values_that_are_not_real_numbers_rejected(tmp_path, value):
+    # a float64 conversion would read "1.5" as 1.5, True as 1.0 and None as NaN
+    path = tmp_path / "ckpt.bin"
+    with pytest.raises(CheckpointError, match=r"tensor 'w' is not an array of real numbers"):
+        save_checkpoint(path, {"w": value})
+    assert _list_dir(tmp_path) == []

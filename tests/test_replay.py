@@ -427,6 +427,22 @@ def test_ring_memory_follows_pushes_across_setups():
     assert float(result.stdout) < 5.0
 
 
+#: Demo row values of the wrong type, as (field, value), for saving and loading alike
+WRONG_TYPES = [
+    pytest.param("state", [1, 2, "3"], id="string_in_state"),
+    pytest.param("action", [True], id="boolean_action"),
+    pytest.param("next_state", [0.5, False, 0.5], id="boolean_among_numbers"),
+    pytest.param("state", 5, id="bare_number"),
+    pytest.param("next_state", [[1.0, 2.0, 3.0]], id="nested_list"),
+    pytest.param("state", [1.0, None, 3.0], id="null"),
+    pytest.param("reward_env", "0.5", id="string_reward"),
+    pytest.param("reward_env", True, id="boolean_reward"),
+    pytest.param("reward_env", [0.5], id="list_reward"),
+    pytest.param("done", "false", id="string_done"),
+    pytest.param("done", 0, id="number_done"),
+]
+
+
 class TestDemoFiles:
     def episodes(self, n_episodes=10, length=300):
         out = []
@@ -502,6 +518,36 @@ class TestDemoFiles:
                 save_demos(path, demos)
         assert kept.read_bytes() == b"old" and not absent.exists()
 
+    @pytest.mark.parametrize("field,value", WRONG_TYPES + [
+        pytest.param("next_state", [0.5, np.False_, 0.5], id="numpy_boolean_among_numbers"),
+    ])
+    def test_save_rejects_a_value_of_the_wrong_type_and_writes_nothing(self, tmp_path, field, value):
+        # the rules load_demos applies: "false" is not written as true, nor 0 as false
+        demos = self.episodes(n_episodes=1, length=3)
+        demos[1] = dataclasses.replace(demos[1], **{field: value})
+        kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+        kept.write_bytes(b"old")
+        for path in (kept, absent):
+            with pytest.raises(DemoFormatError, match=rf"transition 1: '{field}' must be"):
+                save_demos(path, demos)
+        assert kept.read_bytes() == b"old" and not absent.exists()
+
+    def test_numpy_and_python_numbers_save_as_float64_and_bool(self, tmp_path):
+        t = Transition(state=np.array([0.1, -1.25, 3.0], dtype=np.float32), action=[1, -2],
+                       next_state=np.array([0.5, 0.0, 2.0], dtype=np.float32),
+                       reward_env=np.array(0.1), done=np.bool_(True))
+        path = tmp_path / "demos.jsonl"
+        save_demos(path, [t])
+        # float32's 0.1 is written as the float64 it widens to, not as "0.1"
+        assert path.read_text() == ('{"state":[0.10000000149011612,-1.25,3.0],"action":[1.0,-2.0],'
+                                    '"next_state":[0.5,0.0,2.0],"reward_env":0.1,"done":true}\n')
+        (loaded,) = load_demos(path)
+        for value, expected in ((loaded.state, t.state), (loaded.action, t.action),
+                                (loaded.next_state, t.next_state)):
+            assert value.dtype == np.float64
+            np.testing.assert_array_equal(value, np.asarray(expected, dtype=np.float64))
+        assert type(loaded.reward_env) is float and loaded.reward_env == 0.1 and loaded.done is True
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "demos.jsonl"
         save_demos(path, self.episodes(n_episodes=1, length=3))
@@ -537,14 +583,7 @@ class TestDemoFiles:
         with pytest.raises(DemoFormatError, match=rf"line 3 \(byte offset {offset}\): .*utf-8"):
             load_demos(path)
 
-    @pytest.mark.parametrize("field,value", [
-        ("state", [1, 2, "3"]), ("action", [True]), ("next_state", [0.5, False, 0.5]),
-        ("state", 5), ("next_state", [[1.0, 2.0, 3.0]]), ("state", [1.0, None, 3.0]),
-        ("reward_env", "0.5"), ("reward_env", True), ("reward_env", [0.5]),
-        ("done", "false"), ("done", 0),
-    ], ids=["string_in_state", "boolean_action", "boolean_among_numbers", "bare_number",
-            "nested_list", "null", "string_reward", "boolean_reward", "list_reward",
-            "string_done", "number_done"])
+    @pytest.mark.parametrize("field,value", WRONG_TYPES)
     def test_value_of_the_wrong_type_names_line_and_offset(self, tmp_path, field, value):
         path = tmp_path / "demos.jsonl"
         save_demos(path, self.episodes(n_episodes=1, length=3))
