@@ -210,10 +210,11 @@ def save_demos(path, transitions: list[Transition]) -> None:
     """
     rows = ({"state": _plain(t.state), "action": _plain(t.action), "next_state": _plain(t.next_state),
              "reward_env": _plain(t.reward_env), "done": _plain(t.done)} for t in transitions)
-    checked, arrays = _validated(rows, f"cannot save demos to {path}", "transition {}".format)
+    checked = _validated(rows, f"cannot save demos to {path}", "transition {}".format)
     with open(path, "w", encoding="utf-8") as fh:
-        for s, a, n, r, t in zip(*[arr.tolist() for arr in arrays], checked):
-            row = {"state": s, "action": a, "next_state": n, "reward_env": r, "done": t.done}
+        for t in checked:
+            row = {"state": t.state.tolist(), "action": t.action.tolist(),
+                   "next_state": t.next_state.tolist(), "reward_env": t.reward_env, "done": t.done}
             fh.write(_ENCODER.encode(row) + "\n")
 
 
@@ -239,7 +240,7 @@ def load_demos(path) -> list[Transition]:
 
     with open(path, "rb") as fh:  # bytes: exact offsets, and bad UTF-8 fails as its row's ValueError
         return _validated(rows(fh), f"malformed demo file {path}",
-                          lambda i: "line {} (byte offset {})".format(*places[i]))[0]
+                          lambda i: "line {} (byte offset {})".format(*places[i]))
 
 
 #: One encoder for all rows (``json.dumps`` with options makes one a call); a row holds no cycle.
@@ -253,9 +254,9 @@ def _plain(value):
     return value.tolist() if isinstance(value, _NUMPY) else value
 
 
-def _validated(rows, source: str, row_name) -> tuple[list[Transition], tuple[np.ndarray, ...]]:
-    """Demo ``rows``, taken as they come, as transitions and their ``demo_arrays``,
-    by ``load_demos``' rules. A row that breaks one raises ``DemoFormatError``
+def _validated(rows, source: str, row_name) -> list[Transition]:
+    """Demo ``rows``, taken as they come, as transitions of float64 vectors, by
+    ``load_demos``' rules. A row that breaks one raises ``DemoFormatError``
     naming ``source`` and ``row_name(i)``, i its index."""
     transitions: list[Transition] = []
     try:
@@ -283,7 +284,7 @@ def _validated(rows, source: str, row_name) -> tuple[list[Transition], tuple[np.
         [np.isfinite(arr.reshape(len(transitions), -1)).all(axis=1) for arr in arrays])
     if not finite.all():
         raise DemoFormatError(f"{source}: {row_name(int(np.argmin(finite)))}: NaN or Inf value")
-    return transitions, arrays
+    return transitions
 
 
 def _numbers(row: dict, key: str) -> np.ndarray:
@@ -296,7 +297,7 @@ def _numbers(row: dict, key: str) -> np.ndarray:
     # numpy's) becomes a number, so the element types are looked at too (in C)
     if values.ndim != 1 or kind not in "iuf" or not _BOOLEANS.isdisjoint(map(type, raw)):
         raise TypeError(f"{key!r} must be a list of numbers, got {raw!r}")
-    return values if kind == "f" else values.astype(np.float64)
+    return values if values.dtype == np.float64 else values.astype(np.float64)  # float32 items too
 
 
 def _typed(row: dict, key: str, types: tuple, what: str):
