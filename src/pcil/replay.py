@@ -12,6 +12,9 @@ discount shrinks to gamma^(actual length).
 Demonstrations are JSON Lines, one transition per line. The loader skips
 lines that start with ``#``, so a hand-written comment may sit among them.
 Human-inspectable and diff-friendly; desk scale makes compactness irrelevant.
+Saving and loading check a demo set by the same rules, each applied to a
+field's whole column at once. Only if one of those whole-set checks fails
+are the rows walked one by one, to name the first row that breaks a rule.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ import math
 import mmap
 import numbers
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -206,16 +212,22 @@ def save_demos(path, transitions: list[Transition]) -> None:
 
     Numpy arrays and scalars become Python values and nothing is coerced, so a
     row that breaks ``load_demos``' rules raises ``DemoFormatError`` naming its
-    transition before ``path`` is opened.
+    transition before ``path`` is opened. The rules are checked on each
+    field's whole column first; the transitions are walked one by one only if
+    a column fails, to name the first that breaks a rule. Each line is what
+    ``json.dumps(row, separators=(",", ":"))`` writes for the row.
     """
-    rows = ({"state": _plain(t.state), "action": _plain(t.action), "next_state": _plain(t.next_state),
-             "reward_env": _plain(t.reward_env), "done": _plain(t.done)} for t in transitions)
-    checked = _validated(rows, f"cannot save demos to {path}", "transition {}".format)
+    records = list(map(attrgetter(*_FIELDS), transitions))
+    columns = _columns(records)
+    if columns is None:
+        rows = (dict(zip(_FIELDS, map(_plain, record))) for record in records)
+        _locate(rows, f"cannot save demos to {path}", "transition {}".format)
+    states, actions, next_states, rewards, done = columns
+    line = _line_format(states.shape[1], actions.shape[1], next_states.shape[1])
+    values = np.hstack([states, actions, next_states, rewards[:, None]]).tolist()
+    text = "".join([line % (*row, _JSON_BOOLEANS[d]) for row, d in zip(values, done)])
     with open(path, "w", encoding="utf-8") as fh:
-        for t in checked:
-            row = {"state": t.state.tolist(), "action": t.action.tolist(),
-                   "next_state": t.next_state.tolist(), "reward_env": t.reward_env, "done": t.done}
-            fh.write(_ENCODER.encode(row) + "\n")
+        fh.write(text)
 
 
 def load_demos(path) -> list[Transition]:
@@ -225,28 +237,127 @@ def load_demos(path) -> list[Transition]:
     JSON numbers, ``reward_env`` a number and ``done`` a boolean. Anything
     else (a string, a boolean among the numbers, a bare number for a list)
     raises ``DemoFormatError`` naming the line and its byte offset, as do a
-    ragged or non-finite row.
+    ragged or non-finite row. The file is decoded as UTF-8 and its rules are
+    checked on each field's whole column first; its lines are walked one by
+    one only if that fails, to name the first that breaks a rule.
     """
-    places = []  # the line number and byte offset of each row
-
-    def rows(fh):
-        offset = 0
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped and not stripped.startswith(b"#"):
-                places.append((lineno, offset))
-                yield json.loads(stripped.decode("utf-8"))
-            offset += len(line)
-
-    with open(path, "rb") as fh:  # bytes: exact offsets, and bad UTF-8 fails as its row's ValueError
-        return _validated(rows(fh), f"malformed demo file {path}",
-                          lambda i: "line {} (byte offset {})".format(*places[i]))
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    columns = _columns(_records(blob))
+    if columns is None:
+        places = []  # the line number and byte offset of each row
+        _locate(_rows(blob, places), f"malformed demo file {path}",
+                lambda i: "line {} (byte offset {})".format(*places[i]))
+    states, actions, next_states, rewards, done = columns
+    return list(map(Transition, states, actions, next_states, rewards.tolist(), done))
 
 
-#: One encoder for all rows (``json.dumps`` with options makes one a call); a row holds no cycle.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+#: The keys of a demo row, in the order a line holds them
+_FIELDS = ("state", "action", "next_state", "reward_env", "done")
+#: What ``bytes.strip`` strips: a line's ends are stripped alike as text and as bytes
+_WHITESPACE = " \t\n\r\x0b\x0c"
+_DECODER = json.JSONDecoder()
+_JSON_BOOLEANS = {True: "true", False: "false"}
 _BOOLEANS = frozenset({bool, np.bool_})
+_NUMBER_TYPES = frozenset({int, float})
+_NUMBER_KINDS = frozenset("iuf")
 _NUMPY = (np.ndarray, np.generic)
+
+
+def _line_format(state_dim: int, action_dim: int, next_state_dim: int) -> str:
+    """The %-format of a demo line of these widths. Its ``%r`` is
+    ``float.__repr__``, which the JSON encoder writes a float with."""
+    def numbers(n):
+        return ",".join(["%r"] * n)
+
+    return (f'{{"state":[{numbers(state_dim)}],"action":[{numbers(action_dim)}],'
+            f'"next_state":[{numbers(next_state_dim)}],"reward_env":%r,"done":%s}}\n')
+
+
+def _records(blob: bytes) -> list[tuple] | None:
+    """The rows of a demo file's bytes as (state, action, next_state,
+    reward_env, done) tuples; None if the file is not UTF-8, a kept line is
+    not one JSON value, or a row lacks a key."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    rows = []
+    for line in text.split("\n"):  # as a binary file splits: not at \r, \x85 or \u2028
+        line = line.strip(_WHITESPACE)
+        if line and line[0] != "#":
+            try:
+                row, end = _DECODER.raw_decode(line)
+            except ValueError:
+                return None
+            if end != len(line):  # more after the value, such as a second row
+                return None
+            rows.append(row)
+    try:
+        return list(map(itemgetter(*_FIELDS), rows))
+    except (KeyError, TypeError):  # TypeError: a row that is not a JSON object
+        return None
+
+
+def _rows(blob: bytes, places: list):
+    """The rows of a demo file's bytes, parsed line by line; each row's line
+    number and byte offset are appended to ``places`` before it is parsed."""
+    offset = 0
+    for lineno, line in enumerate(blob.split(b"\n"), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith(b"#"):
+            places.append((lineno, offset))
+            yield json.loads(stripped.decode("utf-8"))  # bad UTF-8 fails as its row's ValueError
+        offset += len(line) + 1
+
+
+def _columns(records: list[tuple] | None) -> tuple | None:
+    """Demo ``records``, each (state, action, next_state, reward_env, done),
+    as three float64 matrices, a float64 reward vector and a tuple of bools;
+    None if a record breaks ``load_demos``' rules. Each rule is checked on a
+    field's whole column at once."""
+    if not records:
+        return None
+    *vectors, rewards, done = zip(*records)
+    matrices = [_matrix(column) for column in vectors]
+    rewards, done = _plain_column(rewards), _plain_column(done)
+    if (any(m is None for m in matrices) or not _NUMBER_TYPES.issuperset(map(type, rewards))
+            or not {bool}.issuperset(map(type, done))):
+        return None
+    try:
+        rewards = np.array(rewards, dtype=np.float64)
+    except OverflowError:  # an int beyond float's range
+        return None
+    if not all(np.isfinite(values).all() for values in (*matrices, rewards)):
+        return None
+    return (*matrices, rewards, done)
+
+
+def _matrix(column: tuple) -> np.ndarray | None:
+    """``column``, a list of numbers in each row and all of one length, as a
+    float64 matrix; None if it is not that."""
+    numeric_arrays = set(map(type, column)) == {np.ndarray} and _NUMBER_KINDS.issuperset(
+        dtype.kind for dtype in set(map(attrgetter("dtype"), column)))
+    if not numeric_arrays:  # as the per-row rule reads them: numpy values as Python values
+        column = _plain_column(column)
+    try:
+        values = np.array(column)
+    except ValueError:  # rows of different lengths or depths
+        return None
+    if values.ndim != 2 or values.dtype.kind not in _NUMBER_KINDS:
+        return None
+    # a boolean among numbers becomes a number, so the element types are
+    # looked at too (in C); the values of numeric arrays hold none
+    if not numeric_arrays and not _BOOLEANS.isdisjoint(map(type, chain.from_iterable(column))):
+        return None
+    return values.astype(np.float64, copy=False)
+
+
+def _plain_column(column: tuple) -> tuple | list:
+    """``column`` as ``_plain`` gives each of its values."""
+    if any(issubclass(kind, _NUMPY) for kind in set(map(type, column))):
+        return list(map(_plain, column))
+    return column
 
 
 def _plain(value):
@@ -254,10 +365,11 @@ def _plain(value):
     return value.tolist() if isinstance(value, _NUMPY) else value
 
 
-def _validated(rows, source: str, row_name) -> list[Transition]:
-    """Demo ``rows``, taken as they come, as transitions of float64 vectors, by
-    ``load_demos``' rules. A row that breaks one raises ``DemoFormatError``
-    naming ``source`` and ``row_name(i)``, i its index."""
+def _locate(rows, source: str, row_name) -> NoReturn:
+    """Check demo ``rows`` one by one, taken as they come, after a whole-set
+    check failed. A row that breaks a rule raises ``DemoFormatError`` naming
+    ``source`` and ``row_name(i)``, i its index; if none does, the error names
+    ``source`` alone, so nothing a whole-set check failed is accepted."""
     transitions: list[Transition] = []
     try:
         for row in rows:  # a row that fails to parse raises here too
@@ -265,14 +377,13 @@ def _validated(rows, source: str, row_name) -> list[Transition]:
                 state=_numbers(row, "state"),
                 action=_numbers(row, "action"),
                 next_state=_numbers(row, "next_state"),
-                reward_env=float(_typed(row, "reward_env", (int, float), "a number")),
+                reward_env=float(_typed(row, "reward_env", _NUMBER_TYPES, "a number")),
                 done=_typed(row, "done", (bool,), "true or false"),
             ))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DemoFormatError(f"{source}: {row_name(len(transitions))}: {exc}") from exc
     if not transitions:
         raise DemoFormatError(f"{source}: at least one transition required")
-    # vectorised whole-set checks keep this fast; rows are located only on failure
     try:
         arrays = demo_arrays(transitions)
     except ValueError:
@@ -284,18 +395,22 @@ def _validated(rows, source: str, row_name) -> list[Transition]:
         [np.isfinite(arr.reshape(len(transitions), -1)).all(axis=1) for arr in arrays])
     if not finite.all():
         raise DemoFormatError(f"{source}: {row_name(int(np.argmin(finite)))}: NaN or Inf value")
-    return transitions
+    raise DemoFormatError(f"{source}: the rows fail a whole-set check that none fails alone")
 
 
 def _numbers(row: dict, key: str) -> np.ndarray:
     """``row[key]``, a list of numbers, as a float64 vector."""
     raw = row[key]
-    values = np.array(raw)
-    kind = values.dtype.kind
-    # numpy gives a string, a null or a nested list another dtype or rank, and
-    # a list of booleans a bool array; a boolean among numbers (Python's or
-    # numpy's) becomes a number, so the element types are looked at too (in C)
-    if values.ndim != 1 or kind not in "iuf" or not _BOOLEANS.isdisjoint(map(type, raw)):
+    try:
+        values = np.array(raw)
+        # numpy gives a string, a null or a nested list another dtype or rank,
+        # and a list of booleans a bool array; a boolean among numbers (Python's
+        # or numpy's) becomes a number, so the element types are looked at too
+        numbers = (values.ndim == 1 and values.dtype.kind in _NUMBER_KINDS
+                   and _BOOLEANS.isdisjoint(map(type, raw)))
+    except ValueError:  # a list among the numbers: numpy finds no one shape
+        numbers = False
+    if not numbers:
         raise TypeError(f"{key!r} must be a list of numbers, got {raw!r}")
     return values if values.dtype == np.float64 else values.astype(np.float64)  # float32 items too
 

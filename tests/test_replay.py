@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -8,11 +9,11 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcil
-from pcil import envs
+from pcil import envs, replay
 from pcil.replay import (
     DemoFormatError,
     NStepBatch,
@@ -434,6 +435,7 @@ WRONG_TYPES = [
     pytest.param("next_state", [0.5, False, 0.5], id="boolean_among_numbers"),
     pytest.param("state", 5, id="bare_number"),
     pytest.param("next_state", [[1.0, 2.0, 3.0]], id="nested_list"),
+    pytest.param("state", [1.0, [2.0], 3.0], id="list_among_numbers"),
     pytest.param("state", [1.0, None, 3.0], id="null"),
     pytest.param("reward_env", "0.5", id="string_reward"),
     pytest.param("reward_env", True, id="boolean_reward"),
@@ -619,3 +621,202 @@ class TestDemoFiles:
         with pytest.raises(DemoFormatError, match=rf"line 2 \(byte offset {offset}\): .*differ"):
             load_demos(path)
 
+
+
+#: One field's values in the three rows of a demo set, and what saving and
+#: loading both make of them: the float64 vectors, or (row, error text).
+COLUMN_CASES = [
+    pytest.param("state", [[1, 2, 3], [0, -4, 5], [7, 8, 9]],
+                 [[1.0, 2.0, 3.0], [0.0, -4.0, 5.0], [7.0, 8.0, 9.0]], id="json_ints"),
+    pytest.param("state", [[2**63, 1, 2], [1, 2, 3], [2**64 - 1, 0, -5]],
+                 [[9.223372036854775808e18, 1.0, 2.0], [1.0, 2.0, 3.0],
+                  [1.8446744073709551616e19, 0.0, -5.0]], id="uint64_ints_among_small_ints"),
+    pytest.param("state", [[0.5, 0.5, 0.5], [0.5, 2**64, 0.5], [0.5, 0.5, 0.5]],
+                 (1, "'state' must be a list of numbers, got [0.5, 18446744073709551616, 0.5]"),
+                 id="int_beyond_uint64_among_floats"),
+    pytest.param("next_state", [[np.float32(0.1), 2.0, 3.0], [1.0, np.float32(-1.25), 3.0],
+                                [1.0, 2.0, np.float32(3.5)]],
+                 [[0.10000000149011612, 2.0, 3.0], [1.0, -1.25, 3.0], [1.0, 2.0, 3.5]],
+                 id="float32_scalars_in_a_list"),
+    pytest.param("state", [(1.5, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.25)],
+                 [[1.5, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.25]], id="tuples"),
+    pytest.param("action", [[], [], []], [[], [], []], id="empty_vectors"),
+    pytest.param("state", [np.array([1, 2, 3], np.int32), np.array([0.5, 1.0, 2.0], np.float32),
+                           np.array([1.0, 2.0, 3.0], object)],
+                 [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0, 2.0, 3.0]], id="arrays_of_three_dtypes"),
+    pytest.param("action", [np.array([0.5]), np.array([True]), np.array([0.25])],
+                 (1, "'action' must be a list of numbers, got [True]"),
+                 id="boolean_array_among_float_arrays"),
+    pytest.param("state", [[1.0, 2.0, 3.0], ["a", "b", "c"], [4.0, 5.0, 6.0]],
+                 (1, "'state' must be a list of numbers, got ['a', 'b', 'c']"),
+                 id="string_row_among_float_rows"),
+    pytest.param("next_state", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]],
+                 (1, "state/action/next_state shapes ((3,), (1,), (4,)) differ from "
+                     "the first row's ((3,), (1,), (3,))"), id="ragged_row"),
+    pytest.param("next_state", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, float("nan"), 3.0]],
+                 (2, "NaN or Inf value"), id="nan_in_the_last_row"),
+]
+
+
+class TestDemoRules:
+    """The whole-set checks accept and reject exactly what the per-row rules do."""
+
+    @staticmethod
+    def transitions(field, values):
+        return [dataclasses.replace(make_transition(i), **{field: value})
+                for i, value in enumerate(values)]
+
+    @staticmethod
+    def check_loaded(loaded, field, expected):
+        assert len(loaded) == len(expected)
+        for t, want in zip(loaded, expected):
+            value = getattr(t, field)
+            assert value.dtype == np.float64 and value.shape == (len(want),)
+            np.testing.assert_array_equal(value, want)
+            assert type(t.reward_env) is float and type(t.done) is bool
+
+    @pytest.mark.parametrize("field,values,expected", COLUMN_CASES)
+    def test_save(self, tmp_path, field, values, expected):
+        path = tmp_path / "demos.jsonl"
+        demos = self.transitions(field, values)
+        if isinstance(expected, tuple):
+            row, text = expected
+            with pytest.raises(DemoFormatError) as info:
+                save_demos(path, demos)
+            assert str(info.value) == f"cannot save demos to {path}: transition {row}: {text}"
+            assert not path.exists()
+        else:
+            save_demos(path, demos)
+            self.check_loaded(load_demos(path), field, expected)
+
+    @pytest.mark.parametrize("field,values,expected", COLUMN_CASES)
+    def test_load(self, tmp_path, field, values, expected):
+        path = tmp_path / "demos.jsonl"
+        rows = ({**dataclasses.asdict(make_transition(i)), field: value} for i, value in enumerate(values))
+        lines = [json.dumps(row, default=lambda a: a.tolist()).encode() + b"\n" for row in rows]
+        path.write_bytes(b"".join(lines))
+        if isinstance(expected, tuple):
+            row, text = expected
+            offset = sum(map(len, lines[:row]))
+            with pytest.raises(DemoFormatError) as info:
+                load_demos(path)
+            assert str(info.value) == (f"malformed demo file {path}: "
+                                       f"line {row + 1} (byte offset {offset}): {text}")
+        else:
+            self.check_loaded(load_demos(path), field, expected)
+
+    def test_a_whole_set_failure_no_row_shows_names_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "demos.jsonl"
+        demos = [make_transition(i) for i in range(3)]
+        save_demos(path, demos)
+        monkeypatch.setattr(replay, "_matrix", lambda column: None)
+        for call, source in ((lambda: load_demos(path), "malformed demo file"),
+                             (lambda: save_demos(tmp_path / "absent.jsonl", demos),
+                              "cannot save demos to")):
+            with pytest.raises(DemoFormatError, match=rf"^{source} \S+: the rows fail a whole-set"):
+                call()
+        assert not (tmp_path / "absent.jsonl").exists()
+
+
+def _rows_text(n=3):
+    return [json.dumps({"state": [float(i), 0.5, -1.0], "action": [0.25], "next_state": [1.0, 2.0, 3.0],
+                        "reward_env": 0.5, "done": i == n - 1}, separators=(",", ":")) for i in range(n)]
+
+
+#: Demo files as lists of lines (bytes, ends included), and what loading makes
+#: of them: None for the rows of ``_rows_text()``, or (line number, error text).
+_ROWS = [row.encode() for row in _rows_text()]
+FILE_CASES = [
+    pytest.param([row + b"\r\n" for row in _ROWS], None, id="crlf"),
+    pytest.param([b"# written by hand\n", _ROWS[0] + b"\n", b"\n", b"  \t\n", b"# between rows\n",
+                  b"   # indented\n", _ROWS[1] + b"\n", b"\n", _ROWS[2] + b"\n", b"\n"],
+                 None, id="blank_and_comment_lines"),
+    pytest.param([_ROWS[0] + b"," + _ROWS[1] + b"\n", _ROWS[2] + b"\n"],
+                 (1, f"Extra data: line 1 column {len(_ROWS[0]) + 1} (char {len(_ROWS[0])})"),
+                 id="two_objects_joined_by_a_comma"),
+    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b" " + _ROWS[2] + b"\n"],
+                 (2, f"Extra data: line 1 column {len(_ROWS[1]) + 2} (char {len(_ROWS[1]) + 1})"),
+                 id="two_objects_joined_by_a_space"),
+    # json's whitespace is four characters; str.strip would also strip this one
+    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + "\u00a0\n".encode(), _ROWS[2] + b"\n"],
+                 (2, f"Extra data: line 1 column {len(_ROWS[1]) + 1} (char {len(_ROWS[1])})"),
+                 id="no_break_space_after_a_row"),
+    pytest.param([_ROWS[0] + b"\n", b"[1.0, 2.0]\n", _ROWS[2] + b"\n"],
+                 (2, "list indices must be integers or slices, not str"), id="json_array_line"),
+    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b"\n", b"5\n"],
+                 (3, "'int' object is not subscriptable"), id="json_number_line"),
+    # the one parse of a joined file would take these three lines for three rows
+    pytest.param([b'{"junk":[{"a":1}\n', b'{"b":2}],' + _ROWS[0][1:] + b"\n",
+                  _ROWS[1] + b"," + _ROWS[2] + b"\n"],
+                 (1, "Expecting ',' delimiter: line 1 column 17 (char 16)"),
+                 id="lines_that_join_into_rows"),
+    pytest.param([b"\xef\xbb\xbf" + _ROWS[0] + b"\n", _ROWS[1] + b"\n", _ROWS[2] + b"\n"],
+                 (1, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+                 id="utf8_bom"),
+    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b"\n", _ROWS[2].replace(b"0.5", b"\xff.5", 1) + b"\n"],
+                 (3, "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
+                 id="invalid_utf8_in_line_3"),
+    pytest.param(["".join(row + "\n" for row in _rows_text()).encode("utf-16")],
+                 (1, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+                 id="utf16_file"),
+]
+
+
+@pytest.mark.parametrize("lines,expected", FILE_CASES)
+def test_file_loads_its_rows_or_names_the_line(tmp_path, lines, expected):
+    path = tmp_path / "demos.jsonl"
+    path.write_bytes(b"".join(lines))
+    if expected is None:
+        loaded = load_demos(path)
+        assert [dataclasses.asdict(t) | {k: getattr(t, k).tolist() for k in ("state", "action", "next_state")}
+                for t in loaded] == [json.loads(row) for row in _rows_text()]
+    else:
+        lineno, text = expected
+        offset = sum(map(len, lines[:lineno - 1]))
+        with pytest.raises(DemoFormatError) as info:
+            load_demos(path)
+        assert str(info.value) == f"malformed demo file {path}: line {lineno} (byte offset {offset}): {text}"
+
+
+@pytest.mark.parametrize("name,n_episodes,digest", [
+    ("pendulum", 8, "70541b5b9bf3"), ("point_mass", 5, "dc8c837c012f"),
+])
+def test_expert_demos_keep_their_bytes(tmp_path, name, n_episodes, digest):
+    env = envs.make_env(name)
+    demos = [Transition(*step) for i in range(n_episodes)
+             for step in envs.run_episode(env, envs.expert_policy(env), 100 + i)[0]]
+    path = tmp_path / "demos.jsonl"
+    save_demos(path, demos)
+    assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(digest)
+    loaded = load_demos(path)
+    assert len(loaded) == len(demos)
+    for a, b in zip(demos, loaded):
+        for field in ("state", "action", "next_state"):
+            assert getattr(b, field).dtype == np.float64
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert type(b.reward_env) is float and b.reward_env == a.reward_env
+        assert type(b.done) is bool and b.done == a.done
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**60, 2**60).map(float))
+
+
+@st.composite
+def demo_rows(draw):
+    widths = draw(st.tuples(*[st.integers(0, 4)] * 3))
+    row = st.tuples(*[st.lists(_FINITE, min_size=w, max_size=w) for w in widths],
+                    _FINITE, st.booleans())
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=demo_rows())
+@example(rows=[([-0.0, 5e-324, 1e-05], [1.7976931348623157e308], [3.0, -2.0, 1e16], 0.0, True),
+               ([0.1, -5e-324, 1e-07], [-1.7976931348623157e308], [2.0**53, 1e22, 100.0], -0.0, False)])
+def test_each_line_is_what_json_dumps_writes(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("lines") / "demos.jsonl"
+    save_demos(path, [Transition(np.array(s), np.array(a), np.array(n), r, d) for s, a, n, r, d in rows])
+    expected = [json.dumps(dict(zip(("state", "action", "next_state", "reward_env", "done"), row)),
+                           separators=(",", ":"), allow_nan=False) + "\n" for row in rows]
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == expected
