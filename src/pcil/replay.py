@@ -243,7 +243,11 @@ def load_demos(path) -> list[Transition]:
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    columns = _columns(_records(blob))
+    try:
+        records = list(map(itemgetter(*_FIELDS), _rows(blob, [])))
+    except (KeyError, TypeError, ValueError):  # TypeError: a row that is not a JSON object
+        records = None
+    columns = _columns(records)
     if columns is None:
         places = []  # the line number and byte offset of each row
         _locate(_rows(blob, places), f"malformed demo file {path}",
@@ -254,9 +258,6 @@ def load_demos(path) -> list[Transition]:
 
 #: The keys of a demo row, in the order a line holds them
 _FIELDS = ("state", "action", "next_state", "reward_env", "done")
-#: What ``bytes.strip`` strips: a line's ends are stripped alike as text and as bytes
-_WHITESPACE = " \t\n\r\x0b\x0c"
-_DECODER = json.JSONDecoder()
 _JSON_BOOLEANS = {True: "true", False: "false"}
 _BOOLEANS = frozenset({bool, np.bool_})
 _NUMBER_TYPES = frozenset({int, float})
@@ -272,31 +273,6 @@ def _line_format(state_dim: int, action_dim: int, next_state_dim: int) -> str:
 
     return (f'{{"state":[{numbers(state_dim)}],"action":[{numbers(action_dim)}],'
             f'"next_state":[{numbers(next_state_dim)}],"reward_env":%r,"done":%s}}\n')
-
-
-def _records(blob: bytes) -> list[tuple] | None:
-    """The rows of a demo file's bytes as (state, action, next_state,
-    reward_env, done) tuples; None if the file is not UTF-8, a kept line is
-    not one JSON value, or a row lacks a key."""
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    rows = []
-    for line in text.split("\n"):  # as a binary file splits: not at \r, \x85 or \u2028
-        line = line.strip(_WHITESPACE)
-        if line and line[0] != "#":
-            try:
-                row, end = _DECODER.raw_decode(line)
-            except ValueError:
-                return None
-            if end != len(line):  # more after the value, such as a second row
-                return None
-            rows.append(row)
-    try:
-        return list(map(itemgetter(*_FIELDS), rows))
-    except (KeyError, TypeError):  # TypeError: a row that is not a JSON object
-        return None
 
 
 def _rows(blob: bytes, places: list):
@@ -336,10 +312,7 @@ def _columns(records: list[tuple] | None) -> tuple | None:
 def _matrix(column: tuple) -> np.ndarray | None:
     """``column``, a list of numbers in each row and all of one length, as a
     float64 matrix; None if it is not that."""
-    numeric_arrays = set(map(type, column)) == {np.ndarray} and _NUMBER_KINDS.issuperset(
-        dtype.kind for dtype in set(map(attrgetter("dtype"), column)))
-    if not numeric_arrays:  # as the per-row rule reads them: numpy values as Python values
-        column = _plain_column(column)
+    column = _plain_column(column)  # as the per-row rule reads them: numpy values as Python values
     try:
         values = np.array(column)
     except ValueError:  # rows of different lengths or depths
@@ -347,8 +320,8 @@ def _matrix(column: tuple) -> np.ndarray | None:
     if values.ndim != 2 or values.dtype.kind not in _NUMBER_KINDS:
         return None
     # a boolean among numbers becomes a number, so the element types are
-    # looked at too (in C); the values of numeric arrays hold none
-    if not numeric_arrays and not _BOOLEANS.isdisjoint(map(type, chain.from_iterable(column))):
+    # looked at too (in C)
+    if not _BOOLEANS.isdisjoint(map(type, chain.from_iterable(column))):
         return None
     return values.astype(np.float64, copy=False)
 

@@ -655,6 +655,11 @@ COLUMN_CASES = [
                      "the first row's ((3,), (1,), (3,))"), id="ragged_row"),
     pytest.param("next_state", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, float("nan"), 3.0]],
                  (2, "NaN or Inf value"), id="nan_in_the_last_row"),
+    # every row alike, so the column stacks, but not to one vector a row
+    pytest.param("state", [1.0, 2.0, 3.0], (0, "'state' must be a list of numbers, got 1.0"),
+                 id="every_row_a_bare_number"),
+    pytest.param("action", [[[0.5]], [[1.0]], [[1.5]]],
+                 (0, "'action' must be a list of numbers, got [[0.5]]"), id="every_row_a_nested_list"),
 ]
 
 
@@ -759,6 +764,8 @@ FILE_CASES = [
     pytest.param(["".join(row + "\n" for row in _rows_text()).encode("utf-16")],
                  (1, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
                  id="utf16_file"),
+    pytest.param([_ROWS[0] + b"\n", _ROWS[1].replace(b',"done":false', b"") + b"\n", _ROWS[2] + b"\n"],
+                 (2, "'done'"), id="row_without_done"),
 ]
 
 
