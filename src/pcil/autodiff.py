@@ -296,16 +296,14 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", a.tape, data, (a,), (lambda g: g * (1.0 - data * data),))
 
 
-def relu(a: Tensor, out: np.ndarray | None = None, mask: np.ndarray | None = None) -> Tensor:
+def relu(a: Tensor, out: np.ndarray | None = None) -> Tensor:
     """``max(a, 0)``; ``out``, if given, is the float64 array it is written to.
 
-    ``mask``, if given, is ``a > 0`` already computed, as booleans or as 0/1
-    floats; the VJP multiplies by it.
+    The VJP multiplies by ``data > 0`` read from this output, which is > 0
+    exactly where ``a`` is; no mask is stored.
     """
     data = np.maximum(a.data, 0.0, out=out)
-    if mask is None:
-        mask = a.data > 0.0
-    return _make("relu", a.tape, data, (a,), (lambda g: g * mask,))
+    return _make("relu", a.tape, data, (a,), (lambda g: g * (data > 0.0),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -475,10 +473,10 @@ def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int):
     return w, b
 
 
-#: Rows per block of ``mlp_infer``'s layer walk. 512-row blocks cost the
-#: benchmark's ``pcil_iteration`` about 2% of its iteration rate: they split its
-#: 768-row relabel in two.
-_INFER_BLOCK = 1024
+#: Bytes per buffer of ``mlp_infer``'s layer walk: 256 rows at width 256, 1024
+#: at width 64. Relabels took equal times with 128- to 2048-row blocks (2-vCPU
+#: Xeon, 2 MiB L2 per core), so a larger budget would only hold more memory.
+_INFER_BLOCK_BYTES = 512 * 1024
 
 
 def mlp_params(rng: np.random.Generator, sizes: Sequence[int]) -> ParameterSet:
@@ -515,27 +513,23 @@ def mlp_forward(x: Tensor, nodes, workspace: dict | None = None):
     """Tape forward of the MLP ``nodes`` (see ``mlp_layers``) on the rows of ``x``.
 
     Returns the output of the last layer and, for every layer in order, its
-    weight node and the mask of the ReLU that follows it (None for the last
-    layer).
+    weight node and its output after the ReLU that follows it (None for the
+    last layer): that output is > 0 exactly where the ReLU passes gradient.
 
     With a ``workspace`` dict, each layer's product, bias add and ReLU are
-    computed in place in one array kept there, and its ReLU mask (as 0/1
-    floats) in another (see ``workspace_buffer``). The product and sum nodes
-    then hold the layer's output; no VJP reads their values, so the gradients
-    stay exact. The next forward with the workspace overwrites the arrays, so
-    the graph is valid only until then. Without a workspace, every op makes a
-    new array and the masks are boolean.
+    computed in place in one array kept there (see ``workspace_buffer``).
+    The product and sum nodes then hold the layer's output; no VJP reads
+    their values, so the gradients stay exact. The next forward with the
+    workspace overwrites the arrays, so the graph is valid only until then.
+    Without a workspace, every op makes a new array.
     """
     layers = []
     for i, (w, b, relu_after) in enumerate(mlp_layers(nodes)):
-        shape = (x.shape[0], w.shape[1])
-        y = workspace_buffer(workspace, (i, "out"), shape)
+        y = workspace_buffer(workspace, (i, "out"), (x.shape[0], w.shape[1]))
         x = add(matmul(x, w, out=y), b, out=y)
-        mask = None
         if relu_after:
-            mask = np.greater(x.data, 0.0, out=workspace_buffer(workspace, (i, "mask"), shape))
-            x = relu(x, out=y, mask=mask)
-        layers.append((w, mask))
+            x = relu(x, out=y)
+        layers.append((w, x.data if relu_after else None))
     return x, layers
 
 
@@ -543,18 +537,20 @@ def mlp_forward(x: Tensor, nodes, workspace: dict | None = None):
 def mlp_infer(params, x: np.ndarray, workspace: dict) -> np.ndarray:
     """Numpy forward of the MLP ``params`` on the rows of ``x``, as a new array.
 
-    Walks blocks of ``_INFER_BLOCK`` (1024) rows one after another. Each
-    hidden layer's product, bias add and ReLU run in place in the two arrays
-    of ``workspace`` in turn (see ``workspace_buffer``), so they never hold
-    more than 2 x 1024 x (widest layer) floats; the last layer writes the
-    block's rows of the result. A layer whose output (before its ReLU) is not
-    finite raises ``NonFiniteError`` and warns nothing, as ``mlp_forward``
-    raises for the same rows: a ReLU would hide a -Inf or NaN as 0.
+    Walks row blocks one after another: as many rows of the widest layer as
+    fit in ``_INFER_BLOCK_BYTES``. Each hidden layer's product, bias add and
+    ReLU run in place in the two arrays of ``workspace`` in turn (see
+    ``workspace_buffer``), so they never hold more than 2 x that budget; the
+    last layer writes the block's rows of the result. A layer whose output
+    (before its ReLU) is not finite raises ``NonFiniteError`` and warns
+    nothing, as ``mlp_forward`` raises for the same rows: a ReLU would hide a
+    -Inf or NaN as 0.
     """
     layers = list(mlp_layers(params))
+    block = max(1, _INFER_BLOCK_BYTES // (8 * max(w.shape[1] for w, _, _ in layers)))
     result = np.empty((len(x), layers[-1][0].shape[1]))
-    for start in range(0, len(x), _INFER_BLOCK):
-        out = x[start:start + _INFER_BLOCK]
+    for start in range(0, len(x), block):
+        out = x[start:start + block]
         for i, (w, b, relu_after) in enumerate(layers):
             # layer i reads one buffer and writes the other; the last, the result
             if i < len(layers) - 1:

@@ -66,14 +66,14 @@ class Encoder:
 
     - ``embed`` (and so ``similarity_reward``, ``make_expert_reference`` and
       ``al_gap``) keeps under the keys 0 and 1 the two arrays ``ad.mlp_infer``
-      walks its row blocks on. The head's output is a fresh array, normalised
-      in place into the embedding ``embed`` returns. So ``embed`` may run
-      while an update's graph is live.
+      walks its row blocks on, of ``ad._INFER_BLOCK_BYTES`` each at most. The
+      head's output is a fresh array, normalised in place into the embedding
+      ``embed`` returns. So ``embed`` may run while an update's graph is live.
     - ``encoder_update`` keeps under ``(layer, role)`` tuple keys its stacked
-      forward's layer outputs and ReLU masks and its penalty chain's
-      products. Its graph is valid until the encoder's next update, so one
-      encoder runs one update at a time. Its backward makes new arrays
-      (``ad.Tape.backward``).
+      forward's layer outputs (``"out"``) and, on the penalty's rows, its
+      penalty chain's ReLU masks, masked inputs and products (``"penalty_*"``).
+      Its graph is valid until the encoder's next update, so one encoder runs
+      one update at a time. Its backward makes new arrays (``ad.Tape.backward``).
     """
 
     temperature = 0.07
@@ -100,9 +100,9 @@ class Encoder:
         """Tape forward through the head; pass watched head nodes when training.
 
         Returns the embedding, the head's output before the sphere projection
-        and, for every linear layer in order, its weight node and the mask of
-        the ReLU that follows it (None for the last layer). ``workspace`` is
-        that of ``ad.mlp_forward``.
+        and, for every linear layer in order, its weight node and its output
+        after the ReLU that follows it (None for the last layer). ``workspace``
+        is that of ``ad.mlp_forward``.
         """
         if head_nodes is None:
             head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
@@ -289,10 +289,11 @@ def input_gradient_graph(forward, reference: np.ndarray, start: int = 0,
     its rows from ``start`` on are the probe points. Seeds the chain with the
     closed-form VJP of the sphere projection (same cutoff rule as
     ``sphere_normalize``), then walks the layers backwards with their ReLU
-    masks, sliced to those rows, held constant: ``g = (g * mask) @ W.T``.
-    Every op is first order in the head parameters, so backward through the
-    rows is exact. With a ``workspace`` dict (the forward's), the walk's
-    products are written into arrays kept there.
+    masks held constant: ``g = (g * mask) @ W.T``, each mask ``hidden > 0``
+    on those rows of the layer's kept output. Every op is first order in the
+    head parameters, so backward through the rows is exact. With a
+    ``workspace`` dict (the forward's), the masks (as 0/1 floats) and the
+    walk's products are written into arrays kept there.
     """
     emb, out, layers = forward
     tape = emb.tape
@@ -306,13 +307,13 @@ def input_gradient_graph(forward, reference: np.ndarray, start: int = 0,
     radial = ad.mul(emb, ad.matmul(emb, tape.constant(ref[:, None])))
     g = ad.sub(ad.div(ref[None, :], denom), ad.div(radial, norm))
     for i in reversed(range(len(layers))):
-        w, mask = layers[i]
-        if mask is not None:
-            g = ad.mul(g, mask[start:],
-                       out=ad.workspace_buffer(workspace, (i, "penalty_masked"), g.shape))
-        shape = (g.shape[0], w.shape[0])
-        g = ad.matmul(g, ad.transpose(w),
-                      out=ad.workspace_buffer(workspace, (i, "penalty_matmul"), shape))
+        w, hidden = layers[i]
+        if hidden is not None:
+            mask = np.greater(hidden[start:], 0.0,
+                              out=ad.workspace_buffer(workspace, (i, "penalty_mask"), g.shape))
+            g = ad.mul(g, mask, out=ad.workspace_buffer(workspace, (i, "penalty_masked"), g.shape))
+        g = ad.matmul(g, ad.transpose(w), out=ad.workspace_buffer(
+            workspace, (i, "penalty_matmul"), (g.shape[0], w.shape[0])))
     return g
 
 

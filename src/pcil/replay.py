@@ -245,7 +245,7 @@ def load_demos(path) -> list[Transition]:
         blob = fh.read()
     try:
         records = list(map(itemgetter(*_FIELDS), _rows(blob, [])))
-    except (KeyError, TypeError, ValueError):  # TypeError: a row that is not a JSON object
+    except (KeyError, TypeError, ValueError, RecursionError):  # TypeError: a non-object row
         records = None
     columns = _columns(records)
     if columns is None:
@@ -355,6 +355,9 @@ def _locate(rows, source: str, row_name) -> NoReturn:
             ))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DemoFormatError(f"{source}: {row_name(len(transitions))}: {exc}") from exc
+    except RecursionError:  # from json, or from repr in the error above
+        raise DemoFormatError(f"{source}: {row_name(len(transitions))}: "
+                              "a value is nested deeper than the recursion limit") from None
     if not transitions:
         raise DemoFormatError(f"{source}: at least one transition required")
     try:

@@ -216,6 +216,22 @@ def test_num_ops_survives_backward():
     assert tape.num_ops == before
 
 
+@pytest.mark.parametrize("in_place", [False, True], ids=["new_array", "in_place"])
+def test_relu_vjp_is_g_times_x_positive_bit_for_bit(in_place):
+    # exact zeros of both signs, tiny and ordinary negatives, and negative
+    # adjoints, so every masked entry of the expected VJP is a -0.0
+    x = np.array([[1.5, 0.0, -0.0, -2.0], [-1e-300, 1e-300, 3.0, -0.5]])
+    g = np.array([[-1.0, -2.0, -3.0, -4.0], [-0.5, -0.25, -2.0, -8.0]])
+    expected = g * (x > 0)
+    assert np.signbit(expected[expected == 0.0]).all() and (expected == 0.0).sum() == 5
+    tape = ad.Tape()
+    leaf = tape.leaf(x)
+    pre = ad.add(leaf, 0.0)  # a node of its own that the in-place ReLU may overwrite
+    out = ad.relu(pre, out=pre.data if in_place else None)
+    tape.backward(ad.tsum(ad.mul(out, g)))
+    np.testing.assert_array_equal(leaf.grad.view(np.uint64), expected.view(np.uint64))
+
+
 def test_backward_frees_interior_nodes():
     tape = ad.Tape()
     w = tape.leaf(np.ones((3, 2)))
@@ -370,6 +386,10 @@ def critic_head(seed=0):
     return ad.mlp_params(np.random.default_rng(seed), [5, 64, 64, 1])
 
 
+#: Rows per ``mlp_infer`` block at the critic head's hidden width of 64
+CRITIC_BLOCK = ad._INFER_BLOCK_BYTES // (8 * 64)
+
+
 def plain_mlp(params, x):
     """Reference oracle: the MLP as plain numpy expressions, one layer at a time."""
     layers = list(ad.mlp_layers(params))
@@ -394,9 +414,10 @@ class TestMLP:
         assert [w for w, _, _ in ad.mlp_layers(nodes)] == [nodes[n] for n in nodes if n.endswith(".w")]
 
     @pytest.mark.parametrize("rows", [
-        ad._INFER_BLOCK - 1, ad._INFER_BLOCK, ad._INFER_BLOCK + 1, 2 * ad._INFER_BLOCK + 1, 5000])
+        CRITIC_BLOCK - 1, CRITIC_BLOCK, CRITIC_BLOCK + 1, 2 * CRITIC_BLOCK + 1, 5000])
     def test_infer_walks_row_blocks(self, rows):
-        block = ad._INFER_BLOCK
+        block = CRITIC_BLOCK
+        assert block == 1024
         params = critic_head(seed=2)
         workspace = {}
         x = np.random.default_rng(rows).uniform(-2, 2, size=(rows, 5))
@@ -413,7 +434,7 @@ class TestMLP:
         np.testing.assert_allclose(out, graph.data, rtol=0.0, atol=1e-12)
         ad.mlp_infer(params, x[::-1], workspace)
         np.testing.assert_array_equal(out, kept)
-        assert sum(buf.size for buf in workspace.values()) <= 2 * block * 64
+        assert sum(buf.nbytes for buf in workspace.values()) <= 2 * ad._INFER_BLOCK_BYTES
 
     def test_infer_reuses_two_buffers(self):
         params = critic_head(seed=3)
@@ -434,6 +455,8 @@ class TestMLP:
         assert all(workspace[k] is buf for k, buf in grown.items())
 
     def test_workspace_forward_matches_fresh_forward(self):
+        # the forward keeps each hidden layer's output and no mask; the output
+        # is > 0 exactly where the fresh forward's layer, before its ReLU, is
         params = critic_head(seed=6)
         rng = np.random.default_rng(7)
         workspace, infer_workspace = {}, {}
@@ -446,10 +469,16 @@ class TestMLP:
             # the numpy form may run while the graph is live
             ad.mlp_infer(params, rng.uniform(-2, 2, size=(rows + 5, 5)), infer_workspace)
             np.testing.assert_array_equal(out_w.data, out.data)
-            assert [mask is None for _, mask in layers_w] == [False, False, True]
-            for (w, mask), (w_w, mask_w) in zip(layers[:-1], layers_w[:-1]):
-                assert mask.dtype == bool and mask_w.dtype == np.float64
-                np.testing.assert_array_equal(mask_w, mask)
+            assert [hidden is None for _, hidden in layers_w] == [False, False, True]
+            assert {role for _, role in workspace} == {"out"}
+            pre, h = [], x  # each hidden layer's output before its ReLU, in numpy
+            for w, b, _ in list(ad.mlp_layers(params))[:-1]:
+                pre.append(h @ w + b)
+                h = np.maximum(pre[-1], 0.0)
+            for i, ((w, hidden), (w_w, hidden_w)) in enumerate(zip(layers[:-1], layers_w[:-1])):
+                np.testing.assert_array_equal(hidden_w, hidden)
+                assert np.shares_memory(hidden_w, workspace[(i, "out")])
+                np.testing.assert_array_equal(hidden_w > 0.0, pre[i] > 0.0)
                 np.testing.assert_array_equal(w_w.data, w.data)
 
     @pytest.mark.parametrize("workspace", [None, {}], ids=["fresh", "workspace"])

@@ -1,3 +1,4 @@
+import copy
 import gc
 import re
 import warnings
@@ -22,6 +23,10 @@ from pcil.contrastive import (
     update_loss_graph,
 )
 from gradcheck import check_gradients
+
+
+#: Rows per ``embed`` block at the default hidden width of 256
+EMBED_BLOCK = ad._INFER_BLOCK_BYTES // (8 * 256)
 
 
 def small_encoder(seed=0, state_dim=3, hidden=8, embed=4):
@@ -128,10 +133,10 @@ class TestEmbed:
         assert all(enc._workspace[k] is buf for k, buf in grown.items())
 
     @pytest.mark.parametrize("rows", [
-        ad._INFER_BLOCK - 1, ad._INFER_BLOCK, ad._INFER_BLOCK + 1,
-        2 * ad._INFER_BLOCK + 1, 5000])
+        4 * EMBED_BLOCK - 1, 4 * EMBED_BLOCK, 4 * EMBED_BLOCK + 1, 8 * EMBED_BLOCK + 1, 5000])
     def test_embed_walks_row_blocks(self, rows):
-        block = ad._INFER_BLOCK
+        block = EMBED_BLOCK
+        assert block == 256
         enc = Encoder(np.random.default_rng(9), state_dim=3)  # hidden width 256
         x = np.random.default_rng(rows).uniform(-2, 2, size=(rows, 3))
         emb = enc.embed(x)
@@ -143,7 +148,7 @@ class TestEmbed:
                                    rtol=0.0, atol=1e-12)
         enc.embed(x[::-1])
         np.testing.assert_array_equal(emb, kept)
-        assert sum(buf.size for buf in enc._workspace.values()) <= 2 * block * 256
+        assert sum(buf.nbytes for buf in enc._workspace.values()) <= 2 * ad._INFER_BLOCK_BYTES
         assert enc.norm_violations == 0
 
     def test_embed_output_whose_square_overflows_is_unit(self):
@@ -497,19 +502,47 @@ class TestEncoderUpdate:
         enc = small_encoder(seed=41)
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
         rng = np.random.default_rng(42)
-        encoder_update(enc, separable_batch(rng, n=6), state, rng)
-        layers = len(list(ad.mlp_layers(enc.head)))
-        arrays = dict(enc._workspace)
-        # per layer: its output and, but for the last, its ReLU mask; per layer in
-        # the penalty chain: its product and, but for the last, its masked input
-        assert len(arrays) == 2 * (2 * layers - 1)
-        adam = dict(state.workspace)
-        assert len(adam) == 2
-        for n in (6, 5):  # the same rows again, then fewer
-            encoder_update(enc, separable_batch(rng, n=n), state, rng)
+        layers = list(ad.mlp_layers(enc.head))
+        for step, n in enumerate((6, 6, 5)):  # the same rows again, then fewer
+            batch = separable_batch(rng, n=n)
+            # the x_hat the update draws next
+            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, copy.deepcopy(rng))
+            pre, h = [], x_hat  # the fresh forward's layers before their ReLUs, in numpy
+            for w, b, _ in layers[:-1]:
+                pre.append(h @ w + b)
+                h = np.maximum(pre[-1], 0.0)
+            encoder_update(enc, batch, state, rng)
+            if step == 0:
+                arrays, adam = dict(enc._workspace), dict(state.workspace)
+                # per layer: its output and its penalty product; per ReLU, on the
+                # penalty's rows: its mask and its masked input. No forward mask.
+                assert sorted(role for _, role in arrays) == sorted(
+                    ["out", "penalty_matmul"] * len(layers)
+                    + ["penalty_mask", "penalty_masked"] * (len(layers) - 1))
+                assert len(adam) == 2
             assert enc._workspace.keys() == arrays.keys()
             assert all(enc._workspace[key] is arr for key, arr in arrays.items())
             assert all(state.workspace[key] is arr for key, arr in adam.items())
+            # the masks the penalty chain read are the fresh forward's x > 0
+            for i, p in enumerate(pre):
+                mask = arrays[(i, "penalty_mask")][:p.size].reshape(p.shape)
+                np.testing.assert_array_equal(mask, p > 0.0)
+
+    def test_update_and_embed_hold_a_bounded_working_set(self):
+        # width 256: the forward's outputs on every row, the penalty chain on
+        # its rows, and two inference buffers, whatever embed's row count
+        enc = Encoder(np.random.default_rng(47), state_dim=3)
+        rng = np.random.default_rng(48)
+        batch = ContrastiveBatch(rng.uniform(-2, 2, size=(128, 3)), rng.uniform(-2, 2, size=(128, 3)))
+        encoder_update(enc, batch, ad.AdamState.for_params(enc.head, lr=1e-3), rng)
+        enc.embed(rng.uniform(-2, 2, size=(5000, 3)))
+        assert {0, 1} < enc._workspace.keys()  # embed's buffers beside the update's
+        layers = list(ad.mlp_layers(enc.head))
+        outputs = 384 * sum(w.shape[1] for w, _, _ in layers) * 8
+        # on the 128 penalty rows: a mask and a masked input per ReLU, a product per layer
+        chain = 128 * sum(2 * w.shape[1] * relu + w.shape[0] for w, _, relu in layers) * 8
+        held = sum(buf.nbytes for buf in enc._workspace.values())
+        assert held <= outputs + chain + 2 * ad._INFER_BLOCK_BYTES
 
     def test_workspace_update_matches_fresh_update(self):
         # bit for bit: the update's graph on the encoder's workspace, with an

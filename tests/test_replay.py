@@ -623,6 +623,31 @@ class TestDemoFiles:
 
 
 
+class Nested(list):
+    """``[[...[]...]]``, ``depth`` lists deep: deeper than the recursion limit
+    lets json or repr walk. Its JSON text is ``depth`` brackets each way."""
+
+    def __init__(self, depth):
+        inner = []
+        for _ in range(depth - 1):
+            inner = [inner]
+        super().__init__([inner])
+        self.depth = depth
+
+
+def json_line(row) -> bytes:
+    """``row`` as one line of JSON; a ``Nested`` value, which json cannot
+    write, is spelled out."""
+    deep = {key: value for key, value in row.items() if isinstance(value, Nested)}
+    text = json.dumps({**row, **dict.fromkeys(deep)}, default=lambda a: a.tolist())
+    for key, value in deep.items():
+        text = text.replace(f'"{key}": null', f'"{key}": ' + "[" * value.depth + "]" * value.depth)
+    return text.encode() + b"\n"
+
+
+#: The text of a row nested past the recursion limit, saved or loaded
+TOO_DEEP = "a value is nested deeper than the recursion limit"
+
 #: One field's values in the three rows of a demo set, and what saving and
 #: loading both make of them: the float64 vectors, or (row, error text).
 COLUMN_CASES = [
@@ -660,6 +685,8 @@ COLUMN_CASES = [
                  id="every_row_a_bare_number"),
     pytest.param("action", [[[0.5]], [[1.0]], [[1.5]]],
                  (0, "'action' must be a list of numbers, got [[0.5]]"), id="every_row_a_nested_list"),
+    pytest.param("state", [[1.0, 2.0, 3.0], Nested(100_000), [4.0, 5.0, 6.0]], (1, TOO_DEEP),
+                 id="row_nested_past_the_recursion_limit"),
 ]
 
 
@@ -698,7 +725,7 @@ class TestDemoRules:
     def test_load(self, tmp_path, field, values, expected):
         path = tmp_path / "demos.jsonl"
         rows = ({**dataclasses.asdict(make_transition(i)), field: value} for i, value in enumerate(values))
-        lines = [json.dumps(row, default=lambda a: a.tolist()).encode() + b"\n" for row in rows]
+        lines = list(map(json_line, rows))
         path.write_bytes(b"".join(lines))
         if isinstance(expected, tuple):
             row, text = expected
@@ -766,6 +793,8 @@ FILE_CASES = [
                  id="utf16_file"),
     pytest.param([_ROWS[0] + b"\n", _ROWS[1].replace(b',"done":false', b"") + b"\n", _ROWS[2] + b"\n"],
                  (2, "'done'"), id="row_without_done"),
+    pytest.param([_ROWS[0] + b"\n", b'{"state":' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+                  _ROWS[2] + b"\n"], (2, TOO_DEEP), id="row_nested_past_the_recursion_limit"),
 ]
 
 
