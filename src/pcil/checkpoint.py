@@ -5,8 +5,11 @@ Layout (all integers little-endian u32):
     magic "PCIL" | version | tensor count
     per tensor: name length | name (UTF-8) | rank | dims... | payload (<f8)
 
-Parameter sets are stored with slash-namespaced names ("actor/layer0.w") so a
-whole agent fits in one file.
+It is the package's one file format, with two users. Parameter sets are
+stored with slash-namespaced names ("actor/layer0.w") so a whole agent fits
+in one file. Demo sets (``replay.save_demos``) are five tensors: ``state``
+(N, S), ``action`` (N, A), ``next_state`` (N, S), ``reward_env`` (N,) and
+``done`` (N,), stored as 0.0 or 1.0.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import secrets
 import struct
-import tempfile
 from typing import Mapping
 
 import numpy as np
@@ -42,14 +45,15 @@ def save_checkpoint(path, tensors: Mapping[str, np.ndarray]) -> None:
     ``path`` as it was. The file is written to a temporary file in the same
     directory and renamed onto ``path``, so a reader (or a crash) sees the
     old file or the new one, never a part. The rename is not followed by an
-    fsync, so it does not survive power loss.
+    fsync, so it does not survive power loss. The file gets the mode
+    ``open()`` gives a new file, 0o666 less the process umask.
     """
     records = [_encode_tensor(name, value) for name, value in tensors.items()]
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(os.path.abspath(path)), prefix=os.path.basename(path) + ".",
-        suffix=".tmp",
-    )
+    # a random name, created exclusively, as tempfile.mkstemp does, but not
+    # with mkstemp's owner-only mode 0o600
+    tmp = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(MAGIC + _U32.pack(VERSION) + _U32.pack(len(records)))
@@ -101,7 +105,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     and it is aligned, which a view into one buffer of the whole file would
     not be (payloads start at any byte). Bad magic, an unknown version, a
     truncated file, a name that is not UTF-8 or that repeats, a NaN/Inf
-    entry or bytes after the last tensor raise ``CheckpointError``.
+    entry or bytes after the last tensor raise ``CheckpointError``, which
+    names the byte where the fault is, where there is one.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -151,8 +156,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                            lambda n: np.empty(n // 8, dtype="<f8"))
             # a no-op astype on little-endian hosts, a converting copy elsewhere
             tensors[name] = payload.reshape(dims).astype(np.float64, copy=False)
-            if not np.all(np.isfinite(tensors[name])):
-                raise CheckpointError(f"tensor {name!r} holds NaN or Inf")
+            finite = np.isfinite(tensors[name])
+            if not finite.all():
+                first = offset - 8 * n_items + 8 * int(np.argmin(finite))
+                raise CheckpointError(f"tensor {name!r} holds NaN or Inf at byte {first}")
         if offset != size:
             raise CheckpointError(f"trailing garbage after byte {offset}")
     return tensors

@@ -9,26 +9,27 @@ window keeps only the steps that share its first step's id, so one that
 would run past a terminal transition is truncated there and its bootstrap
 discount shrinks to gamma^(actual length).
 
-Demonstrations are JSON Lines, one transition per line. The loader skips
-lines that start with ``#``, so a hand-written comment may sit among them.
-Human-inspectable and diff-friendly; desk scale makes compactness irrelevant.
-Saving and loading check a demo set by the same rules, each applied to a
-field's whole column at once. Only if one of those whole-set checks fails
-are the rows walked one by one, to name the first row that breaks a rule.
+A demo file is a checkpoint (``pcil.checkpoint``) of five tensors, one row
+or value per transition: ``state``, ``action``, ``next_state``,
+``reward_env`` and ``done``. So demos share the container's typed errors,
+atomic writes and bit-exact float64 payloads. ``save_demos`` checks each
+field's whole column at once, and walks a column's values one by one only if
+that check fails, to name the first transition that breaks a rule.
+``load_demos`` adds to the container's checks only the rules of a demo set.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import numbers
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import NoReturn
+from operator import attrgetter
 
 import numpy as np
+
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
 @dataclass
@@ -204,200 +205,147 @@ def _zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
 
 
 class DemoFormatError(ValueError):
-    """Malformed demonstration file."""
+    """Malformed demonstration file, or a demo set that cannot be saved."""
+
+
+#: The tensors of a demo file, in the order a ``Transition`` holds its fields,
+#: and the rank of each: a row per transition, or one value per transition
+_RANKS = {"state": 2, "action": 2, "next_state": 2, "reward_env": 1, "done": 1}
+_BOOLEANS = frozenset({bool, np.bool_})
+_REAL_KINDS = frozenset("iuf")
 
 
 def save_demos(path, transitions: list[Transition]) -> None:
-    """Write ``transitions`` to ``path``, one JSON row each, as ``load_demos`` reads them.
+    """Write ``transitions`` to ``path`` as the five tensors ``load_demos`` reads.
 
-    Numpy arrays and scalars become Python values and nothing is coerced, so a
-    row that breaks ``load_demos``' rules raises ``DemoFormatError`` naming its
-    transition before ``path`` is opened. The rules are checked on each
-    field's whole column first; the transitions are walked one by one only if
-    a column fails, to name the first that breaks a rule. Each line is what
-    ``json.dumps(row, separators=(",", ":"))`` writes for the row.
+    ``state``, ``action`` and ``next_state`` must each be a flat list (or
+    array) of real numbers, as wide in every transition as in the first, and
+    ``next_state`` as wide as ``state``; ``reward_env`` a real number,
+    ``done`` a Python or numpy boolean, and every value finite. Nothing is
+    coerced: a string, a boolean among the numbers, a bare number for a list
+    or a nested list raises ``DemoFormatError`` naming the field and the
+    first transition that holds one, before ``path`` is touched.
+    ``save_checkpoint`` then writes the file atomically, ``done`` as 0.0 or
+    1.0.
     """
-    records = list(map(attrgetter(*_FIELDS), transitions))
-    columns = _columns(records)
-    if columns is None:
-        rows = (dict(zip(_FIELDS, map(_plain, record))) for record in records)
-        _locate(rows, f"cannot save demos to {path}", "transition {}".format)
-    states, actions, next_states, rewards, done = columns
-    line = _line_format(states.shape[1], actions.shape[1], next_states.shape[1])
-    values = np.hstack([states, actions, next_states, rewards[:, None]]).tolist()
-    text = "".join([line % (*row, _JSON_BOOLEANS[d]) for row, d in zip(values, done)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    source = f"cannot save demos to {path}"
+    if not transitions:
+        raise DemoFormatError(f"{source}: at least one transition required")
+    tensors = {field: _column(transitions, field, source) for field in _RANKS if field != "done"}
+    widths = tensors["state"].shape[1], tensors["next_state"].shape[1]
+    if widths[0] != widths[1]:  # every transition's widths are the first's by now
+        raise DemoFormatError(f"{source}: transition 0: 'next_state' has {widths[1]} values, "
+                              f"'state' has {widths[0]}")
+    done = list(map(attrgetter("done"), transitions))
+    if not _BOOLEANS.issuperset(map(type, done)):  # a 0/1 tensor cannot tell 'false' from False
+        i = next(i for i, value in enumerate(done) if type(value) not in _BOOLEANS)
+        raise DemoFormatError(f"{source}: transition {i}: 'done' must be True or False, "
+                              f"got {_shown(done[i])}")
+    tensors["done"] = np.array(done, dtype=np.float64)
+    save_checkpoint(path, tensors)
 
 
 def load_demos(path) -> list[Transition]:
-    """Read a demo file; every row must be finite and shaped like the first.
+    """Read the demo set ``save_demos`` wrote to ``path``.
 
-    In each row, ``state``, ``action`` and ``next_state`` must be lists of
-    JSON numbers, ``reward_env`` a number and ``done`` a boolean. Anything
-    else (a string, a boolean among the numbers, a bare number for a list)
-    raises ``DemoFormatError`` naming the line and its byte offset, as do a
-    ragged or non-finite row. The file is decoded as UTF-8 and its rules are
-    checked on each field's whole column first; its lines are walked one by
-    one only if that fails, to name the first that breaks a rule.
+    A file the checkpoint container rejects (truncated, bad magic, trailing
+    bytes, a NaN or Inf, ...) raises ``DemoFormatError`` chained from the
+    ``CheckpointError``. The file must then hold exactly the tensors
+    ``state`` (N, S), ``action`` (N, A), ``next_state`` (N, S),
+    ``reward_env`` (N,) and ``done`` (N,), with N >= 1 and every ``done`` 0
+    or 1; a file that breaks one of these rules raises ``DemoFormatError``
+    naming the tensor and, where there is one, the first bad row. Each
+    transition's vectors are rows of the loaded float64 tensors.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    source = f"malformed demo file {path}"
     try:
-        records = list(map(itemgetter(*_FIELDS), _rows(blob, [])))
-    except (KeyError, TypeError, ValueError, RecursionError):  # TypeError: a non-object row
-        records = None
-    columns = _columns(records)
-    if columns is None:
-        places = []  # the line number and byte offset of each row
-        _locate(_rows(blob, places), f"malformed demo file {path}",
-                lambda i: "line {} (byte offset {})".format(*places[i]))
-    states, actions, next_states, rewards, done = columns
-    return list(map(Transition, states, actions, next_states, rewards.tolist(), done))
+        tensors = load_checkpoint(path)
+    except CheckpointError as exc:
+        raise DemoFormatError(f"{source}: {exc}") from exc
+    for name in _RANKS:
+        if name not in tensors:
+            raise DemoFormatError(f"{source}: no tensor {name!r}")
+    for name in tensors:
+        if name not in _RANKS:
+            raise DemoFormatError(f"{source}: unexpected tensor {name!r}")
+    state, action, next_state, reward_env, done = (tensors[name] for name in _RANKS)
+    for name, rank in _RANKS.items():
+        shape = tensors[name].shape
+        if len(shape) != rank:
+            raise DemoFormatError(f"{source}: tensor {name!r} has shape {shape}, "
+                                  f"expected rank {rank}")
+        if shape[0] != len(state):
+            raise DemoFormatError(f"{source}: tensor {name!r} has {shape[0]} rows, "
+                                  f"'state' has {len(state)}")
+    if not len(state):
+        raise DemoFormatError(f"{source}: the tensors hold no transition, at least one required")
+    if next_state.shape[1] != state.shape[1]:
+        raise DemoFormatError(f"{source}: tensor 'next_state' has width {next_state.shape[1]}, "
+                              f"'state' has {state.shape[1]}")
+    flags = (done == 0.0) | (done == 1.0)
+    if not flags.all():
+        i = int(np.argmin(flags))
+        raise DemoFormatError(f"{source}: tensor 'done' row {i}: {float(done[i])} is neither 0 nor 1")
+    return list(map(Transition, state, action, next_state, reward_env.tolist(),
+                    (done == 1.0).tolist()))
 
 
-#: The keys of a demo row, in the order a line holds them
-_FIELDS = ("state", "action", "next_state", "reward_env", "done")
-_JSON_BOOLEANS = {True: "true", False: "false"}
-_BOOLEANS = frozenset({bool, np.bool_})
-_NUMBER_TYPES = frozenset({int, float})
-_NUMBER_KINDS = frozenset("iuf")
-_NUMPY = (np.ndarray, np.generic)
+def _column(transitions: list[Transition], field: str, source: str) -> np.ndarray:
+    """``field`` of every transition as a float64 array of its rank in a demo
+    file. A value that breaks ``save_demos``' rules raises ``DemoFormatError``
+    naming ``source`` and the first transition that holds one."""
+    column = list(map(attrgetter(field), transitions))
+    rank = _RANKS[field]
+    values = _real_array(column, rank)
+    if values is None:  # walk the values, to name the first bad one
+        for i, value in enumerate(column):
+            if _real_array([value], rank) is None:
+                what = "a list of numbers" if rank == 2 else "a number"
+                raise DemoFormatError(f"{source}: transition {i}: {field!r} must be {what}, "
+                                      f"got {_shown(value)}")
+            if rank == 2 and len(value) != len(column[0]):  # value is a flat list of numbers
+                raise DemoFormatError(f"{source}: transition {i}: {field!r} has {len(value)} "
+                                      f"values, the first transition's has {len(column[0])}: "
+                                      "widths differ")
+        raise DemoFormatError(f"{source}: {field!r} fails a whole-set check that no transition "
+                              "fails alone")
+    finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    if not finite.all():
+        raise DemoFormatError(f"{source}: transition {int(np.argmin(finite))}: {field!r} "
+                              "holds NaN or Inf")
+    return values
 
 
-def _line_format(state_dim: int, action_dim: int, next_state_dim: int) -> str:
-    """The %-format of a demo line of these widths. Its ``%r`` is
-    ``float.__repr__``, which the JSON encoder writes a float with."""
-    def numbers(n):
-        return ",".join(["%r"] * n)
-
-    return (f'{{"state":[{numbers(state_dim)}],"action":[{numbers(action_dim)}],'
-            f'"next_state":[{numbers(next_state_dim)}],"reward_env":%r,"done":%s}}\n')
-
-
-def _rows(blob: bytes, places: list):
-    """The rows of a demo file's bytes, parsed line by line; each row's line
-    number and byte offset are appended to ``places`` before it is parsed."""
-    offset = 0
-    for lineno, line in enumerate(blob.split(b"\n"), start=1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith(b"#"):
-            places.append((lineno, offset))
-            yield json.loads(stripped.decode("utf-8"))  # bad UTF-8 fails as its row's ValueError
-        offset += len(line) + 1
-
-
-def _columns(records: list[tuple] | None) -> tuple | None:
-    """Demo ``records``, each (state, action, next_state, reward_env, done),
-    as three float64 matrices, a float64 reward vector and a tuple of bools;
-    None if a record breaks ``load_demos``' rules. Each rule is checked on a
-    field's whole column at once."""
-    if not records:
-        return None
-    *vectors, rewards, done = zip(*records)
-    matrices = [_matrix(column) for column in vectors]
-    rewards, done = _plain_column(rewards), _plain_column(done)
-    if (any(m is None for m in matrices) or not _NUMBER_TYPES.issuperset(map(type, rewards))
-            or not {bool}.issuperset(map(type, done))):
-        return None
-    try:
-        rewards = np.array(rewards, dtype=np.float64)
-    except OverflowError:  # an int beyond float's range
-        return None
-    if not all(np.isfinite(values).all() for values in (*matrices, rewards)):
-        return None
-    return (*matrices, rewards, done)
-
-
-def _matrix(column: tuple) -> np.ndarray | None:
-    """``column``, a list of numbers in each row and all of one length, as a
-    float64 matrix; None if it is not that."""
-    column = _plain_column(column)  # as the per-row rule reads them: numpy values as Python values
+def _real_array(column: list, rank: int) -> np.ndarray | None:
+    """``column`` stacked into a float64 array of rank ``rank``; None if it is
+    not an array of real numbers of that rank. A string, a ``None``, a
+    boolean, a row of another length or depth each make it None."""
+    # numeric numpy arrays stack as they are and hold no boolean; anything else
+    # is read as lists, which show what an array holds: a boolean array's items
+    # are booleans, and an object array of numbers stacks as numbers
+    numeric = (set(map(type, column)) == {np.ndarray}
+               and {dtype.kind for dtype in set(map(attrgetter("dtype"), column))} <= _REAL_KINDS)
+    if not numeric:
+        column = [value.tolist() if isinstance(value, np.ndarray) else value for value in column]
     try:
         values = np.array(column)
     except ValueError:  # rows of different lengths or depths
         return None
-    if values.ndim != 2 or values.dtype.kind not in _NUMBER_KINDS:
+    if values.ndim != rank or values.dtype.kind not in _REAL_KINDS:
         return None
-    # a boolean among numbers becomes a number, so the element types are
-    # looked at too (in C)
-    if not _BOOLEANS.isdisjoint(map(type, chain.from_iterable(column))):
+    # numpy makes a boolean among numbers a number, so the items' types are looked at too
+    if not numeric and not _BOOLEANS.isdisjoint(
+            map(type, chain.from_iterable(column) if rank == 2 else column)):
         return None
     return values.astype(np.float64, copy=False)
 
 
-def _plain_column(column: tuple) -> tuple | list:
-    """``column`` as ``_plain`` gives each of its values."""
-    if any(issubclass(kind, _NUMPY) for kind in set(map(type, column))):
-        return list(map(_plain, column))
-    return column
-
-
-def _plain(value):
-    """A numpy array or scalar as Python values; anything else as it is."""
-    return value.tolist() if isinstance(value, _NUMPY) else value
-
-
-def _locate(rows, source: str, row_name) -> NoReturn:
-    """Check demo ``rows`` one by one, taken as they come, after a whole-set
-    check failed. A row that breaks a rule raises ``DemoFormatError`` naming
-    ``source`` and ``row_name(i)``, i its index; if none does, the error names
-    ``source`` alone, so nothing a whole-set check failed is accepted."""
-    transitions: list[Transition] = []
+def _shown(value) -> str:
+    """``repr(value)``, or a note if ``value`` is nested too deep for repr."""
     try:
-        for row in rows:  # a row that fails to parse raises here too
-            transitions.append(Transition(
-                state=_numbers(row, "state"),
-                action=_numbers(row, "action"),
-                next_state=_numbers(row, "next_state"),
-                reward_env=float(_typed(row, "reward_env", _NUMBER_TYPES, "a number")),
-                done=_typed(row, "done", (bool,), "true or false"),
-            ))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DemoFormatError(f"{source}: {row_name(len(transitions))}: {exc}") from exc
-    except RecursionError:  # from json, or from repr in the error above
-        raise DemoFormatError(f"{source}: {row_name(len(transitions))}: "
-                              "a value is nested deeper than the recursion limit") from None
-    if not transitions:
-        raise DemoFormatError(f"{source}: at least one transition required")
-    try:
-        arrays = demo_arrays(transitions)
-    except ValueError:
-        shapes = [(t.state.shape, t.action.shape, t.next_state.shape) for t in transitions]
-        i = next(i for i, s in enumerate(shapes) if s != shapes[0])
-        raise DemoFormatError(f"{source}: {row_name(i)}: state/action/next_state shapes "
-                              f"{shapes[i]} differ from the first row's {shapes[0]}") from None
-    finite = np.logical_and.reduce(
-        [np.isfinite(arr.reshape(len(transitions), -1)).all(axis=1) for arr in arrays])
-    if not finite.all():
-        raise DemoFormatError(f"{source}: {row_name(int(np.argmin(finite)))}: NaN or Inf value")
-    raise DemoFormatError(f"{source}: the rows fail a whole-set check that none fails alone")
-
-
-def _numbers(row: dict, key: str) -> np.ndarray:
-    """``row[key]``, a list of numbers, as a float64 vector."""
-    raw = row[key]
-    try:
-        values = np.array(raw)
-        # numpy gives a string, a null or a nested list another dtype or rank,
-        # and a list of booleans a bool array; a boolean among numbers (Python's
-        # or numpy's) becomes a number, so the element types are looked at too
-        numbers = (values.ndim == 1 and values.dtype.kind in _NUMBER_KINDS
-                   and _BOOLEANS.isdisjoint(map(type, raw)))
-    except ValueError:  # a list among the numbers: numpy finds no one shape
-        numbers = False
-    if not numbers:
-        raise TypeError(f"{key!r} must be a list of numbers, got {raw!r}")
-    return values if values.dtype == np.float64 else values.astype(np.float64)  # float32 items too
-
-
-def _typed(row: dict, key: str, types: tuple, what: str):
-    """``row[key]``, whose type must be one of ``types`` exactly: a bool,
-    though an int subclass, is no number."""
-    value = row[key]
-    if type(value) not in types:
-        raise TypeError(f"{key!r} must be {what}, got {value!r}")
-    return value
+        return repr(value)
+    except RecursionError:
+        return "a value nested deeper than the recursion limit"
 
 
 def demo_arrays(transitions: list[Transition]):

@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from pcil.checkpoint import (
     save_checkpoint,
     save_parameter_sets,
 )
+from pcil.replay import Transition, save_demos
 
 
 def test_round_trip(tmp_path):
@@ -142,8 +145,10 @@ def test_non_finite_payload_names_tensor(tmp_path, bad):
     # the writer refuses NaN/Inf, so the bad value is patched into the file
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, {"good": np.zeros(2), "actor/layer0.w": np.array([[1.0, 2.0]])})
-    path.write_bytes(path.read_bytes()[:-8] + np.array([bad], "<f8").tobytes())
-    with pytest.raises(CheckpointError, match=r"'actor/layer0\.w' holds NaN or Inf"):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8] + np.array([bad], "<f8").tobytes())
+    with pytest.raises(CheckpointError, match=rf"'actor/layer0\.w' holds NaN or Inf at byte "
+                                              rf"{len(blob) - 8}$"):
         load_checkpoint(path)
 
 
@@ -228,3 +233,19 @@ def test_tensor_of_values_that_are_not_real_numbers_rejected(tmp_path, value):
     with pytest.raises(CheckpointError, match=r"tensor 'w' is not an array of real numbers"):
         save_checkpoint(path, {"w": value})
     assert _list_dir(tmp_path) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_files_get_the_mode_open_gives_under_the_umask(tmp_path, umask):
+    # mkstemp's 0o600 would make every checkpoint and demo set owner-only
+    previous = os.umask(umask)
+    try:
+        save_checkpoint(tmp_path / "ckpt.bin", {"a": np.arange(3.0)})
+        save_demos(tmp_path / "demos.bin", [Transition(np.zeros(2), np.ones(1), np.zeros(2), 0.5, True)])
+        with open(tmp_path / "by_open", "wb"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["ckpt.bin", "demos.bin", "by_open"], 0o666 & ~umask)

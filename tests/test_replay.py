@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import pcil
 from pcil import envs, replay
+from pcil.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from pcil.replay import (
     DemoFormatError,
     NStepBatch,
@@ -428,7 +429,7 @@ def test_ring_memory_follows_pushes_across_setups():
     assert float(result.stdout) < 5.0
 
 
-#: Demo row values of the wrong type, as (field, value), for saving and loading alike
+#: Demo values of the wrong type, as (field, value), that saving rejects
 WRONG_TYPES = [
     pytest.param("state", [1, 2, "3"], id="string_in_state"),
     pytest.param("action", [True], id="boolean_action"),
@@ -445,6 +446,20 @@ WRONG_TYPES = [
 ]
 
 
+def assert_same_transitions(loaded, saved):
+    """``loaded`` holds ``saved``'s values bit for bit, signed zeros too, as
+    float64 vectors, a Python float reward and a Python bool done."""
+    assert len(loaded) == len(saved)
+    for a, b in zip(saved, loaded):
+        for field in ("state", "action", "next_state"):
+            value = getattr(b, field)
+            assert value.dtype == np.float64 and value.ndim == 1
+            assert value.tobytes() == np.asarray(getattr(a, field), dtype=np.float64).tobytes()
+        assert type(b.reward_env) is float
+        assert np.float64(b.reward_env).tobytes() == np.float64(a.reward_env).tobytes()
+        assert type(b.done) is bool and b.done == a.done
+
+
 class TestDemoFiles:
     def episodes(self, n_episodes=10, length=300):
         out = []
@@ -457,43 +472,39 @@ class TestDemoFiles:
 
     def test_round_trip(self, tmp_path):
         demos = self.episodes()
-        path = tmp_path / "demos.jsonl"
+        path = tmp_path / "demos.bin"
         save_demos(path, demos)
-        # hand-written comment lines, as the loader skips them
-        path.write_text("# mean_return=123.0\n# seeds 0-9\n" + path.read_text())
-        loaded = load_demos(path)
-        assert len(loaded) == len(demos)
-        for a, b in zip(demos, loaded):
-            np.testing.assert_array_equal(a.state, b.state)
-            np.testing.assert_array_equal(a.action, b.action)
-            np.testing.assert_array_equal(a.next_state, b.next_state)
-            assert a.reward_env == b.reward_env and a.done == b.done
+        assert_same_transitions(load_demos(path), demos)
 
     def test_same_content_same_bytes(self, tmp_path):
         demos = self.episodes(n_episodes=1, length=5)
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_demos(p1, demos)
         save_demos(p2, demos)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_truncated_file_names_offset(self, tmp_path):
-        demos = self.episodes(n_episodes=1, length=5)
-        path = tmp_path / "demos.jsonl"
-        save_demos(path, demos)
+        # every cut, in a header or a payload, names the byte where the file ends
+        path = tmp_path / "demos.bin"
+        save_demos(path, self.episodes(n_episodes=1, length=2))
         blob = path.read_bytes()
-        path.write_bytes(blob[:-20])
-        with pytest.raises(DemoFormatError, match=r"byte offset \d+"):
-            load_demos(path)
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(DemoFormatError, match=rf"^malformed demo file \S+: truncated "
+                                                      rf"checkpoint: .* file has {size}$"):
+                load_demos(path)
 
     def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "demos.jsonl"
-        path.write_text("# only a comment\n")
-        with pytest.raises(DemoFormatError, match="at least one transition"):
+        path = tmp_path / "demos.bin"
+        path.write_bytes(b"")
+        with pytest.raises(DemoFormatError) as info:
             load_demos(path)
+        assert str(info.value) == (f"malformed demo file {path}: truncated checkpoint: "
+                                   "needed 4 bytes for magic at byte 0, file has 0")
 
     def test_save_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):
-            save_demos(tmp_path / "demos.jsonl", [])
+            save_demos(tmp_path / "demos.bin", [])
 
     @pytest.mark.parametrize("field,value", [
         ("state", np.array([0.0, np.nan, 0.0])), ("action", np.array([np.inf])),
@@ -502,10 +513,10 @@ class TestDemoFiles:
     def test_save_rejects_a_non_finite_transition_and_writes_nothing(self, tmp_path, field, value):
         demos = self.episodes(n_episodes=1, length=4)
         demos[2] = dataclasses.replace(demos[2], **{field: value})
-        kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+        kept, absent = tmp_path / "kept.bin", tmp_path / "absent.bin"
         kept.write_bytes(b"old")
         for path in (kept, absent):
-            with pytest.raises(DemoFormatError, match="transition 2: NaN or Inf"):
+            with pytest.raises(DemoFormatError, match=f"transition 2: '{field}' holds NaN or Inf"):
                 save_demos(path, demos)
         assert kept.read_bytes() == b"old" and not absent.exists()
 
@@ -513,7 +524,7 @@ class TestDemoFiles:
     def test_save_rejects_a_ragged_transition_and_writes_nothing(self, tmp_path, field):
         demos = self.episodes(n_episodes=1, length=4)
         demos[3] = dataclasses.replace(demos[3], **{field: np.append(getattr(demos[3], field), 0.5)})
-        kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+        kept, absent = tmp_path / "kept.bin", tmp_path / "absent.bin"
         kept.write_bytes(b"old")
         for path in (kept, absent):
             with pytest.raises(DemoFormatError, match="transition 3: .*differ"):
@@ -524,10 +535,10 @@ class TestDemoFiles:
         pytest.param("next_state", [0.5, np.False_, 0.5], id="numpy_boolean_among_numbers"),
     ])
     def test_save_rejects_a_value_of_the_wrong_type_and_writes_nothing(self, tmp_path, field, value):
-        # the rules load_demos applies: "false" is not written as true, nor 0 as false
+        # nothing is coerced: "false" is not written as true, nor 0 as false
         demos = self.episodes(n_episodes=1, length=3)
         demos[1] = dataclasses.replace(demos[1], **{field: value})
-        kept, absent = tmp_path / "kept.jsonl", tmp_path / "absent.jsonl"
+        kept, absent = tmp_path / "kept.bin", tmp_path / "absent.bin"
         kept.write_bytes(b"old")
         for path in (kept, absent):
             with pytest.raises(DemoFormatError, match=rf"transition 1: '{field}' must be"):
@@ -538,11 +549,13 @@ class TestDemoFiles:
         t = Transition(state=np.array([0.1, -1.25, 3.0], dtype=np.float32), action=[1, -2],
                        next_state=np.array([0.5, 0.0, 2.0], dtype=np.float32),
                        reward_env=np.array(0.1), done=np.bool_(True))
-        path = tmp_path / "demos.jsonl"
+        path = tmp_path / "demos.bin"
         save_demos(path, [t])
-        # float32's 0.1 is written as the float64 it widens to, not as "0.1"
-        assert path.read_text() == ('{"state":[0.10000000149011612,-1.25,3.0],"action":[1.0,-2.0],'
-                                    '"next_state":[0.5,0.0,2.0],"reward_env":0.1,"done":true}\n')
+        # float32's 0.1 is stored as the float64 it widens to
+        tensors = load_checkpoint(path)
+        assert tensors["state"].tolist() == [[0.10000000149011612, -1.25, 3.0]]
+        assert tensors["action"].tolist() == [[1.0, -2.0]]
+        assert tensors["reward_env"].tolist() == [0.1] and tensors["done"].tolist() == [1.0]
         (loaded,) = load_demos(path)
         for value, expected in ((loaded.state, t.state), (loaded.action, t.action),
                                 (loaded.next_state, t.next_state)):
@@ -550,59 +563,9 @@ class TestDemoFiles:
             np.testing.assert_array_equal(value, np.asarray(expected, dtype=np.float64))
         assert type(loaded.reward_env) is float and loaded.reward_env == 0.1 and loaded.done is True
 
-    def test_malformed_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "demos.jsonl"
-        save_demos(path, self.episodes(n_episodes=1, length=3))
-        lines = path.read_text().splitlines()
-        lines[1] = '{"state": [1, 2'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DemoFormatError, match="line 2"):
-            load_demos(path)
-
-    @pytest.mark.parametrize("field,value", [
-        ("state", "NaN"), ("action", "Infinity"), ("next_state", "-Infinity"),
-        ("reward_env", "1e999"),
-        pytest.param("reward_env", "1" + "0" * 400, id="reward_env-int_overflows_float"),
-    ])
-    def test_non_finite_value_names_line_and_offset(self, tmp_path, field, value):
-        path = tmp_path / "demos.jsonl"
-        save_demos(path, self.episodes(n_episodes=1, length=3))
-        lines = ["# x"] + path.read_text().splitlines()
-        offset = sum(len(line) + 1 for line in lines[:3])
-        lines[3], count = re.subn(rf'("{field}":\[?)[-0-9.e]+', rf"\g<1>{value}", lines[3], count=1)
-        assert count == 1
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DemoFormatError, match=rf"line 4 \(byte offset {offset}\): "):
-            load_demos(path)
-
-    def test_non_utf8_line_names_line_and_offset(self, tmp_path):
-        path = tmp_path / "demos.jsonl"
-        save_demos(path, self.episodes(n_episodes=1, length=3))
-        lines = path.read_bytes().split(b"\n")
-        lines[2] = lines[2].replace(b"0.", b"\xff.", 1)
-        path.write_bytes(b"\n".join(lines))
-        offset = len(lines[0]) + len(lines[1]) + 2
-        with pytest.raises(DemoFormatError, match=rf"line 3 \(byte offset {offset}\): .*utf-8"):
-            load_demos(path)
-
-    @pytest.mark.parametrize("field,value", WRONG_TYPES)
-    def test_value_of_the_wrong_type_names_line_and_offset(self, tmp_path, field, value):
-        path = tmp_path / "demos.jsonl"
-        save_demos(path, self.episodes(n_episodes=1, length=3))
-        lines = path.read_text().splitlines()
-        offset = len(lines[0]) + 1
-        row = json.loads(lines[1])
-        row[field] = value
-        lines[1] = json.dumps(row)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DemoFormatError,
-                           match=rf"line 2 \(byte offset {offset}\): '{field}' must be"):
-            load_demos(path)
-
     def test_integers_load_as_floats(self, tmp_path):
-        path = tmp_path / "demos.jsonl"
-        path.write_text('{"state":[1,2,3],"action":[0],"next_state":[1,2,4],'
-                        '"reward_env":1,"done":true}\n')
+        path = tmp_path / "demos.bin"
+        save_demos(path, [Transition([1, 2, 3], [0], [1, 2, 4], 1, True)])
         (t,) = load_demos(path)
         for value, expected in ((t.state, [1.0, 2.0, 3.0]), (t.action, [0.0]),
                                 (t.next_state, [1.0, 2.0, 4.0])):
@@ -610,46 +573,93 @@ class TestDemoFiles:
             np.testing.assert_array_equal(value, expected)
         assert type(t.reward_env) is float and t.reward_env == 1.0 and t.done is True
 
+    def test_save_rejects_state_and_next_state_of_different_widths(self, tmp_path):
+        path = tmp_path / "demos.bin"
+        demos = [Transition(np.zeros(3), np.zeros(1), np.zeros(2), 0.0, False)] * 2
+        with pytest.raises(DemoFormatError) as info:
+            save_demos(path, demos)
+        assert str(info.value) == (f"cannot save demos to {path}: transition 0: "
+                                   "'next_state' has 2 values, 'state' has 3")
+        assert not path.exists()
+
+    # A demo file's records, one a tensor, stand where a text file's lines
+    # would: a fault in one is named by the byte where it is, or by the
+    # tensor that breaks a demo rule.
+
+    def test_malformed_line_reports_line_number(self, tmp_path):
+        # the name length of the second record, 'action', made to run past the end
+        path = tmp_path / "demos.bin"
+        save_demos(path, self.episodes(n_episodes=1, length=3))
+        blob = path.read_bytes()
+        at = blob.index(b"action")
+        path.write_bytes(blob[:at - 4] + (2**31).to_bytes(4, "little") + blob[at:])
+        with pytest.raises(DemoFormatError) as info:
+            load_demos(path)
+        assert str(info.value) == (f"malformed demo file {path}: truncated checkpoint: needed "
+                                   f"{2**31} bytes for name at byte {at}, file has {len(blob)}")
+        assert isinstance(info.value.__cause__, CheckpointError)
+
+    @pytest.mark.parametrize("field,value", [
+        ("state", "NaN"), ("action", "Infinity"), ("next_state", "-Infinity"),
+        ("reward_env", "1e999"),
+        pytest.param("reward_env", "1" + "0" * 400, id="reward_env-int_overflows_float"),
+    ])
+    def test_non_finite_value_names_line_and_offset(self, tmp_path, field, value):
+        # the float the text reads as, written over the first entry of row 1
+        path = tmp_path / "demos.bin"
+        marker = np.float64(0.125).tobytes()
+        column = DEMO_TENSORS[field].copy()
+        column.reshape(len(column), -1)[1, 0] = 0.125
+        tensor_file(**{field: column})(path)
+        blob = path.read_bytes()
+        assert blob.count(marker) == 1
+        at = blob.index(marker)
+        path.write_bytes(blob[:at] + np.float64(float(value)).tobytes() + blob[at + 8:])
+        with pytest.raises(DemoFormatError) as info:
+            load_demos(path)
+        assert str(info.value) == f"malformed demo file {path}: tensor {field!r} holds NaN or Inf at byte {at}"
+        assert isinstance(info.value.__cause__, CheckpointError)
+
+    def test_non_utf8_line_names_line_and_offset(self, tmp_path):
+        path = tmp_path / "demos.bin"
+        save_demos(path, self.episodes(n_episodes=1, length=3))
+        blob = path.read_bytes()
+        at = blob.index(b"next_state")
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        with pytest.raises(DemoFormatError) as info:
+            load_demos(path)
+        assert str(info.value) == f"malformed demo file {path}: tensor name at byte {at} is not UTF-8"
+        assert isinstance(info.value.__cause__, CheckpointError)
+
     @pytest.mark.parametrize("field", ["state", "action", "next_state"])
     def test_ragged_row_names_line_and_offset(self, tmp_path, field):
-        path = tmp_path / "demos.jsonl"
-        save_demos(path, self.episodes(n_episodes=1, length=3))
-        lines = path.read_text().splitlines()
-        offset = len(lines[0]) + 1
-        lines[1] = lines[1].replace(f'"{field}":[', f'"{field}":[0.5,', 1)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DemoFormatError, match=rf"line 2 \(byte offset {offset}\): .*differ"):
+        # one tensor a row longer than the others; rows are counted against 'state'
+        path = tmp_path / "demos.bin"
+        tensor_file(**{field: np.vstack([DEMO_TENSORS[field], DEMO_TENSORS[field][:1] + 0.5])})(path)
+        with pytest.raises(DemoFormatError) as info:
             load_demos(path)
-
+        if field == "state":
+            assert str(info.value) == f"malformed demo file {path}: tensor 'action' has 4 rows, 'state' has 5"
+        else:
+            assert str(info.value) == f"malformed demo file {path}: tensor {field!r} has 5 rows, 'state' has 4"
 
 
 class Nested(list):
     """``[[...[]...]]``, ``depth`` lists deep: deeper than the recursion limit
-    lets json or repr walk. Its JSON text is ``depth`` brackets each way."""
+    lets repr walk."""
 
     def __init__(self, depth):
         inner = []
         for _ in range(depth - 1):
             inner = [inner]
         super().__init__([inner])
-        self.depth = depth
 
 
-def json_line(row) -> bytes:
-    """``row`` as one line of JSON; a ``Nested`` value, which json cannot
-    write, is spelled out."""
-    deep = {key: value for key, value in row.items() if isinstance(value, Nested)}
-    text = json.dumps({**row, **dict.fromkeys(deep)}, default=lambda a: a.tolist())
-    for key, value in deep.items():
-        text = text.replace(f'"{key}": null', f'"{key}": ' + "[" * value.depth + "]" * value.depth)
-    return text.encode() + b"\n"
+#: How an error shows a value nested past the recursion limit
+TOO_DEEP = "a value nested deeper than the recursion limit"
 
-
-#: The text of a row nested past the recursion limit, saved or loaded
-TOO_DEEP = "a value is nested deeper than the recursion limit"
-
-#: One field's values in the three rows of a demo set, and what saving and
-#: loading both make of them: the float64 vectors, or (row, error text).
+#: One field's values in the three transitions of a demo set, and what saving
+#: and loading make of them: the float64 vectors, or (transition, error text).
 COLUMN_CASES = [
     pytest.param("state", [[1, 2, 3], [0, -4, 5], [7, 8, 9]],
                  [[1.0, 2.0, 3.0], [0.0, -4.0, 5.0], [7.0, 8.0, 9.0]], id="json_ints"),
@@ -670,28 +680,30 @@ COLUMN_CASES = [
                            np.array([1.0, 2.0, 3.0], object)],
                  [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0, 2.0, 3.0]], id="arrays_of_three_dtypes"),
     pytest.param("action", [np.array([0.5]), np.array([True]), np.array([0.25])],
-                 (1, "'action' must be a list of numbers, got [True]"),
+                 (1, "'action' must be a list of numbers, got array([ True])"),
                  id="boolean_array_among_float_arrays"),
     pytest.param("state", [[1.0, 2.0, 3.0], ["a", "b", "c"], [4.0, 5.0, 6.0]],
                  (1, "'state' must be a list of numbers, got ['a', 'b', 'c']"),
                  id="string_row_among_float_rows"),
     pytest.param("next_state", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]],
-                 (1, "state/action/next_state shapes ((3,), (1,), (4,)) differ from "
-                     "the first row's ((3,), (1,), (3,))"), id="ragged_row"),
+                 (1, "'next_state' has 4 values, the first transition's has 3: widths differ"),
+                 id="ragged_row"),
     pytest.param("next_state", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, float("nan"), 3.0]],
-                 (2, "NaN or Inf value"), id="nan_in_the_last_row"),
+                 (2, "'next_state' holds NaN or Inf"), id="nan_in_the_last_row"),
     # every row alike, so the column stacks, but not to one vector a row
     pytest.param("state", [1.0, 2.0, 3.0], (0, "'state' must be a list of numbers, got 1.0"),
                  id="every_row_a_bare_number"),
     pytest.param("action", [[[0.5]], [[1.0]], [[1.5]]],
                  (0, "'action' must be a list of numbers, got [[0.5]]"), id="every_row_a_nested_list"),
-    pytest.param("state", [[1.0, 2.0, 3.0], Nested(100_000), [4.0, 5.0, 6.0]], (1, TOO_DEEP),
+    pytest.param("state", [[1.0, 2.0, 3.0], Nested(100_000), [4.0, 5.0, 6.0]],
+                 (1, f"'state' must be a list of numbers, got {TOO_DEEP}"),
                  id="row_nested_past_the_recursion_limit"),
 ]
 
 
 class TestDemoRules:
-    """The whole-set checks accept and reject exactly what the per-row rules do."""
+    """What saving accepts loads back as float64; what it rejects names the
+    first transition that breaks a rule and leaves the file as it was."""
 
     @staticmethod
     def transitions(field, values):
@@ -709,7 +721,7 @@ class TestDemoRules:
 
     @pytest.mark.parametrize("field,values,expected", COLUMN_CASES)
     def test_save(self, tmp_path, field, values, expected):
-        path = tmp_path / "demos.jsonl"
+        path = tmp_path / "demos.bin"
         demos = self.transitions(field, values)
         if isinstance(expected, tuple):
             row, text = expected
@@ -723,31 +735,112 @@ class TestDemoRules:
 
     @pytest.mark.parametrize("field,values,expected", COLUMN_CASES)
     def test_load(self, tmp_path, field, values, expected):
-        path = tmp_path / "demos.jsonl"
-        rows = ({**dataclasses.asdict(make_transition(i)), field: value} for i, value in enumerate(values))
-        lines = list(map(json_line, rows))
-        path.write_bytes(b"".join(lines))
+        # the file a save of the case over an older demo set leaves: the case's
+        # column as one float64 tensor, or, when saving refuses it, the older set
+        path = tmp_path / "demos.bin"
+        older = [make_transition(i, done=i == 1, dim=2) for i in range(2)]
+        save_demos(path, older)
+        demos = self.transitions(field, values)
         if isinstance(expected, tuple):
-            row, text = expected
-            offset = sum(map(len, lines[:row]))
-            with pytest.raises(DemoFormatError) as info:
-                load_demos(path)
-            assert str(info.value) == (f"malformed demo file {path}: "
-                                       f"line {row + 1} (byte offset {offset}): {text}")
+            with pytest.raises(DemoFormatError):
+                save_demos(path, demos)
+            assert_same_transitions(load_demos(path), older)
         else:
+            save_demos(path, demos)
+            column = load_checkpoint(path)[field]
+            assert column.dtype == np.float64 and column.shape == (len(expected), len(expected[0]))
+            assert column.tolist() == expected
             self.check_loaded(load_demos(path), field, expected)
 
     def test_a_whole_set_failure_no_row_shows_names_the_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "demos.jsonl"
+        # a column check stricter than its values' checks still raises, naming the field
         demos = [make_transition(i) for i in range(3)]
-        save_demos(path, demos)
-        monkeypatch.setattr(replay, "_matrix", lambda column: None)
-        for call, source in ((lambda: load_demos(path), "malformed demo file"),
-                             (lambda: save_demos(tmp_path / "absent.jsonl", demos),
-                              "cannot save demos to")):
-            with pytest.raises(DemoFormatError, match=rf"^{source} \S+: the rows fail a whole-set"):
-                call()
-        assert not (tmp_path / "absent.jsonl").exists()
+        real_array = replay._real_array
+        monkeypatch.setattr(replay, "_real_array",
+                            lambda column, rank: real_array(column, rank) if len(column) == 1 else None)
+        path = tmp_path / "absent.bin"
+        with pytest.raises(DemoFormatError) as info:
+            save_demos(path, demos)
+        assert str(info.value) == (f"cannot save demos to {path}: 'state' fails a whole-set "
+                                   "check that no transition fails alone")
+        assert not path.exists()
+
+
+#: The tensors of four demo transitions, as ``save_demos`` writes them
+DEMO_TENSORS = {
+    "state": np.arange(12.0).reshape(4, 3), "action": np.array([[0.5], [-0.5], [0.25], [0.0]]),
+    "next_state": np.arange(12.0).reshape(4, 3) + 1.0, "reward_env": np.array([0.0, 0.5, -1.0, 1.0]),
+    "done": np.array([0.0, 0.0, 0.0, 1.0]),
+}
+
+
+def tensor_file(**edits):
+    """A writer of ``DEMO_TENSORS`` with ``edits``: a value replaces a tensor
+    or adds one, None drops one."""
+    tensors = {name: value for name, value in {**DEMO_TENSORS, **edits}.items() if value is not None}
+    return lambda path: save_checkpoint(path, tensors)
+
+
+def edited_file(edit):
+    """A writer of a good demo file whose bytes ``edit`` then changes."""
+    def write(path):
+        save_demos(path, [make_transition(i, done=i == 3) for i in range(4)])
+        path.write_bytes(edit(path.read_bytes()))
+    return write
+
+
+#: Files ``load_demos`` rejects, as (writer, the CheckpointError the error is
+#: chained from or None, the error text after the file name)
+LOAD_CASES = [
+    pytest.param(tensor_file(action=None), None, "no tensor 'action'", id="missing_tensor"),
+    pytest.param(tensor_file(weights=np.zeros(4)), None, "unexpected tensor 'weights'",
+                 id="extra_tensor"),
+    pytest.param(tensor_file(state=DEMO_TENSORS["state"][:, 0]), None,
+                 "tensor 'state' has shape (4,), expected rank 2", id="state_of_rank_1"),
+    pytest.param(tensor_file(reward_env=DEMO_TENSORS["reward_env"][:, None]), None,
+                 "tensor 'reward_env' has shape (4, 1), expected rank 1", id="reward_of_rank_2"),
+    pytest.param(tensor_file(**{name: value[:0] for name, value in DEMO_TENSORS.items()}), None,
+                 "the tensors hold no transition, at least one required", id="no_rows"),
+    pytest.param(tensor_file(action=DEMO_TENSORS["action"][:-1]), None,
+                 "tensor 'action' has 3 rows, 'state' has 4", id="action_one_row_short"),
+    pytest.param(tensor_file(next_state=DEMO_TENSORS["next_state"][:, :2]), None,
+                 "tensor 'next_state' has width 2, 'state' has 3", id="state_widths_differ"),
+    pytest.param(tensor_file(done=np.array([0.0, 1.0, 0.5, 2.0])), None,
+                 "tensor 'done' row 2: 0.5 is neither 0 nor 1", id="done_not_0_or_1"),
+    pytest.param(edited_file(lambda blob: blob[:-5]), CheckpointError,
+                 rf"truncated checkpoint: needed 32 bytes for payload of 'done' at byte \d+, "
+                 rf"file has \d+", id="truncated"),
+    pytest.param(edited_file(lambda blob: b"JSON" + blob[4:]), CheckpointError,
+                 "bad magic bytes, not a PCIL checkpoint", id="bad_magic"),
+    pytest.param(edited_file(lambda blob: blob + b"\n"), CheckpointError,
+                 r"trailing garbage after byte \d+", id="trailing_bytes"),
+    pytest.param(edited_file(lambda blob: blob[:-8] + np.array([np.nan], "<f8").tobytes()),
+                 CheckpointError, r"tensor 'done' holds NaN or Inf at byte \d+", id="nan_payload"),
+]
+
+
+@pytest.mark.parametrize("write,cause,text", LOAD_CASES)
+def test_load_rejects_a_file_that_breaks_a_rule(tmp_path, write, cause, text):
+    path = tmp_path / "demos.bin"
+    write(path)
+    with pytest.raises(DemoFormatError) as info:
+        load_demos(path)
+    if cause is None:
+        assert str(info.value) == f"malformed demo file {path}: {text}"
+        assert info.value.__cause__ is None
+    else:
+        assert isinstance(info.value.__cause__, cause)
+        assert str(info.value) == f"malformed demo file {path}: {info.value.__cause__}"
+        assert re.fullmatch(text, str(info.value.__cause__))
+
+
+def json_lines(transitions) -> bytes:
+    """``transitions`` as JSON Lines, one compact object a transition: the
+    text format demo sets were kept in before the checkpoint container."""
+    return "".join(json.dumps({"state": t.state.tolist(), "action": t.action.tolist(),
+                               "next_state": t.next_state.tolist(), "reward_env": t.reward_env,
+                               "done": t.done}, separators=(",", ":"), allow_nan=False) + "\n"
+                   for t in transitions).encode()
 
 
 def _rows_text(n=3):
@@ -755,104 +848,90 @@ def _rows_text(n=3):
                         "reward_env": 0.5, "done": i == n - 1}, separators=(",", ":")) for i in range(n)]
 
 
-#: Demo files as lists of lines (bytes, ends included), and what loading makes
-#: of them: None for the rows of ``_rows_text()``, or (line number, error text).
+#: Demo files in the JSON Lines text format, as lists of lines (bytes, ends
+#: included): whole ones in each spelling a text reader may take, and broken ones
 _ROWS = [row.encode() for row in _rows_text()]
 FILE_CASES = [
-    pytest.param([row + b"\r\n" for row in _ROWS], None, id="crlf"),
+    pytest.param([row + b"\r\n" for row in _ROWS], id="crlf"),
     pytest.param([b"# written by hand\n", _ROWS[0] + b"\n", b"\n", b"  \t\n", b"# between rows\n",
                   b"   # indented\n", _ROWS[1] + b"\n", b"\n", _ROWS[2] + b"\n", b"\n"],
-                 None, id="blank_and_comment_lines"),
-    pytest.param([_ROWS[0] + b"," + _ROWS[1] + b"\n", _ROWS[2] + b"\n"],
-                 (1, f"Extra data: line 1 column {len(_ROWS[0]) + 1} (char {len(_ROWS[0])})"),
-                 id="two_objects_joined_by_a_comma"),
-    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b" " + _ROWS[2] + b"\n"],
-                 (2, f"Extra data: line 1 column {len(_ROWS[1]) + 2} (char {len(_ROWS[1]) + 1})"),
-                 id="two_objects_joined_by_a_space"),
-    # json's whitespace is four characters; str.strip would also strip this one
+                 id="blank_and_comment_lines"),
+    pytest.param([_ROWS[0] + b"," + _ROWS[1] + b"\n", _ROWS[2] + b"\n"], id="two_objects_joined_by_a_comma"),
+    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b" " + _ROWS[2] + b"\n"], id="two_objects_joined_by_a_space"),
     pytest.param([_ROWS[0] + b"\n", _ROWS[1] + "\u00a0\n".encode(), _ROWS[2] + b"\n"],
-                 (2, f"Extra data: line 1 column {len(_ROWS[1]) + 1} (char {len(_ROWS[1])})"),
                  id="no_break_space_after_a_row"),
-    pytest.param([_ROWS[0] + b"\n", b"[1.0, 2.0]\n", _ROWS[2] + b"\n"],
-                 (2, "list indices must be integers or slices, not str"), id="json_array_line"),
-    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b"\n", b"5\n"],
-                 (3, "'int' object is not subscriptable"), id="json_number_line"),
-    # the one parse of a joined file would take these three lines for three rows
+    pytest.param([_ROWS[0] + b"\n", b"[1.0, 2.0]\n", _ROWS[2] + b"\n"], id="json_array_line"),
+    pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b"\n", b"5\n"], id="json_number_line"),
     pytest.param([b'{"junk":[{"a":1}\n', b'{"b":2}],' + _ROWS[0][1:] + b"\n",
-                  _ROWS[1] + b"," + _ROWS[2] + b"\n"],
-                 (1, "Expecting ',' delimiter: line 1 column 17 (char 16)"),
-                 id="lines_that_join_into_rows"),
-    pytest.param([b"\xef\xbb\xbf" + _ROWS[0] + b"\n", _ROWS[1] + b"\n", _ROWS[2] + b"\n"],
-                 (1, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
-                 id="utf8_bom"),
+                  _ROWS[1] + b"," + _ROWS[2] + b"\n"], id="lines_that_join_into_rows"),
+    pytest.param([b"\xef\xbb\xbf" + _ROWS[0] + b"\n", _ROWS[1] + b"\n", _ROWS[2] + b"\n"], id="utf8_bom"),
     pytest.param([_ROWS[0] + b"\n", _ROWS[1] + b"\n", _ROWS[2].replace(b"0.5", b"\xff.5", 1) + b"\n"],
-                 (3, "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"),
                  id="invalid_utf8_in_line_3"),
-    pytest.param(["".join(row + "\n" for row in _rows_text()).encode("utf-16")],
-                 (1, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-                 id="utf16_file"),
+    pytest.param(["".join(row + "\n" for row in _rows_text()).encode("utf-16")], id="utf16_file"),
     pytest.param([_ROWS[0] + b"\n", _ROWS[1].replace(b',"done":false', b"") + b"\n", _ROWS[2] + b"\n"],
-                 (2, "'done'"), id="row_without_done"),
+                 id="row_without_done"),
     pytest.param([_ROWS[0] + b"\n", b'{"state":' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
-                  _ROWS[2] + b"\n"], (2, TOO_DEEP), id="row_nested_past_the_recursion_limit"),
+                  _ROWS[2] + b"\n"], id="row_nested_past_the_recursion_limit"),
 ]
 
 
-@pytest.mark.parametrize("lines,expected", FILE_CASES)
-def test_file_loads_its_rows_or_names_the_line(tmp_path, lines, expected):
+@pytest.mark.parametrize("lines", FILE_CASES)
+def test_file_loads_its_rows_or_names_the_line(tmp_path, lines):
+    # a text demo file, whole or broken, is refused at its first bytes: no
+    # row of it is read as a transition
     path = tmp_path / "demos.jsonl"
     path.write_bytes(b"".join(lines))
-    if expected is None:
-        loaded = load_demos(path)
-        assert [dataclasses.asdict(t) | {k: getattr(t, k).tolist() for k in ("state", "action", "next_state")}
-                for t in loaded] == [json.loads(row) for row in _rows_text()]
-    else:
-        lineno, text = expected
-        offset = sum(map(len, lines[:lineno - 1]))
-        with pytest.raises(DemoFormatError) as info:
-            load_demos(path)
-        assert str(info.value) == f"malformed demo file {path}: line {lineno} (byte offset {offset}): {text}"
+    with pytest.raises(DemoFormatError) as info:
+        load_demos(path)
+    assert str(info.value) == f"malformed demo file {path}: bad magic bytes, not a PCIL checkpoint"
+    assert isinstance(info.value.__cause__, CheckpointError)
 
 
-@pytest.mark.parametrize("name,n_episodes,digest", [
-    ("pendulum", 8, "70541b5b9bf3"), ("point_mass", 5, "dc8c837c012f"),
+@pytest.mark.parametrize("name,n_episodes,text_digest,digest", [
+    pytest.param("pendulum", 8, "70541b5b9bf3", "b6d76ef553b4", id="pendulum-8-70541b5b9bf3"),
+    pytest.param("point_mass", 5, "dc8c837c012f", "f41d7ac6db1e", id="point_mass-5-dc8c837c012f"),
 ])
-def test_expert_demos_keep_their_bytes(tmp_path, name, n_episodes, digest):
+def test_expert_demos_keep_their_bytes(tmp_path, name, n_episodes, text_digest, digest):
+    # ids carry the digest of the set as JSON Lines, which names the same
+    # values in the text format as in the container
     env = envs.make_env(name)
     demos = [Transition(*step) for i in range(n_episodes)
              for step in envs.run_episode(env, envs.expert_policy(env), 100 + i)[0]]
-    path = tmp_path / "demos.jsonl"
+    path = tmp_path / "demos.bin"
     save_demos(path, demos)
     assert hashlib.sha256(path.read_bytes()).hexdigest().startswith(digest)
     loaded = load_demos(path)
-    assert len(loaded) == len(demos)
-    for a, b in zip(demos, loaded):
-        for field in ("state", "action", "next_state"):
-            assert getattr(b, field).dtype == np.float64
-            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
-        assert type(b.reward_env) is float and b.reward_env == a.reward_env
-        assert type(b.done) is bool and b.done == a.done
+    assert_same_transitions(loaded, demos)
+    assert hashlib.sha256(json_lines(loaded)).hexdigest().startswith(text_digest)
 
 
+#: Finite values whose float64 bits a careless round trip would change
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+          2.2250738585072014e-308, 0.1, 2**53 + 1, 2**60, -2**60]
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                    st.integers(-2**60, 2**60).map(float))
+                    st.integers(-2**60, 2**60), st.sampled_from(_EDGES))
 
 
 @st.composite
-def demo_rows(draw):
-    widths = draw(st.tuples(*[st.integers(0, 4)] * 3))
-    row = st.tuples(*[st.lists(_FINITE, min_size=w, max_size=w) for w in widths],
+def demo_sets(draw):
+    state_width, action_width = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    vector = lambda width: st.lists(_FINITE, min_size=width, max_size=width)
+    row = st.builds(Transition, vector(state_width), vector(action_width), vector(state_width),
                     _FINITE, st.booleans())
     return draw(st.lists(row, min_size=1, max_size=6))
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=demo_rows())
-@example(rows=[([-0.0, 5e-324, 1e-05], [1.7976931348623157e308], [3.0, -2.0, 1e16], 0.0, True),
-               ([0.1, -5e-324, 1e-07], [-1.7976931348623157e308], [2.0**53, 1e22, 100.0], -0.0, False)])
-def test_each_line_is_what_json_dumps_writes(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("lines") / "demos.jsonl"
-    save_demos(path, [Transition(np.array(s), np.array(a), np.array(n), r, d) for s, a, n, r, d in rows])
-    expected = [json.dumps(dict(zip(("state", "action", "next_state", "reward_env", "done"), row)),
-                           separators=(",", ":"), allow_nan=False) + "\n" for row in rows]
-    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == expected
+@given(demos=demo_sets())
+@example(demos=[Transition([-0.0, 5e-324, 1e-05], [1.7976931348623157e308], [3.0, -2.0, 1e16], 0.0, True),
+                Transition([0.1, -5e-324, 1e-07], [-1.7976931348623157e308], [2.0**53, 1e22, 2**60],
+                           -0.0, False)])
+def test_round_trip_is_bit_exact(tmp_path_factory, demos):
+    path = tmp_path_factory.mktemp("demos") / "demos.bin"
+    save_demos(path, demos)
+    assert_same_transitions(load_demos(path), demos)
+    tensors = load_checkpoint(path)
+    assert list(tensors) == ["state", "action", "next_state", "reward_env", "done"]
+    n, widths = len(demos), (len(demos[0].state), len(demos[0].action), len(demos[0].state))
+    assert [value.shape for value in tensors.values()] == [(n, widths[0]), (n, widths[1]),
+                                                           (n, widths[2]), (n,), (n,)]
