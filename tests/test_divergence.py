@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,54 @@ from pcil.divergence import (
     inner_objective,
     sandwich_check,
     tv_distance,
+    validate_distribution,
 )
+
+# every public function, called with (p, q); the kernels behind them check
+# nothing, so each must reject malformed input on its own
+ENTRY_POINTS = {
+    "tv_distance": tv_distance,
+    "inner_objective": lambda p, q: inner_objective(np.zeros(np.shape(p)), p, q),
+    "box_maximiser": box_maximiser,
+    "d_cont_estimate": d_cont_estimate,
+    "constructive_witness": constructive_witness,
+    "sandwich_check": sandwich_check,
+}
+
+# dtypes np.asarray(..., dtype=float64) would coerce or choke on
+NOT_REAL = [
+    pytest.param(["0.5", "0.5"], id="str"),
+    pytest.param([True, False], id="bool"),
+    pytest.param(np.array([0.5, 0.5], dtype=object), id="object"),
+    pytest.param([0.5 + 0.0j, 0.5], id="complex"),
+    pytest.param([None, 1.0], id="None"),
+]
+
+# d_cont_estimate of seeded Dirichlet pairs on the benchmark's large supports,
+# recorded with the solver's earlier walk over all 2n edges
+LARGE_SUPPORT_SEED = 20261019
+LARGE_SUPPORT_VALUES = [
+    (29, 0.4153110637454612),
+    (24, 0.6976169182769034),
+    (29, 0.47530991694929653),
+    (64, 0.6347530549140982),
+    (40, 0.6223090333748409),
+    (62, 0.6975353485884236),
+    (28, 0.692254275933813),
+    (19, 0.3908848577654497),
+    (57, 0.6242118692332964),
+    (36, 0.7092967523043779),
+    (36, 0.5295362064925203),
+    (41, 0.8707131227808513),
+    (62, 0.6413148870164673),
+    (13, 0.5438604834888232),
+    (48, 0.7335496527740364),
+    (43, 0.5702125457570675),
+    (27, 0.6546300616560745),
+    (31, 1.0332730400776329),
+    (53, 0.6949443381715628),
+    (30, 0.6389970658069577),
+]
 
 
 def random_pair(rng, n):
@@ -145,9 +193,34 @@ class TestTvDistance:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_distribution_rejected(self, bad):
         for p, q in (([bad, 1.0], [0.5, 0.5]), ([0.5, 0.5], [bad, 1.0])):
-            for check in (tv_distance, d_cont_estimate, sandwich_check):
+            for check in ENTRY_POINTS.values():
                 with pytest.raises(ValueError, match="NaN or Inf"):
                     check(p, q)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            pytest.param([1.0 + 2e-9, -2e-9], "non-negative", id="atom_below_tol"),
+            pytest.param([0.5, 0.6], "sums to", id="bad_sum"),
+            pytest.param([[0.5, 0.5]], "non-empty 1-D vector", id="wrong_rank"),
+            pytest.param([], "non-empty 1-D vector", id="empty"),
+            pytest.param([1.0], "mismatched", id="mismatched_support"),
+        ],
+    )
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_malformed_distribution_rejected_everywhere(self, entry, bad, match):
+        for p, q in ((bad, [0.5, 0.5]), ([0.5, 0.5], bad)):
+            with pytest.raises(ValueError, match=match):
+                ENTRY_POINTS[entry](p, q)
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_non_real_distribution_rejected(self, bad):
+        match = re.escape(f"dtype {np.asarray(bad).dtype}")
+        with pytest.raises(ValueError, match=match):
+            validate_distribution(bad)
+        for p, q in ((bad, [0.5, 0.5]), ([0.5, 0.5], bad)):
+            with pytest.raises(ValueError, match=match):
+                tv_distance(p, q)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
@@ -180,6 +253,11 @@ class TestInnerObjective:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"g has shape \(1,\)"):
             inner_objective([0.5], [0.5, 0.5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_non_real_g_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"dtype {np.asarray(bad).dtype}")):
+            inner_objective(bad, [0.5, 0.5], [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["g", "p", "q"])
@@ -276,6 +354,22 @@ class TestDContEstimate:
         value = assert_exact(p, q)
         if expected is not None:
             assert value == pytest.approx(expected, abs=1e-12)
+
+    def test_subnormal_atom(self):
+        # u * v = 2 p_0 * 2 (p_0 - q_0) is subnormal, not 0, and dividing by it
+        # would overflow; the atom counts as unvisited
+        p, q = [5e-324, 0.5, 0.5], [0.3, 0.2, 0.5]
+        assert d_cont_estimate(p, q) == pytest.approx(assert_exact([0.0, 0.5, 0.5], q), abs=1e-12)
+
+    def test_large_supports_pinned(self):
+        rng = np.random.default_rng(LARGE_SUPPORT_SEED)
+        for n, expected in LARGE_SUPPORT_VALUES:
+            assert int(rng.integers(11, 65)) == n
+            p, q = random_pair(rng, n)
+            value = d_cont_estimate(p, q)
+            assert value == pytest.approx(expected, abs=1e-12)
+            assert value == inner_objective(box_maximiser(p, q), p, q)
+            assert constructive_witness(p, q).value <= value <= 2.0 * tv_distance(p, q)
 
     @settings(max_examples=200, deadline=None)
     @given(
