@@ -26,6 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._checks import is_integer
+
 _log = logging.getLogger(__name__)
 
 # Below this input norm, sphere_normalize pads the denominator with _NORM_EPS
@@ -306,12 +308,6 @@ def relu(a: Tensor, out: np.ndarray | None = None) -> Tensor:
     return _make("relu", a.tape, data, (a,), (lambda g: g * (data > 0.0),))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    data = np.where(a.data >= 0.0, data, 1.0 - data)
-    return _make("sigmoid", a.tape, data, (a,), (lambda g: g * data * (1.0 - data),))
-
-
 def softplus(a: Tensor) -> Tensor:
     data = np.logaddexp(0.0, a.data)
     x = a.data
@@ -465,14 +461,6 @@ class ParameterSet:
         return {name: tape.leaf(value) for name, value in self._arrays.items()}
 
 
-def linear_init(rng: np.random.Generator, fan_in: int, fan_out: int):
-    """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weight and bias."""
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    b = rng.uniform(-bound, bound, size=(fan_out,))
-    return w, b
-
-
 #: Bytes per buffer of ``mlp_infer``'s layer walk: 256 rows at width 256, 1024
 #: at width 64. Relabels took equal times with 128- to 2048-row blocks (2-vCPU
 #: Xeon, 2 MiB L2 per core), so a larger budget would only hold more memory.
@@ -484,16 +472,18 @@ def mlp_params(rng: np.random.Generator, sizes: Sequence[int]) -> ParameterSet:
 
     Layer ``i`` is the weight ``layer{i}.w`` and the bias ``layer{i}.b``; only
     this module spells those names, every other reads them via ``mlp_layers``.
+    Layer by layer, its weight and then its bias are drawn from ``rng``,
+    uniform in +-1/sqrt(fan_in). Every width must be an integer of at least 1.
     """
     if len(sizes) < 2:
         raise ValueError("an MLP needs at least an input and an output width")
-    if min(sizes) < 1:
-        raise ValueError(f"every MLP width must be at least 1, got {list(sizes)}")
+    if not all(is_integer(size) and size >= 1 for size in sizes):
+        raise ValueError(f"every MLP width must be an integer of at least 1, got {list(sizes)}")
     params = ParameterSet()
-    for i in range(len(sizes) - 1):
-        w, b = linear_init(rng, sizes[i], sizes[i + 1])
-        params[f"layer{i}.w"] = w
-        params[f"layer{i}.b"] = b
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        bound = 1.0 / np.sqrt(fan_in)
+        params[f"layer{i}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        params[f"layer{i}.b"] = rng.uniform(-bound, bound, size=(fan_out,))
     return params
 
 

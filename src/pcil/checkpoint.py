@@ -23,6 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._checks import REAL_KINDS
 from .autodiff import ParameterSet
 
 MAGIC = b"PCIL"
@@ -79,7 +80,7 @@ def _encode_tensor(name, value) -> tuple[bytes, np.ndarray]:
         arr = np.asarray(value)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"tensor {name!r} is not an array of real numbers: {exc}") from exc
-    if arr.dtype.kind not in "iuf":  # float64 would take "1.5" and True as numbers
+    if arr.dtype.kind not in REAL_KINDS:  # float64 would take "1.5" and True as numbers
         raise CheckpointError(f"tensor {name!r} is not an array of real numbers: dtype {arr.dtype}")
     arr = arr.astype(np.float64, copy=False)
     if any(dim > _U32_MAX for dim in arr.shape):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from ._checks import real_float64
 
 #: Additive mask that removes an anchor's own column from its candidate set.
 _MASK = -1e9
@@ -197,7 +198,9 @@ def _infonce_constants(n_expert: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encoder_inputs(x) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """``x`` as float64 rows; a dtype that is not one of real numbers (a
+    string, a boolean) raises ``ValueError``."""
+    return np.atleast_2d(real_float64(x, "encoder inputs"))
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +235,12 @@ def _mean_direction(emb: np.ndarray) -> np.ndarray:
 def similarity_reward(encoder: Encoder, inputs: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Cosine similarity of each input's embedding to the reference.
 
-    ``reference`` must be one finite vector as wide as the embeddings: a
-    ``ValueError`` names both widths otherwise, and a NaN or Inf in it raises
-    ``NonFiniteError``.
+    ``reference`` must be one finite vector of real numbers as wide as the
+    embeddings: a ``ValueError`` names both widths, or the dtype, otherwise,
+    and a NaN or Inf in it raises ``NonFiniteError``.
     """
     emb = encoder.embed(encoder_inputs(inputs))
-    ref = np.asarray(reference, dtype=np.float64)
+    ref = real_float64(reference, "reference")
     if ref.shape != emb.shape[1:]:
         raise ValueError(
             f"reference has shape {ref.shape}, the embeddings have width {emb.shape[1]}")

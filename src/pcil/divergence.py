@@ -28,19 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import real_float64
+
 _DIST_TOL = 1e-9
-
-
-def _real_float64(x, what: str) -> np.ndarray:
-    x = np.asarray(x)
-    if x.dtype.kind not in "iuf":  # float64 would take "0.5", True and None as numbers
-        raise ValueError(f"{what} must hold real numbers, not dtype {x.dtype}")
-    return x.astype(np.float64, copy=False)
 
 
 def validate_distribution(p) -> np.ndarray:
     """p as a float64 vector, or a ValueError saying why it is no distribution."""
-    p = _real_float64(p, "a distribution")
+    p = real_float64(p, "a distribution")
     if p.ndim != 1 or p.size < 1:
         raise ValueError("a distribution must be a non-empty 1-D vector")
     total = p.sum()
@@ -71,7 +66,7 @@ def _value(g, p, d) -> float:
 
 def inner_objective(g, p, q) -> float:
     """|<g, p>| * <g, p - q> for a box-feasible reward direction g."""
-    g = _real_float64(g, "g")
+    g = real_float64(g, "g")
     if not np.all(np.abs(g) <= 1.0 + 1e-12):  # written so that NaN fails
         raise ValueError("g must lie in the box [-1, 1]^n and hold no NaN or Inf")
     p, q = _validate_pair(p, q)
@@ -103,12 +98,24 @@ def constructive_witness(p, q) -> RewardWitness:
         g = np.where(s_mask, 1.0, -0.5)
     else:
         g = np.where(s_mask, 0.5, -1.0)
-    alpha = abs(float(g @ p))
-    value = alpha * float(g @ (p - q))
-    return RewardWitness(g=g, alpha=alpha, value=value)
+    return RewardWitness(g=g, alpha=abs(float(g @ p)), value=_value(g, p, p - q))
 
 
 def _box_maximiser(p, d) -> np.ndarray:
+    """A g in [-1, 1]^n at which |<g, p>| * <g, d> attains its maximum, for a
+    distribution p and d = p - q.
+
+    g -> (a, b) = (<g, p>, <g, p - q>) maps the box onto a 2-D zonotope with
+    generators (p_i, p_i - q_i). f = |a| * b has no interior maximum, so it
+    peaks on one of the 2n edges. p >= 0 keeps every generator in the
+    half-plane a >= 0, so the angles span half a turn: in order of generator
+    angle, n edges lead from -sum to +sum, and the other n are their mirror
+    images. An edge's best point is a vertex or its stationary point: the
+    a = 0 kink has value 0, which a vertex reaches as f(-z) = -f(z). By the
+    same symmetry, scoring the candidates of the first n edges by |a * b|
+    scores the mirrored ones too; a winner with b < 0 stands for its mirror
+    image -g. The sort makes the walk O(n log n).
+    """
     n = p.size
     order = np.arctan2(d, p).argsort()
     # column k + 1 holds the walk's k-th step; column 0 stays 0, so the cumsum
@@ -135,24 +142,6 @@ def _box_maximiser(p, d) -> np.ndarray:
     g[order[:j]] = 1.0
     g[order[j]] = -1.0 + 2.0 * t_j
     return -g if b0[j] + t_j * v[j] < 0.0 else g
-
-
-def box_maximiser(p, q) -> np.ndarray:
-    """A g in [-1, 1]^n at which |<g, p>| * <g, p - q> attains its maximum.
-
-    g -> (a, b) = (<g, p>, <g, p - q>) maps the box onto a 2-D zonotope with
-    generators (p_i, p_i - q_i). f = |a| * b has no interior maximum, so it
-    peaks on one of the 2n edges. p >= 0 keeps every generator in the
-    half-plane a >= 0, so the angles span half a turn: in order of generator
-    angle, n edges lead from -sum to +sum, and the other n are their mirror
-    images. An edge's best point is a vertex or its stationary point: the
-    a = 0 kink has value 0, which a vertex reaches as f(-z) = -f(z). By the
-    same symmetry, scoring the candidates of the first n edges by |a * b|
-    scores the mirrored ones too; a winner with b < 0 stands for its mirror
-    image -g. The sort makes the walk O(n log n).
-    """
-    p, q = _validate_pair(p, q)
-    return _box_maximiser(p, p - q)
 
 
 def d_cont_estimate(p, q) -> float:

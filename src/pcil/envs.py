@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_integer, real_float64
+
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -48,15 +50,22 @@ class EnvState:
 def _clipped_action(action, action_dim: int) -> list[float]:
     """The entries of ``action`` as Python floats clipped to ``[-1, 1]``.
 
-    Any shape with ``action_dim`` entries is accepted. Another size, or a NaN
-    entry, raises ``ValueError``; +-inf is clipped like any other value.
+    Any shape with ``action_dim`` real numbers is accepted. Another size, a
+    dtype that is not one of real numbers (a string, a boolean, None) or a
+    NaN entry raises ``ValueError``; +-inf is clipped like any other value.
     """
-    values = np.asarray(action, dtype=np.float64).ravel().tolist()
+    values = real_float64(action, "action").ravel().tolist()
     if len(values) != action_dim:
         raise ValueError(f"action has {len(values)} entries, expected action_dim={action_dim}")
     if any(map(math.isnan, values)):
         raise ValueError(f"action {values} has a NaN entry")
     return [min(max(v, -1.0), 1.0) for v in values]
+
+
+def _episode_rng(seed) -> np.random.Generator:
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _point_mass_reward(x, y):
@@ -85,7 +94,7 @@ class PointMass:
     spec = EnvSpec("point_mass", state_dim=4, action_dim=2, episode_length=300, dt=0.02)
 
     def reset(self, seed: int) -> EnvState:
-        rng = np.random.default_rng(seed)
+        rng = _episode_rng(seed)
         pos = rng.uniform(-self.start_halfwidth, self.start_halfwidth, size=2)
         return EnvState(np.array([pos[0], pos[1], 0.0, 0.0]))
 
@@ -119,9 +128,6 @@ class PointMass:
         done = nxt.step_index >= self.spec.episode_length
         return nxt, reward, done
 
-    def expert_action(self, state: EnvState) -> np.ndarray:
-        return self._expert(*state.vector.tolist())
-
     def _expert(self, x: float, y: float, vx: float, vy: float) -> np.ndarray:
         # saturated PD toward the goal behaves near-bang-bang far out and
         # critically damped close in
@@ -151,7 +157,7 @@ class Pendulum:
     spec = EnvSpec("pendulum", state_dim=3, action_dim=1, episode_length=400, dt=0.02)
 
     def reset(self, seed: int) -> EnvState:
-        rng = np.random.default_rng(seed)
+        rng = _episode_rng(seed)
         theta = math.pi + rng.uniform(-0.1, 0.1)
         theta_dot = rng.uniform(-0.05, 0.05)
         return EnvState(np.array([theta, theta_dot]))
@@ -164,11 +170,8 @@ class Pendulum:
         obs = np.asarray(obs, dtype=np.float64)
         return _pendulum_reward(obs[..., 0])
 
-    def energy(self, state: EnvState) -> float:
-        """Mechanical energy, zero level at the pivot."""
-        return self._energy(*state.vector.tolist())
-
     def _energy(self, theta: float, theta_dot: float) -> float:
+        """Mechanical energy, zero level at the pivot."""
         ml2 = self.mass * self.length**2
         return 0.5 * ml2 * theta_dot**2 + self.mass * self.gravity * self.length * math.cos(theta)
 
@@ -190,9 +193,6 @@ class Pendulum:
         reward = _pendulum_reward(math.cos(theta))
         done = nxt.step_index >= self.spec.episode_length
         return nxt, reward, done
-
-    def expert_action(self, state: EnvState) -> np.ndarray:
-        return self._expert(*state.vector.tolist())
 
     def _expert(self, theta: float, theta_dot: float) -> np.ndarray:
         # bang-bang energy pumping slightly past the upright level, then PD
@@ -234,7 +234,8 @@ def make_env(name: str):
 def run_episode(env, policy, seed: int):
     """Roll one full episode; returns (transitions, total_env_reward).
 
-    ``policy`` maps an observation vector to an action. Transitions are
+    ``policy`` maps an observation vector to an action of real numbers, held
+    as float64 (``step`` rejects any other dtype). Transitions are
     (obs, action, next_obs, reward, done) tuples.
     """
     state = env.reset(seed)
@@ -243,7 +244,7 @@ def run_episode(env, policy, seed: int):
     total = 0.0
     done = False
     while not done:
-        action = np.asarray(policy(obs), dtype=np.float64)
+        action = real_float64(policy(obs), "action")
         state, reward, done = env.step(state, action)
         next_obs = env.observe(state)
         transitions.append((obs, action, next_obs, reward, done))

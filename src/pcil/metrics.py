@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ._checks import is_integer
+
 
 @dataclass
 class MetricsRow:
@@ -32,6 +34,11 @@ class MetricsRow:
         return ",".join(f.name for f in fields(cls))
 
     def to_csv(self) -> str:
+        """The row's values in ``header()`` order: ``step`` as an integer, every
+        other field as ``repr(float)``, which ``float()`` reads back bit for
+        bit. A ``step`` that is a boolean or not an integer raises ``ValueError``."""
+        if not is_integer(self.step):
+            raise ValueError(f"step must be an integer, got {self.step!r}")
         values = [getattr(self, f.name) for f in fields(self)]
         return ",".join(
             str(int(v)) if f.name == "step" else repr(float(v))

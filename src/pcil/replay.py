@@ -29,6 +29,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from ._checks import REAL_KINDS, is_integer, real_float64
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -47,9 +48,12 @@ class Transition:
     done: bool
 
 
-def _check_gamma(gamma) -> None:
-    if not isinstance(gamma, numbers.Real) or not 0.0 <= gamma <= 1.0:  # NaN fails too
+def _checked_gamma(gamma) -> float:
+    """``gamma`` as a Python float, if it is a real number in [0, 1] and no boolean."""
+    if (not isinstance(gamma, numbers.Real) or isinstance(gamma, bool)
+            or not 0.0 <= gamma <= 1.0):  # NaN fails too
         raise ValueError(f"gamma must be a finite value in [0, 1], got {gamma!r}")
+    return float(gamma)
 
 
 @dataclass
@@ -76,13 +80,13 @@ class NStepBatch:
         return len(self.states)
 
     def nstep_rewards(self, step_rewards: np.ndarray, gamma: float) -> np.ndarray:
-        """Fold per-step rewards, one per step of the batch, into one sum per
-        window discounted by ``gamma``, a finite value in [0, 1]."""
-        rewards = np.asarray(step_rewards, dtype=np.float64)
+        """Fold per-step rewards, one real number per step of the batch, into
+        one sum per window discounted by ``gamma``, a finite value in [0, 1]."""
+        rewards = real_float64(step_rewards, "step_rewards")
         if rewards.shape != self.step_offset.shape:
             raise ValueError(f"step_rewards has shape {rewards.shape}, the batch has "
                              f"{len(self.step_offset)} steps: expected shape {self.step_offset.shape}")
-        _check_gamma(gamma)
+        gamma = _checked_gamma(gamma)
         weighted = rewards * gamma**self.step_offset
         return np.bincount(self.window_id, weights=weighted, minlength=len(self))
 
@@ -106,8 +110,10 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, seed: int = 0):
-        if not isinstance(capacity, (int, np.integer)) or capacity < 1:
+        if not is_integer(capacity) or capacity < 1:
             raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
+        if not is_integer(seed) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.capacity = int(capacity)
         self._size = 0
         self._next = 0  # the slot the next push writes
@@ -151,14 +157,14 @@ class ReplayBuffer:
     def sample_nstep(self, batch_size: int, n: int, gamma: float) -> NStepBatch:
         """Sample ``batch_size`` windows of up to ``n`` consecutive steps,
         discounted by ``gamma``, a finite value in [0, 1]."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         size = self._size
         if size < n:
             raise ValueError(f"buffer holds {size} transitions, need at least n={n}")
-        if not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        if not is_integer(batch_size) or batch_size < 1:
             raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
-        _check_gamma(gamma)
+        gamma = _checked_gamma(gamma)
         oldest = self._next if size == self.capacity else 0
         logical = self.sample_indices(batch_size)[:, None] + np.arange(n)
         slot = (oldest + np.minimum(logical, size - 1)) % self.capacity
@@ -212,7 +218,6 @@ class DemoFormatError(ValueError):
 #: and the rank of each: a row per transition, or one value per transition
 _RANKS = {"state": 2, "action": 2, "next_state": 2, "reward_env": 1, "done": 1}
 _BOOLEANS = frozenset({bool, np.bool_})
-_REAL_KINDS = frozenset("iuf")
 
 
 def save_demos(path, transitions: list[Transition]) -> None:
@@ -324,14 +329,14 @@ def _real_array(column: list, rank: int) -> np.ndarray | None:
     # is read as lists, which show what an array holds: a boolean array's items
     # are booleans, and an object array of numbers stacks as numbers
     numeric = (set(map(type, column)) == {np.ndarray}
-               and {dtype.kind for dtype in set(map(attrgetter("dtype"), column))} <= _REAL_KINDS)
+               and {dtype.kind for dtype in set(map(attrgetter("dtype"), column))} <= REAL_KINDS)
     if not numeric:
         column = [value.tolist() if isinstance(value, np.ndarray) else value for value in column]
     try:
         values = np.array(column)
     except ValueError:  # rows of different lengths or depths
         return None
-    if values.ndim != rank or values.dtype.kind not in _REAL_KINDS:
+    if values.ndim != rank or values.dtype.kind not in REAL_KINDS:
         return None
     # numpy makes a boolean among numbers a number, so the items' types are looked at too
     if not numeric and not _BOOLEANS.isdisjoint(

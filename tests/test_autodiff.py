@@ -70,7 +70,7 @@ def test_mean_tanh_linear_vs_finite_differences():
 # the suite was first written, so deleting a primitive renames no other case.
 CASE_IDS = {
     "add": "0", "sub": "1", "mul": "2", "matmul": "5", "tanh": "7",
-    "relu": "8", "sigmoid": "9", "softplus": "10", "sqrt": "13", "sum": "14",
+    "relu": "8", "softplus": "10", "sqrt": "13", "sum": "14",
     "mean": "15", "logsumexp": "16", "sphere_normalize": "18",
     "concat": "19", "reshape": "20", "transpose": "21", "div": "22", "row_slice": "23",
 }
@@ -375,10 +375,21 @@ def test_mlp_init_bounds():
     assert np.all(np.abs(params["layer0.b"]) <= bound)
 
 
-@pytest.mark.parametrize("sizes", [[3], [3, 0, 1], [3, 8, 0]])
+@pytest.mark.parametrize("sizes", [[3], [3, 0, 1], [3, 8, 0],
+                                   [3, True, 2], [3, 4.0, 2], [3.0, 2], [3, "4", 2]])
 def test_mlp_params_rejects_a_missing_or_empty_layer(sizes):
     with pytest.raises(ValueError, match="an MLP needs|at least 1"):
         ad.mlp_params(np.random.default_rng(0), sizes)
+
+
+def test_mlp_params_draws_each_weight_then_its_bias():
+    params = ad.mlp_params(np.random.default_rng(3), (4, np.int64(5), 2))
+    rng = np.random.default_rng(3)
+    for i, (fan_in, fan_out) in enumerate([(4, 5), (5, 2)]):
+        bound = 1.0 / np.sqrt(fan_in)
+        np.testing.assert_array_equal(params[f"layer{i}.w"],
+                                      rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        np.testing.assert_array_equal(params[f"layer{i}.b"], rng.uniform(-bound, bound, size=fan_out))
 
 
 def critic_head(seed=0):

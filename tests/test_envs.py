@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,43 @@ def test_step_rejects_a_nan_action(name):
         env.step(env.reset(0), action)
 
 
+@pytest.mark.parametrize("name, action", [
+    pytest.param("pendulum", "0.5", id="str"),
+    pytest.param("pendulum", "abc", id="word"),
+    pytest.param("pendulum", True, id="bool"),
+    pytest.param("pendulum", None, id="None"),
+    pytest.param("point_mass", ["0.5", "0.5"], id="str_list"),
+    pytest.param("point_mass", [True, False], id="bool_list"),
+    pytest.param("point_mass", [None, 0.5], id="None_in_list"),
+    pytest.param("point_mass", np.array([0.5, 0.5], dtype=object), id="object"),
+    pytest.param("point_mass", [0.5 + 0.0j, 0.5], id="complex"),
+])
+def test_step_rejects_an_action_of_no_real_dtype(name, action):
+    env = make_env(name)
+    match = re.escape(f"action must hold real numbers, not dtype {np.asarray(action).dtype}")
+    with pytest.raises(ValueError, match=match):
+        env.step(env.reset(0), action)
+
+
+def test_run_episode_rejects_a_policy_action_of_no_real_dtype():
+    with pytest.raises(ValueError, match="action must hold real numbers"):
+        run_episode(make_env("pendulum"), lambda obs: "0.5", seed=0)
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+@pytest.mark.parametrize("seed", [True, 1.5, -1, "7", None])
+def test_reset_rejects_a_seed_that_is_no_non_negative_integer(name, seed):
+    match = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+    with pytest.raises(ValueError, match=match):
+        make_env(name).reset(seed)
+
+
+@pytest.mark.parametrize("name", ["point_mass", "pendulum"])
+def test_reset_takes_a_numpy_integer_seed(name):
+    env = make_env(name)
+    np.testing.assert_array_equal(env.reset(np.int64(7)).vector, env.reset(7).vector)
+
+
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
 def test_expert_policy_rejects_an_observation_of_the_wrong_width(name):
     env = make_env(name)
@@ -149,17 +187,27 @@ def test_reward_range_probes(name):
         assert 0.0 <= reward <= 1.0
 
 
+def _controller(env, state):
+    """The env's scripted controller on the internal coordinates of ``state``."""
+    return env._expert(*state.vector.tolist())
+
+
+def _energy_of(env, state):
+    """The pendulum's mechanical energy in ``state``."""
+    return env._energy(*state.vector.tolist())
+
+
 def test_pendulum_energy_sanity():
     env = make_env("pendulum")
     env.damping = 0.0  # on this instance only: energy is conserved without damping
     state = env.reset(3)
     state.vector[0] = 2.0  # energetic release, zero torque
-    e0 = env.energy(state)
+    e0 = _energy_of(env, state)
     scale = max(abs(e0), env.mass * env.gravity * env.length)
     worst = 0.0
     for _ in range(env.spec.episode_length):
         state, _, _ = env.step(state, np.zeros(1))
-        worst = max(worst, abs(env.energy(state) - e0))
+        worst = max(worst, abs(_energy_of(env, state) - e0))
     assert worst / scale < 0.01
 
 
@@ -324,7 +372,7 @@ def _oracle_actions(env, rng, state):
         return rng.choice([0.0, -0.0], size=dim)
     if kind == 3:
         return rng.choice([-1.0, 1.0, -math.inf, math.inf], size=dim)
-    return env.expert_action(state)
+    return _controller(env, state)
 
 
 def _check_against_oracle(env, policy, state, action):
@@ -332,10 +380,10 @@ def _check_against_oracle(env, policy, state, action):
     step_oracle, observe_oracle, expert_oracle, _ = ORACLES[env.spec.name]
     obs = env.observe(state)
     _assert_same_bits(obs, observe_oracle(state))
-    _assert_same_bits(env.expert_action(state), expert_oracle(env, state))
+    _assert_same_bits(_controller(env, state), expert_oracle(env, state))
     _assert_same_bits(policy(obs), _oracle_expert_policy(env, obs))
     if env.spec.name == "pendulum":
-        energy, energy_o = env.energy(state), _oracle_pendulum_energy(env, state)
+        energy, energy_o = _energy_of(env, state), _oracle_pendulum_energy(env, state)
         assert type(energy) is float and energy == energy_o
         assert math.copysign(1.0, energy) == math.copysign(1.0, energy_o)
     nxt, reward, done = env.step(state, action)
@@ -366,7 +414,7 @@ def test_float_path_matches_the_numpy_oracle_bit_for_bit(name):
         while not done:
             observations.append(env.observe(state))
             # the first episode follows the expert alone, so its PD capture runs
-            action = env.expert_action(state) if seed == 0 else _oracle_actions(env, rng, state)
+            action = _controller(env, state) if seed == 0 else _oracle_actions(env, rng, state)
             state, _, done = _check_against_oracle(env, policy, state, action)
             if name == "point_mass":
                 wall_hits += np.any(np.abs(state.vector[:2]) == env.arena_halfwidth)

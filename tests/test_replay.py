@@ -310,13 +310,13 @@ def test_nstep_matches_loop_oracle_on_wrapped_env_ring():
         assert_batches_equal(buf.sample_nstep(256, 5, 0.99), oracle.sample_nstep(256, 5, 0.99))
 
 
-@pytest.mark.parametrize("capacity", [2.5, 0, -3, "8"])
+@pytest.mark.parametrize("capacity", [2.5, 0, -3, "8", True])
 def test_bad_capacity_rejected(capacity):
     with pytest.raises(ValueError, match="capacity"):
         ReplayBuffer(capacity)
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.0])
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
 def test_bad_window_length_rejected(n):
     buf = ReplayBuffer(capacity=8, seed=0)
     fill_episodes(buf, [6])
@@ -324,7 +324,7 @@ def test_bad_window_length_rejected(n):
         buf.sample_nstep(4, n=n, gamma=0.9)
 
 
-@pytest.mark.parametrize("batch_size", [0, 2.5])
+@pytest.mark.parametrize("batch_size", [0, 2.5, True])
 def test_bad_batch_size_rejected(batch_size):
     buf = ReplayBuffer(capacity=8, seed=0)
     fill_episodes(buf, [6])
@@ -332,7 +332,7 @@ def test_bad_batch_size_rejected(batch_size):
         buf.sample_nstep(batch_size, n=2, gamma=0.9)
 
 
-@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -0.1, 1.01, "0.9", None])
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -0.1, 1.01, "0.9", None, True, False])
 def test_bad_gamma_rejected(gamma):
     buf = ReplayBuffer(capacity=8, seed=0)
     fill_episodes(buf, [6])
@@ -352,6 +352,30 @@ def test_gamma_at_and_inside_the_bounds_accepted(gamma):
     batch = buf.sample_nstep(4, n=2, gamma=gamma)
     lengths = np.bincount(batch.window_id, minlength=4)
     np.testing.assert_array_equal(batch.discounts, [float(gamma) ** k for k in lengths])
+    assert batch.discounts.dtype == np.float64  # an integer gamma too
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1, "3"])
+def test_bad_seed_rejected(seed):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, "
+                                                   f"got {seed!r}")):
+        ReplayBuffer(8, seed=seed)
+
+
+@pytest.mark.parametrize("rewards", [
+    pytest.param(lambda shape: np.full(shape, "0.5"), id="str"),
+    pytest.param(lambda shape: np.ones(shape, dtype=bool), id="bool"),
+    pytest.param(lambda shape: np.full(shape, None), id="None"),
+    pytest.param(lambda shape: np.full(shape, 0.5 + 0.0j), id="complex"),
+])
+def test_nstep_rewards_of_no_real_dtype_rejected(rewards):
+    buf = ReplayBuffer(capacity=8, seed=0)
+    fill_episodes(buf, [6])
+    batch = buf.sample_nstep(4, n=3, gamma=0.9)
+    bad = rewards(batch.step_offset.shape)
+    with pytest.raises(ValueError, match=re.escape(f"step_rewards must hold real numbers, "
+                                                   f"not dtype {bad.dtype}")):
+        batch.nstep_rewards(bad, gamma=0.9)
 
 
 @pytest.mark.parametrize("shape", [(11,), (13,), (12, 2), ()],
