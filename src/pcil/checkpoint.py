@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._checks import REAL_KINDS
+from ._checks import real_float64
 from .autodiff import ParameterSet
 
 MAGIC = b"PCIL"
@@ -77,12 +77,9 @@ def _encode_tensor(name, value) -> tuple[bytes, np.ndarray]:
     except UnicodeEncodeError as exc:
         raise CheckpointError(f"tensor name {name!r} is not valid UTF-8") from exc
     try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError) as exc:
+        arr = real_float64(value, "it")
+    except (TypeError, ValueError) as exc:  # no real dtype, or rows of different lengths
         raise CheckpointError(f"tensor {name!r} is not an array of real numbers: {exc}") from exc
-    if arr.dtype.kind not in REAL_KINDS:  # float64 would take "1.5" and True as numbers
-        raise CheckpointError(f"tensor {name!r} is not an array of real numbers: dtype {arr.dtype}")
-    arr = arr.astype(np.float64, copy=False)
     if any(dim > _U32_MAX for dim in arr.shape):
         raise CheckpointError(
             f"tensor {name!r} has shape {arr.shape}; every dimension must be below 2**32"

@@ -33,6 +33,9 @@ _MASK = -1e9
 #: ``InfoNCE + GP_WEIGHT * penalty``.
 GP_WEIGHT = 10.0
 
+#: InfoNCE temperature, the divisor of the embeddings' inner products.
+TEMPERATURE = 0.07
+
 
 @dataclass
 class ContrastiveBatch:
@@ -46,10 +49,10 @@ class Encoder:
     """Feed-forward encoder with unit-sphere output projection.
 
     A 4-layer MLP ``input -> hidden x3 -> embed_dim`` on the raw state. The
-    InfoNCE temperature is the class constant ``temperature``, and the
-    update's penalty weight the module constant ``GP_WEIGHT``. Its
-    layers are walked by the module-level MLP forwards of ``autodiff``, the
-    one place that knows the layer structure: the tape forward
+    InfoNCE temperature and the update's penalty weight are the module
+    constants ``TEMPERATURE`` and ``GP_WEIGHT``. Its layers are walked by the
+    module-level MLP forwards of ``autodiff``, the one place that knows the
+    layer structure: the tape forward
     (``_forward``) calls ``ad.mlp_forward`` and the numpy inference forward
     (``embed``) calls ``ad.mlp_infer``. The encoder adds its input checks,
     the sphere projection and the norm check around them.
@@ -72,12 +75,10 @@ class Encoder:
       ``embed`` returns. So ``embed`` may run while an update's graph is live.
     - ``encoder_update`` keeps under ``(layer, role)`` tuple keys its stacked
       forward's layer outputs (``"out"``) and, on the penalty's rows, its
-      penalty chain's ReLU masks, masked inputs and products (``"penalty_*"``).
+      penalty chain's 0.0/1.0 ReLU masks, masked inputs and products (``"penalty_*"``).
       Its graph is valid until the encoder's next update, so one encoder runs
       one update at a time. Its backward makes new arrays (``ad.Tape.backward``).
     """
-
-    temperature = 0.07
 
     def __init__(
         self,
@@ -125,12 +126,11 @@ class Encoder:
         return emb
 
     def _checked_inputs(self, inputs) -> np.ndarray:
-        """``inputs`` as 2-D float64 rows as wide as the head's input.
-
-        Another width raises ``ValueError`` naming both widths, and a NaN or
-        Inf entry ``NonFiniteError``.
+        """``inputs`` as 2-D float64 rows as wide as the head's input, the one
+        conversion of encoder rows. A dtype of no real numbers or another width
+        raises ``ValueError``, and a NaN or Inf entry ``NonFiniteError``.
         """
-        features = encoder_inputs(inputs)
+        features = np.atleast_2d(real_float64(inputs, "encoder inputs"))
         width = next(ad.mlp_layers(self.head))[0].shape[0]
         if features.ndim != 2 or features.shape[1] != width:
             raise ValueError(
@@ -154,16 +154,12 @@ class Encoder:
 # ---------------------------------------------------------------------------
 
 
-def contrastive_loss_graph(
-    expert_emb: ad.Tensor,
-    agent_emb: ad.Tensor,
-    temperature: float,
-) -> ad.Tensor:
+def contrastive_loss_graph(expert_emb: ad.Tensor, agent_emb: ad.Tensor) -> ad.Tensor:
     """Multi-positive InfoNCE on already-embedded batches.
 
     Each expert row anchors once; every other expert row is a positive and
-    every agent row a negative. With similarities s = <anchor, other>/tau the
-    anchor loss is the mean over positives p of
+    every agent row a negative. With similarities s = <anchor, other>/tau
+    (tau is ``TEMPERATURE``) the anchor loss is the mean over positives p of
     ``-log(exp(s_p) / sum(exp(s_over_all_candidates)))`` (the average sits
     outside the log).
     """
@@ -174,8 +170,8 @@ def contrastive_loss_graph(
         raise ValueError("contrastive loss needs at least 2 expert items")
     if n_agent < 1:
         raise ValueError("contrastive loss needs at least 1 agent item")
-    sims_ee = ad.mul(ad.matmul(expert_emb, ad.transpose(expert_emb)), 1.0 / temperature)
-    sims_ea = ad.mul(ad.matmul(expert_emb, ad.transpose(agent_emb)), 1.0 / temperature)
+    sims_ee = ad.mul(ad.matmul(expert_emb, ad.transpose(expert_emb)), 1.0 / TEMPERATURE)
+    sims_ea = ad.mul(ad.matmul(expert_emb, ad.transpose(agent_emb)), 1.0 / TEMPERATURE)
     self_mask, off_diag = _infonce_constants(n_expert)
     masked_ee = ad.add(sims_ee, tape.constant(self_mask))
     candidates = ad.concat([masked_ee, sims_ea], axis=1)
@@ -197,12 +193,6 @@ def _infonce_constants(n_expert: int) -> tuple[np.ndarray, np.ndarray]:
     return self_mask, off_diag
 
 
-def encoder_inputs(x) -> np.ndarray:
-    """``x`` as float64 rows; a dtype that is not one of real numbers (a
-    string, a boolean) raises ``ValueError``."""
-    return np.atleast_2d(real_float64(x, "encoder inputs"))
-
-
 # ---------------------------------------------------------------------------
 # similarity reward and the expert reference
 # ---------------------------------------------------------------------------
@@ -220,10 +210,10 @@ def make_expert_reference(
     """
     if mode != "mean":
         raise ValueError(f"unknown reference mode {mode!r}")
-    expert_inputs = encoder_inputs(expert_inputs)
-    if expert_inputs.shape[0] == 0:
+    emb = encoder.embed(expert_inputs)
+    if not len(emb):
         raise ValueError("expert reference needs at least one expert item")
-    return _mean_direction(encoder.embed(expert_inputs))
+    return _mean_direction(emb)
 
 
 def _mean_direction(emb: np.ndarray) -> np.ndarray:
@@ -239,7 +229,7 @@ def similarity_reward(encoder: Encoder, inputs: np.ndarray, reference: np.ndarra
     embeddings: a ``ValueError`` names both widths, or the dtype, otherwise,
     and a NaN or Inf in it raises ``NonFiniteError``.
     """
-    emb = encoder.embed(encoder_inputs(inputs))
+    emb = encoder.embed(inputs)
     ref = real_float64(reference, "reference")
     if ref.shape != emb.shape[1:]:
         raise ValueError(
@@ -253,17 +243,14 @@ def al_gap(encoder: Encoder, expert_inputs: np.ndarray, agent_inputs: np.ndarray
     """Mean expert reward minus mean agent reward, mean-mode reference.
 
     This is the apprenticeship-learning objective the contrastive loss
-    implicitly maximises. The expert rows are embedded once, for both the
-    reference and their rewards.
+    implicitly maximises. Each batch is embedded once, and both are scored
+    against the reference made from the expert embeddings.
     """
-    expert_inputs, agent_inputs = encoder_inputs(expert_inputs), encoder_inputs(agent_inputs)
-    if len(expert_inputs) == 0 or len(agent_inputs) == 0:
+    emb_e, emb_a = encoder.embed(expert_inputs), encoder.embed(agent_inputs)
+    if not len(emb_e) or not len(emb_a):
         raise ValueError("al_gap needs non-empty expert and agent batches")
-    emb_e = encoder.embed(expert_inputs)
     ref = _mean_direction(emb_e)
-    expert_r = emb_e @ ref
-    agent_r = similarity_reward(encoder, agent_inputs, ref)
-    return float(expert_r.mean() - agent_r.mean())
+    return float((emb_e @ ref).mean() - (emb_a @ ref).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +262,8 @@ def interpolate_pairs(
     expert_inputs: np.ndarray, agent_inputs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Random convex combinations of paired expert/agent inputs."""
-    e = encoder_inputs(expert_inputs)
-    a = encoder_inputs(agent_inputs)
+    e = np.atleast_2d(real_float64(expert_inputs, "expert inputs"))
+    a = np.atleast_2d(real_float64(agent_inputs, "agent inputs"))
     if len(e) == 0 or len(a) == 0:
         raise ValueError("gradient penalty needs non-empty batches")
     n = min(len(e), len(a))
@@ -294,15 +281,15 @@ def input_gradient_graph(forward, reference: np.ndarray, start: int = 0,
     ``sphere_normalize``), then walks the layers backwards with their ReLU
     masks held constant: ``g = (g * mask) @ W.T``, each mask ``hidden > 0``
     on those rows of the layer's kept output. Every op is first order in the
-    head parameters, so backward through the rows is exact. With a
-    ``workspace`` dict (the forward's), the masks (as 0/1 floats) and the
-    walk's products are written into arrays kept there.
+    head parameters, so backward through the rows is exact. The masks (0.0/1.0
+    floats) and the walk's products are written into arrays kept in
+    ``workspace`` (the forward's), or into new ones if it is None.
     """
     emb, out, layers = forward
     tape = emb.tape
     emb = ad.row_slice(emb, start, emb.shape[0])
     out = ad.row_slice(out, start, out.shape[0])
-    ref = np.asarray(reference, dtype=np.float64)
+    ref = real_float64(reference, "reference")
     norm_np, denom_np = ad.norm_and_denominator(out.data)
     norm = ad.reshape(ad.sqrt(ad.tsum(ad.mul(out, out), axis=1)), norm_np.shape)
     denom = ad.add(norm, denom_np - norm_np)
@@ -354,7 +341,7 @@ def stacked_forward(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, 
 def update_loss_graph(encoder: Encoder, forward, emb_e, emb_a, reference):
     """InfoNCE on ``emb_e``/``emb_a``, the penalty on the forward's remaining
     (``x_hat``) rows against ``reference``, and ``InfoNCE + GP_WEIGHT * penalty``."""
-    loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
+    loss = contrastive_loss_graph(emb_e, emb_a)
     penalty = penalty_graph(forward, reference, emb_e.shape[0] + emb_a.shape[0],
                             encoder._workspace)
     return loss, penalty, ad.add(loss, ad.mul(penalty, GP_WEIGHT))

@@ -102,8 +102,8 @@ class PointMass:
         return state.vector.copy()
 
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
-        """Vectorised ground-truth reward; ``obs`` is (..., 4)."""
-        obs = np.asarray(obs, dtype=np.float64)
+        """Vectorised ground-truth reward; ``obs`` is (..., 4) real numbers."""
+        obs = real_float64(obs, "observation")
         return _point_mass_reward(obs[..., 0], obs[..., 1])
 
     def step(self, state: EnvState, action) -> tuple[EnvState, float, bool]:
@@ -167,7 +167,7 @@ class Pendulum:
         return np.array([math.cos(theta), math.sin(theta), theta_dot])
 
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
-        obs = np.asarray(obs, dtype=np.float64)
+        obs = real_float64(obs, "observation")
         return _pendulum_reward(obs[..., 0])
 
     def _energy(self, theta: float, theta_dot: float) -> float:
@@ -258,12 +258,12 @@ def expert_policy(env):
 
     The controllers are written against internal state; this reconstructs it
     from the observation so the expert can be used anywhere a policy fits. An
-    observation of any shape with ``state_dim`` entries is accepted.
+    observation of any shape with ``state_dim`` real numbers is accepted.
     """
     state_dim = env.spec.state_dim
 
     def policy(obs):
-        values = np.asarray(obs, dtype=np.float64).ravel().tolist()
+        values = real_float64(obs, "observation").ravel().tolist()
         if len(values) != state_dim:
             raise ValueError(
                 f"observation has {len(values)} entries, expected state_dim={state_dim}")

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 import mmap
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 
-from ._checks import REAL_KINDS, is_integer, real_float64
+from ._checks import REAL_KINDS, is_integer, is_real, real_float64
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -50,8 +49,7 @@ class Transition:
 
 def _checked_gamma(gamma) -> float:
     """``gamma`` as a Python float, if it is a real number in [0, 1] and no boolean."""
-    if (not isinstance(gamma, numbers.Real) or isinstance(gamma, bool)
-            or not 0.0 <= gamma <= 1.0):  # NaN fails too
+    if not (is_real(gamma) and 0.0 <= gamma <= 1.0):  # NaN fails too
         raise ValueError(f"gamma must be a finite value in [0, 1], got {gamma!r}")
     return float(gamma)
 
@@ -80,12 +78,16 @@ class NStepBatch:
         return len(self.states)
 
     def nstep_rewards(self, step_rewards: np.ndarray, gamma: float) -> np.ndarray:
-        """Fold per-step rewards, one real number per step of the batch, into
-        one sum per window discounted by ``gamma``, a finite value in [0, 1]."""
+        """Fold per-step rewards, one finite real number per step of the batch,
+        into one sum per window discounted by ``gamma``, a finite value in [0, 1]."""
         rewards = real_float64(step_rewards, "step_rewards")
         if rewards.shape != self.step_offset.shape:
             raise ValueError(f"step_rewards has shape {rewards.shape}, the batch has "
                              f"{len(self.step_offset)} steps: expected shape {self.step_offset.shape}")
+        finite = np.isfinite(rewards)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"step_rewards step {i} is {float(rewards[i])}, not a finite number")
         gamma = _checked_gamma(gamma)
         weighted = rewards * gamma**self.step_offset
         return np.bincount(self.window_id, weights=weighted, minlength=len(self))
@@ -125,8 +127,16 @@ class ReplayBuffer:
         return self._size
 
     def push(self, transition: Transition) -> None:
+        """Write ``transition``, whose vectors hold real numbers and whose
+        ``reward_env`` is a finite real number, into the next slot; a value
+        that breaks a rule raises ``ValueError`` before anything is written."""
         t = transition
-        shapes = (np.shape(t.state), np.shape(t.action), np.shape(t.next_state))
+        state, action, next_state = (real_float64(t.state, "push: state"),
+                                     real_float64(t.action, "push: action"),
+                                     real_float64(t.next_state, "push: next_state"))
+        if not (is_real(t.reward_env) and math.isfinite(t.reward_env)):
+            raise ValueError(f"push: reward_env must be a finite real number, got {t.reward_env!r}")
+        shapes = (state.shape, action.shape, next_state.shape)
         if self._shapes is None:
             self._shapes = shapes
             self._state, self._action, self._next_state = (
@@ -138,9 +148,9 @@ class ReplayBuffer:
                 if got != held:
                     raise ValueError(f"push: {name} has shape {got}, the ring holds {held}")
         slot = self._next
-        self._state[slot] = t.state
-        self._action[slot] = t.action
-        self._next_state[slot] = t.next_state
+        self._state[slot] = state
+        self._action[slot] = action
+        self._next_state[slot] = next_state
         self._reward_env[slot] = t.reward_env
         self._episode[slot] = self._episode_now
         if t.done:
@@ -338,7 +348,8 @@ def _real_array(column: list, rank: int) -> np.ndarray | None:
         return None
     if values.ndim != rank or values.dtype.kind not in REAL_KINDS:
         return None
-    # numpy makes a boolean among numbers a number, so the items' types are looked at too
+    # numpy makes a boolean among numbers a number, so the items' types are looked
+    # at too, a scan that only demo files get (see pcil._checks)
     if not numeric and not _BOOLEANS.isdisjoint(
             map(type, chain.from_iterable(column) if rank == 2 else column)):
         return None

@@ -1,4 +1,5 @@
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -539,6 +540,22 @@ class TestAdam:
         params = ad.ParameterSet({"w": np.array([1.0, -2.0, 3.0])})
         state = ad.AdamState.for_params(params, lr=lr)
         return params, state
+
+    @pytest.mark.parametrize("lr", [True, np.True_, np.nan, np.inf, -1.0, 0.0, "1e-3", None,
+                                    np.array(1e-3)])
+    def test_learning_rate_that_is_no_finite_positive_number_rejected(self, lr):
+        # True would step with 1, NaN turn every parameter into NaN, -1.0 ascend
+        match = re.escape(f"lr must be a finite real number above 0, got {lr!r}")
+        with pytest.raises(ValueError, match=match):
+            ad.AdamState(lr=lr)
+        with pytest.raises(ValueError, match=match):
+            self.make(lr=lr)
+
+    @pytest.mark.parametrize("lr", [1e-3, 1, np.float32(0.5), np.float64(1e-4)])
+    def test_learning_rate_of_any_real_type_accepted(self, lr):
+        params, state = self.make(lr=lr)
+        ad.adam_step(params, {"w": np.ones(3)}, state)
+        np.testing.assert_allclose(params["w"], np.array([1.0, -2.0, 3.0]) - float(lr), atol=1e-6)
 
     def test_zero_gradient_leaves_params_unchanged(self):
         params, state = self.make()

@@ -60,11 +60,9 @@ def random_rotation(rng, dim):
     return q
 
 
-def loss_value(expert_emb, agent_emb, temperature):
+def loss_value(expert_emb, agent_emb):
     tape = ad.Tape()
-    return float(
-        contrastive_loss_graph(tape.constant(expert_emb), tape.constant(agent_emb), temperature).data
-    )
+    return float(contrastive_loss_graph(tape.constant(expert_emb), tape.constant(agent_emb)).data)
 
 
 class TestEmbed:
@@ -256,13 +254,13 @@ class TestInfoNCE:
     def test_identical_embeddings_give_ln2(self):
         v = np.array([[1.0, 0.0], [1.0, 0.0]])
         a = np.array([[1.0, 0.0]])
-        assert loss_value(v, a, temperature=0.07) == pytest.approx(np.log(2.0), abs=1e-9)
+        assert loss_value(v, a) == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_aligned_positive_orthogonal_negative(self):
         expert = np.array([[1.0, 0.0], [1.0, 0.0]])
         agent = np.array([[0.0, 1.0]])
-        expected = np.log(1.0 + np.exp(-1.0 / 0.07))
-        assert loss_value(expert, agent, temperature=0.07) == pytest.approx(expected, rel=1e-6)
+        expected = np.log(1.0 + np.exp(-1.0 / 0.07))  # the temperature is 0.07
+        assert loss_value(expert, agent) == pytest.approx(expected, rel=1e-6)
         assert expected == pytest.approx(6.2e-7, rel=0.02)
 
     def test_rotation_invariance(self):
@@ -273,29 +271,29 @@ class TestInfoNCE:
             a = rng.normal(size=(4, 5))
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             q = random_rotation(rng, 5)
-            base = loss_value(e, a, 0.07)
-            rotated = loss_value(e @ q, a @ q, 0.07)
+            base = loss_value(e, a)
+            rotated = loss_value(e @ q, a @ q)
             assert rotated == pytest.approx(base, abs=1e-9)
 
     def test_fewer_than_two_expert_rejected(self):
         with pytest.raises(ValueError, match="expert"):
-            loss_value(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0.07)
+            loss_value(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
 
     def test_at_least_one_agent_required(self):
         with pytest.raises(ValueError, match="agent"):
-            loss_value(np.ones((2, 2)), np.ones((0, 2)), 0.07)
+            loss_value(np.ones((2, 2)), np.ones((0, 2)))
 
     def test_anchor_loss_bounds(self):
         # with similarities in [-1, 1], loss lies in [0, 2/tau + ln(candidates)]
         rng = np.random.default_rng(3)
-        tau = 0.07
+        tau = contrastive.TEMPERATURE
         for _ in range(50):
             ne, na = int(rng.integers(2, 8)), int(rng.integers(1, 8))
             e = rng.normal(size=(ne, 6))
             e /= np.linalg.norm(e, axis=1, keepdims=True)
             a = rng.normal(size=(na, 6))
             a /= np.linalg.norm(a, axis=1, keepdims=True)
-            val = loss_value(e, a, tau)
+            val = loss_value(e, a)
             assert 0.0 <= val <= 2.0 / tau + np.log(ne - 1 + na) + 1e-9
 
 
@@ -645,7 +643,7 @@ def update_gradients(encoder, batch, x_hat, reference, workspace, between=lambda
     stacked = np.concatenate([batch.expert_inputs, batch.agent_inputs, x_hat])
     forward = encoder._forward(tape, tape.constant(stacked), head_nodes, workspace)
     loss = contrastive_loss_graph(ad.row_slice(forward[0], 0, n_e),
-                                  ad.row_slice(forward[0], n_e, n_e + n_a), encoder.temperature)
+                                  ad.row_slice(forward[0], n_e, n_e + n_a))
     penalty = penalty_graph(forward, reference, n_e + n_a, workspace)
     between()
     tape.backward(ad.add(loss, ad.mul(penalty, 10.0)))
@@ -660,7 +658,7 @@ def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
     head_nodes = encoder.head.watch(tape)
     emb_e = encoder._forward(tape, tape.constant(batch.expert_inputs), head_nodes)[0]
     emb_a = encoder._forward(tape, tape.constant(batch.agent_inputs), head_nodes)[0]
-    loss = contrastive_loss_graph(emb_e, emb_a, encoder.temperature)
+    loss = contrastive_loss_graph(emb_e, emb_a)
     penalty = penalty_graph(encoder._forward(tape, tape.constant(x_hat), head_nodes), reference)
     tape.backward(ad.add(loss, ad.mul(penalty, gp_weight)))
     grads = {name: node.grad for name, node in head_nodes.items()}

@@ -390,6 +390,47 @@ def test_nstep_rewards_of_the_wrong_shape_rejected(shape):
         batch.nstep_rewards(np.ones(shape), gamma=0.9)
 
 
+@pytest.mark.parametrize("reward", [True, np.True_, "0.5", None, np.array(0.5), np.nan, np.inf,
+                                    -np.inf])
+def test_push_rejects_a_reward_that_is_no_finite_real_number(reward):
+    buf = ReplayBuffer(capacity=4, seed=0)
+    fill_episodes(buf, [2])
+    ring = buf._state.copy(), buf._reward_env.copy(), buf._next
+    bad = dataclasses.replace(make_transition(7), reward_env=reward)
+    with pytest.raises(ValueError, match=re.escape(
+            f"push: reward_env must be a finite real number, got {reward!r}")):
+        buf.push(bad)
+    assert len(buf) == 2
+    np.testing.assert_equal((buf._state, buf._reward_env, buf._next), ring)
+
+
+def test_a_rejected_first_push_allocates_no_ring():
+    # strings and booleans parse as float64: '0.1' would be stored as 0.1 and True as 1.0
+    buf = ReplayBuffer(capacity=4, seed=0)
+    with pytest.raises(ValueError, match=re.escape("push: state must hold real numbers")):
+        buf.push(Transition(["0.1", "0.2"], [True], ["0.3", "0.4"], "0.5", False))
+    with pytest.raises(ValueError, match=re.escape("push: action must hold real numbers")):
+        buf.push(Transition([0.1, 0.2], [True], [0.3, 0.4], 0.5, False))
+    with pytest.raises(ValueError, match=re.escape("push: reward_env must be a finite real number")):
+        buf.push(Transition([0.1, 0.2], [1.0], [0.3, 0.4], "0.5", False))
+    assert len(buf) == 0 and buf._shapes is None
+    buf.push(Transition([1, 2], [np.float32(0.5)], [3, 4], np.int64(2), False))  # real numbers
+    batch = buf.sample_nstep(1, n=1, gamma=0.9)
+    assert (batch.states.tolist(), batch.actions.tolist(), batch.step_rewards_env.tolist()) == (
+        [[1.0, 2.0]], [[0.5]], [2.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nstep_rewards_name_the_first_non_finite_step(bad):
+    buf = ReplayBuffer(capacity=16, seed=0)
+    fill_episodes(buf, [16])
+    batch = buf.sample_nstep(4, n=3, gamma=0.9)
+    rewards = np.ones(12)
+    rewards[[5, 9]] = bad
+    with pytest.raises(ValueError, match=re.escape(f"step_rewards step 5 is {bad}, not a finite")):
+        batch.nstep_rewards(rewards, gamma=0.9)
+
+
 @pytest.mark.parametrize("field",["state", "action", "next_state"])
 def test_push_shape_change_rejected(field):
     buf = ReplayBuffer(capacity=8, seed=0)
