@@ -78,7 +78,7 @@ def _encode_tensor(name, value) -> tuple[bytes, np.ndarray]:
         raise CheckpointError(f"tensor name {name!r} is not valid UTF-8") from exc
     try:
         arr = real_float64(value, "it")
-    except (TypeError, ValueError) as exc:  # no real dtype, or rows of different lengths
+    except ValueError as exc:  # no real dtype, a boolean among numbers, or ragged rows
         raise CheckpointError(f"tensor {name!r} is not an array of real numbers: {exc}") from exc
     if any(dim > _U32_MAX for dim in arr.shape):
         raise CheckpointError(

@@ -128,7 +128,8 @@ class Encoder:
     def _checked_inputs(self, inputs) -> np.ndarray:
         """``inputs`` as 2-D float64 rows as wide as the head's input, the one
         conversion of encoder rows. A dtype of no real numbers or another width
-        raises ``ValueError``, and a NaN or Inf entry ``NonFiniteError``.
+        raises ``ValueError``, and a NaN or Inf entry ``NonFiniteError`` naming
+        the first row that holds one.
         """
         features = np.atleast_2d(real_float64(inputs, "encoder inputs"))
         width = next(ad.mlp_layers(self.head))[0].shape[0]
@@ -136,7 +137,8 @@ class Encoder:
             raise ValueError(
                 f"encoder inputs have width {features.shape[-1]}, the encoder takes width {width}")
         if not np.all(np.isfinite(features)):
-            raise ad.NonFiniteError("encoder inputs contain NaN or Inf")
+            row = int(np.argmin(np.isfinite(features).all(axis=1)))
+            raise ad.NonFiniteError(f"encoder inputs row {row} holds NaN or Inf")
         return features
 
     def _check_norms(self, emb: np.ndarray) -> None:
@@ -261,9 +263,14 @@ def al_gap(encoder: Encoder, expert_inputs: np.ndarray, agent_inputs: np.ndarray
 def interpolate_pairs(
     expert_inputs: np.ndarray, agent_inputs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random convex combinations of paired expert/agent inputs."""
-    e = np.atleast_2d(real_float64(expert_inputs, "expert inputs"))
-    a = np.atleast_2d(real_float64(agent_inputs, "agent inputs"))
+    """Random convex combinations of paired expert/agent inputs, rows of
+    one width: inputs of another rank or of two widths raise ``ValueError``
+    naming both shapes."""
+    e = real_float64(expert_inputs, "expert inputs")
+    a = real_float64(agent_inputs, "agent inputs")
+    if e.ndim != 2 or a.ndim != 2 or e.shape[1] != a.shape[1]:
+        raise ValueError(f"expert inputs have shape {e.shape} and agent inputs {a.shape}: "
+                         "both must be rows of one width")
     if len(e) == 0 or len(a) == 0:
         raise ValueError("gradient penalty needs non-empty batches")
     n = min(len(e), len(a))

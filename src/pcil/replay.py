@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 
 import numpy as np
 
-from ._checks import REAL_KINDS, is_integer, is_real, real_float64
+from ._checks import BOOLEANS, is_integer, is_real, real_float64
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -227,7 +226,6 @@ class DemoFormatError(ValueError):
 #: The tensors of a demo file, in the order a ``Transition`` holds its fields,
 #: and the rank of each: a row per transition, or one value per transition
 _RANKS = {"state": 2, "action": 2, "next_state": 2, "reward_env": 1, "done": 1}
-_BOOLEANS = frozenset({bool, np.bool_})
 
 
 def save_demos(path, transitions: list[Transition]) -> None:
@@ -236,10 +234,12 @@ def save_demos(path, transitions: list[Transition]) -> None:
     ``state``, ``action`` and ``next_state`` must each be a flat list (or
     array) of real numbers, as wide in every transition as in the first, and
     ``next_state`` as wide as ``state``; ``reward_env`` a real number,
-    ``done`` a Python or numpy boolean, and every value finite. Nothing is
-    coerced: a string, a boolean among the numbers, a bare number for a list
-    or a nested list raises ``DemoFormatError`` naming the field and the
-    first transition that holds one, before ``path`` is touched.
+    ``done`` a Python or numpy boolean, and every value finite. Vectors and
+    rewards are read by the package's one number rule, ``real_float64``, so
+    nothing is coerced: a value it rejects (a string, a boolean among the
+    numbers, an object array), a bare number for a list or a nested list
+    raises ``DemoFormatError`` naming the field and the first transition that
+    holds one, before ``path`` is touched.
     ``save_checkpoint`` then writes the file atomically, ``done`` as 0.0 or
     1.0.
     """
@@ -252,8 +252,8 @@ def save_demos(path, transitions: list[Transition]) -> None:
         raise DemoFormatError(f"{source}: transition 0: 'next_state' has {widths[1]} values, "
                               f"'state' has {widths[0]}")
     done = list(map(attrgetter("done"), transitions))
-    if not _BOOLEANS.issuperset(map(type, done)):  # a 0/1 tensor cannot tell 'false' from False
-        i = next(i for i, value in enumerate(done) if type(value) not in _BOOLEANS)
+    if not BOOLEANS.issuperset(map(type, done)):  # a 0/1 tensor cannot tell 'false' from False
+        i = next(i for i, value in enumerate(done) if type(value) not in BOOLEANS)
         raise DemoFormatError(f"{source}: transition {i}: 'done' must be True or False, "
                               f"got {_shown(done[i])}")
     tensors["done"] = np.array(done, dtype=np.float64)
@@ -311,10 +311,10 @@ def _column(transitions: list[Transition], field: str, source: str) -> np.ndarra
     naming ``source`` and the first transition that holds one."""
     column = list(map(attrgetter(field), transitions))
     rank = _RANKS[field]
-    values = _real_array(column, rank)
+    values = _real_or_none(column, rank)
     if values is None:  # walk the values, to name the first bad one
         for i, value in enumerate(column):
-            if _real_array([value], rank) is None:
+            if _real_or_none(value, rank - 1) is None:
                 what = "a list of numbers" if rank == 2 else "a number"
                 raise DemoFormatError(f"{source}: transition {i}: {field!r} must be {what}, "
                                       f"got {_shown(value)}")
@@ -331,29 +331,14 @@ def _column(transitions: list[Transition], field: str, source: str) -> np.ndarra
     return values
 
 
-def _real_array(column: list, rank: int) -> np.ndarray | None:
-    """``column`` stacked into a float64 array of rank ``rank``; None if it is
-    not an array of real numbers of that rank. A string, a ``None``, a
-    boolean, a row of another length or depth each make it None."""
-    # numeric numpy arrays stack as they are and hold no boolean; anything else
-    # is read as lists, which show what an array holds: a boolean array's items
-    # are booleans, and an object array of numbers stacks as numbers
-    numeric = (set(map(type, column)) == {np.ndarray}
-               and {dtype.kind for dtype in set(map(attrgetter("dtype"), column))} <= REAL_KINDS)
-    if not numeric:
-        column = [value.tolist() if isinstance(value, np.ndarray) else value for value in column]
+def _real_or_none(value, rank: int) -> np.ndarray | None:
+    """``real_float64(value)`` if it has rank ``rank``; None if it has another
+    rank or ``real_float64`` rejects it."""
     try:
-        values = np.array(column)
-    except ValueError:  # rows of different lengths or depths
+        values = real_float64(value, "a demo value")
+    except ValueError:
         return None
-    if values.ndim != rank or values.dtype.kind not in REAL_KINDS:
-        return None
-    # numpy makes a boolean among numbers a number, so the items' types are looked
-    # at too, a scan that only demo files get (see pcil._checks)
-    if not numeric and not _BOOLEANS.isdisjoint(
-            map(type, chain.from_iterable(column) if rank == 2 else column)):
-        return None
-    return values.astype(np.float64, copy=False)
+    return values if values.ndim == rank else None
 
 
 def _shown(value) -> str:

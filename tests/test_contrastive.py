@@ -22,6 +22,7 @@ from pcil.contrastive import (
     stacked_forward,
     update_loss_graph,
 )
+from pcil.replay import ReplayBuffer, Transition
 from gradcheck import check_gradients
 
 
@@ -82,6 +83,22 @@ class TestEmbed:
         enc = small_encoder()
         with pytest.raises(ad.NonFiniteError):
             enc.embed(np.array([[np.nan, 0.0, 0.0]]))
+
+    def test_a_pushed_nan_is_named_by_its_sampled_row(self):
+        # push takes a NaN vector unchecked; relabelling the sampled rows names
+        # the first row that holds it
+        buf = ReplayBuffer(capacity=16, seed=0)
+        for i in range(16):
+            next_state = [np.nan, 0.4, 0.0] if i == 7 else [0.1 * i, 0.4, 0.0]
+            buf.push(Transition(np.zeros(3), np.zeros(1), np.array(next_state), 0.0, False))
+        batch = buf.sample_nstep(32, n=3, gamma=0.9)
+        bad = np.flatnonzero(np.isnan(batch.step_next_states).any(axis=1))
+        assert len(bad)  # the seed samples the NaN slot
+        enc = small_encoder()
+        ref = make_expert_reference(enc, np.ones((2, 3)))
+        with pytest.raises(ad.NonFiniteError,
+                           match=f"^encoder inputs row {bad[0]} holds NaN or Inf$"):
+            similarity_reward(enc, batch.step_next_states, ref)
 
     def test_input_gradient_matches_finite_differences(self):
         enc = small_encoder(seed=3)
@@ -415,6 +432,16 @@ class TestGradientPenalty:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="non-empty"):
             penalty_value(enc, np.zeros((0, 3)), np.ones((2, 3)), np.ones(4) / 2.0, rng)
+
+    @pytest.mark.parametrize("expert_shape,agent_shape", [
+        ((2, 3), (2, 4)), ((2, 3), (3,)), ((3,), (2, 3)), ((2, 3), (2, 3, 1))])
+    def test_inputs_not_rows_of_one_width_rejected(self, expert_shape, agent_shape):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(
+                f"expert inputs have shape {expert_shape} and agent inputs {agent_shape}")):
+            interpolate_pairs(np.ones(expert_shape), np.ones(agent_shape), rng)
+        assert rng.bit_generator.state == state
 
 
 def separable_batch(rng, n=24):

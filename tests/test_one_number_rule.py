@@ -1,11 +1,13 @@
 """One rule for a caller's numbers, at every public entry point that takes them.
 
 ``pcil._checks.real_float64`` is the rule's one home. A string array, a
-boolean array or an object array handed to a public function is rejected
+boolean array, an object array, a Python list with a boolean among its
+numbers or a ragged Python list handed to a public function is rejected
 with a ``ValueError`` (or a typed subclass) that names the argument, and the
 call changes nothing: no value is parsed from a string, no boolean is read
-as 1.0, no ``None`` becomes NaN. An AST guard keeps the coercing idiom, a
-float64 ``np.asarray``, out of the library.
+as 1.0, no ``None`` becomes NaN. AST guards keep the coercing idiom, a
+float64 ``np.asarray``, out of the library, and the dtype kinds the rule
+takes for real numbers in ``_checks`` alone.
 """
 
 import ast
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 from pcil import autodiff as ad
+from pcil._checks import real_float64
 from pcil.checkpoint import save_checkpoint
 from pcil.contrastive import (
     ContrastiveBatch,
@@ -41,10 +44,26 @@ def _object_array(shape):
     return values
 
 
+def _boolean_in_a_list(shape):
+    """Numbers in nested Python lists, the last one ``True``: numpy stacks it as 1.0."""
+    values = np.full(shape, 0.5, dtype=object)
+    values.flat[-1] = True
+    return values.tolist()
+
+
+def _ragged_list(shape):
+    """Numbers in nested Python lists, and after them a row one number longer
+    than the last axis: numpy stacks it to no array."""
+    values = np.full(shape, 0.5)
+    return [*values.tolist(), [0.5] * (values.shape[-1] + 1)]
+
+
 BAD = {
     "str": lambda shape: np.full(shape, "0.5"),
     "bool": lambda shape: np.ones(shape, dtype=bool),
     "object": _object_array,
+    "bool_in_a_list": _boolean_in_a_list,
+    "ragged_list": _ragged_list,
 }
 
 
@@ -262,8 +281,52 @@ def test_entry_point_rejects_values_that_are_not_real_numbers(entry, kind, tmp_p
     np.testing.assert_equal(state(), before)
 
 
+@pytest.mark.parametrize("call", [
+    lambda tmp_path: validate_distribution([True, 0.0]),
+    lambda tmp_path: save_checkpoint(tmp_path / "ckpt.bin", {"w": [0.5, True]}),
+], ids=["validate_distribution", "save_checkpoint"])
+def test_a_boolean_in_a_list_is_rejected_where_its_value_would_pass(call, tmp_path):
+    # read as 1.0 the boolean would make a valid distribution and a finite tensor
+    with pytest.raises(ValueError, match="must hold real numbers, not a boolean"):
+        call(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Row(list):
+    """A list subclass, which numpy stacks as it stacks a list."""
+
+
+def _listed(one):
+    """``one`` held each way a level of a list or tuple can hold a value that
+    numpy stacks with numbers: a boolean makes each case a float64 array
+    holding 1.0 for it, as a number does."""
+    return {
+        "flat": [0.5, one],
+        "tuple": (0.5, one),
+        "in_a_row": [[0.5, 1.0], [0.5, one]],
+        "array_among_rows": [[0.5, 1.0], np.array([one, one])],
+        "row_among_arrays": [np.array([0.5, 1.0]), [0.5, one]],
+        "array_among_arrays": [np.array([0.5, 1.0]), np.array([one, one])],
+        "zero_d_array_among_numbers": [np.array(one), 0.5],
+        "in_a_list_subclass": [_Row([0.5, 1.0]), _Row([0.5, one])],
+    }
+
+
+@pytest.mark.parametrize("case", _listed(1.0))
+def test_a_boolean_is_found_at_any_level_of_a_list(case):
+    for boolean in (True, np.True_):
+        with pytest.raises(ValueError, match="^x must hold real numbers, not a boolean among them$"):
+            real_float64(_listed(boolean)[case], "x")
+    for number in (1.0, 1, np.float32(1.0), np.uint8(1)):
+        value = _listed(number)[case]
+        got = real_float64(value, "x")
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.asarray(value, dtype=np.float64))
+
+
 # ---------------------------------------------------------------------------
-# the guard: no library module coerces with a float64 np.asarray
+# the guards: no library module coerces with a float64 np.asarray, and only
+# _checks names the dtype kinds of real numbers
 # ---------------------------------------------------------------------------
 
 #: ``dtype`` values that make ``np.asarray`` parse strings, booleans and None
@@ -323,3 +386,33 @@ def convert(x):
         "5: np.asarray(x, dtype=np.float64)", "6: np.asarray(x, dtype=float)",
         "7: numpy.asarray(x, np.float64)", "8: asarray(x, dtype='float64')",
         "11: np.asarray(np.asarray(x), dtype=np.double)"]
+
+
+def names_of(source: str, name: str) -> list[int]:
+    """The lines of ``source`` that name ``name``: as a variable, an attribute
+    or an import."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.ImportFrom) and name in {a.name for a in node.names}):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_checks.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_checks_names_the_real_kinds(path):
+    # a second reader of REAL_KINDS is a second copy of the number rule
+    assert names_of(path.read_text(), "REAL_KINDS") == []
+
+
+def test_kinds_guard_finds_every_planted_name():
+    source = '''
+from ._checks import REAL_KINDS, real_float64
+from pcil import _checks
+def kinds(x, REAL="iuf"):
+    ok = x.dtype.kind in REAL_KINDS
+    return ok or x.dtype.kind in _checks.REAL_KINDS, "REAL_KINDS", real_float64(x, "x")
+'''
+    assert names_of(source, "REAL_KINDS") == [2, 5, 6]

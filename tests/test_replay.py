@@ -742,8 +742,13 @@ COLUMN_CASES = [
                  [[1.5, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.25]], id="tuples"),
     pytest.param("action", [[], [], []], [[], [], []], id="empty_vectors"),
     pytest.param("state", [np.array([1, 2, 3], np.int32), np.array([0.5, 1.0, 2.0], np.float32),
-                           np.array([1.0, 2.0, 3.0], object)],
+                           np.array([1.0, 2.0, 3.0])],
                  [[1.0, 2.0, 3.0], [0.5, 1.0, 2.0], [1.0, 2.0, 3.0]], id="arrays_of_three_dtypes"),
+    # an object array of numbers is rejected here as at every other entry point
+    pytest.param("state", [np.array([1, 2, 3], np.int32), np.array([0.5, 1.0, 2.0], np.float32),
+                           np.array([1.0, 2.0, 3.0], object)],
+                 (2, "'state' must be a list of numbers, got array([1.0, 2.0, 3.0], dtype=object)"),
+                 id="object_array_among_numeric_arrays"),
     pytest.param("action", [np.array([0.5]), np.array([True]), np.array([0.25])],
                  (1, "'action' must be a list of numbers, got array([ True])"),
                  id="boolean_array_among_float_arrays"),
@@ -820,9 +825,14 @@ class TestDemoRules:
     def test_a_whole_set_failure_no_row_shows_names_the_file(self, tmp_path, monkeypatch):
         # a column check stricter than its values' checks still raises, naming the field
         demos = [make_transition(i) for i in range(3)]
-        real_array = replay._real_array
-        monkeypatch.setattr(replay, "_real_array",
-                            lambda column, rank: real_array(column, rank) if len(column) == 1 else None)
+        real_float64 = replay.real_float64
+
+        def rejecting_columns(value, what):
+            if isinstance(value, list):  # a whole column; each transition's value is an array
+                raise ValueError("a stricter check of whole columns")
+            return real_float64(value, what)
+
+        monkeypatch.setattr(replay, "real_float64", rejecting_columns)
         path = tmp_path / "absent.bin"
         with pytest.raises(DemoFormatError) as info:
             save_demos(path, demos)
