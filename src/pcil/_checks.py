@@ -5,9 +5,10 @@ names it: nothing is parsed from a string, and a boolean is not taken for a
 number. ``real_float64`` is the one place a caller's array becomes float64,
 and the one code that decides whether a caller's list is an array of real
 numbers; each public entry point applies it once, and nothing re-converts
-its result. The list rule: numpy must stack the list or tuple to an array of
-a real dtype, and the list must hold no boolean at any depth, which numpy
-would stack as 1.0 among numbers.
+its result. The sequence rule: numpy must stack a list, a tuple or any other
+sequence it stacks item by item (a deque, a sequence class of the caller's)
+to an array of a real dtype, and the sequence must hold no boolean at any
+depth, which numpy would stack as 1.0 among numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def real_float64(x, what: str) -> np.ndarray:
     An array of any dtype kind outside ``REAL_KINDS`` raises ``ValueError``
     naming ``what`` and the dtype: float64 would take ``"0.5"``, ``True`` and
     ``None`` as numbers. So do rows of different lengths or depths, and a
-    list or tuple that holds a boolean or a boolean array at any depth, which
+    sequence that holds a boolean or a boolean array at any depth, which
     numpy stacks as 1.0 among numbers where no dtype shows it.
     """
     # a float64 array, the per-step case of env actions, returns after a type and
@@ -55,36 +56,37 @@ def real_float64(x, what: str) -> np.ndarray:
         if array.dtype.kind not in REAL_KINDS:
             raise ValueError(f"{what} must hold real numbers, not dtype {array.dtype}")
         array = array.astype(np.float64, copy=False)
-    if isinstance(x, (list, tuple)) and _holds_a_boolean(x):
+    if array.ndim and not isinstance(x, np.ndarray) and _holds_a_boolean(x):
         raise ValueError(f"{what} must hold real numbers, not a boolean among them")
     return array
 
 
 def _holds_a_boolean(values) -> bool:
-    """Whether ``values``, a list or tuple numpy stacks to a real dtype, holds a
-    boolean or a boolean array in it or in the lists and tuples it nests.
+    """Whether ``values``, a sequence numpy stacks to a real dtype, holds a
+    boolean or a boolean array in it or in the sequences it nests.
 
-    It walks one nesting level at a time. A level of numbers, of lists and
-    tuples, or of arrays is told by the set of its types (and of its arrays'
-    dtypes), not by a check of each item in Python: on a column of 3200 demo
-    rows the sets take 0.28 ms and the check per item 0.76 ms, nearly what
-    stacking the column takes (0.89 ms, 2-vCPU Xeon). Only a level that mixes
-    these, or holds subclasses of them, is walked item by item.
+    A list or tuple is walked one nesting level at a time. A level of numbers,
+    of lists and tuples, or of arrays is told by the set of its types (and of
+    its arrays' dtypes), not by a check of each item in Python: on a column of
+    3200 demo rows the sets take 0.28 ms and the check per item 0.76 ms,
+    nearly what stacking the column takes (0.89 ms, 2-vCPU Xeon). Any other
+    level, and any other sequence, is stacked again as objects: numpy then
+    walks it as it did for the number array, and keeps each value's own type.
     """
     level = values
-    while True:
+    while type(level) in _ROWS:
         types = set(map(type, level))
         if types <= _NUMBERS:  # the last level as a rule, and the empty one
             return False
-        if types <= _ROWS:
-            level = list(chain.from_iterable(level))
-        elif types == _ARRAYS:
+        if types == _ARRAYS:
             return _BOOL in set(map(attrgetter("dtype"), level))
-        elif not BOOLEANS.isdisjoint(types) or any(
-                isinstance(item, np.ndarray) and item.dtype == _BOOL for item in level):
-            return True
-        else:
-            level = [part for item in level if isinstance(item, (list, tuple)) for part in item]
+        if not types <= _ROWS:
+            break
+        level = list(chain.from_iterable(level))
+    # an object array holds the values of numbers, and of the arrays it was
+    # stacked from, as Python or numpy scalars; a 0-d array it keeps whole
+    return any(type(value) in BOOLEANS or isinstance(value, np.ndarray) and value.dtype == _BOOL
+               for value in np.array(level, dtype=object).flat)
 
 
 def is_integer(value) -> bool:

@@ -573,16 +573,17 @@ ADAM_EPS = 1e-8
 class AdamState:
     """Adam moments and counters for one ParameterSet.
 
-    The learning rate is the one setting; the decay rates and the padding are
-    the module constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. An
+    The learning rate is the one setting, and the only argument; the counters
+    and moments start empty, and the decay rates and the padding are the
+    module constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. An
     ``lr`` that is no finite real number above 0 raises ``ValueError``.
     """
 
     lr: float = 1e-4
-    step_count: int = 0
-    skipped: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    skipped: int = field(default=0, init=False)
+    first_moment: dict = field(default_factory=dict, init=False)
+    second_moment: dict = field(default_factory=dict, init=False)
     #: the two arrays ``adam_step`` computes its update in (see ``workspace_buffer``)
     workspace: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

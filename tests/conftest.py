@@ -1,15 +1,13 @@
-"""Hypothesis profiles for the test suite.
+"""Hypothesis settings for the whole test suite.
 
-``HYPOTHESIS_PROFILE=ci`` derandomises every property test and keeps no
-example database, so each run of the suite draws the same examples:
-
-    HYPOTHESIS_PROFILE=ci python -m pytest -q
+Every run loads the ``fixed`` profile: each property test draws the same
+examples, derandomised from the test itself, and no example database is
+kept, so what a run checks depends on the code alone. (Hypothesis still
+caches the constants it reads from the source in ``.hypothesis/``, which
+``.gitignore`` lists.)
 """
-
-import os
 
 from hypothesis import settings
 
-settings.register_profile("ci", derandomize=True, database=None)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")

@@ -551,6 +551,12 @@ class TestAdam:
         with pytest.raises(ValueError, match=match):
             self.make(lr=lr)
 
+    @pytest.mark.parametrize("counter", ["step_count", "skipped", "first_moment", "second_moment"])
+    def test_learning_rate_is_the_only_argument(self, counter):
+        # counters or moments set by hand would put the bias correction off
+        with pytest.raises(TypeError, match=counter):
+            ad.AdamState(lr=1e-3, **{counter: 5})
+
     @pytest.mark.parametrize("lr", [1e-3, 1, np.float32(0.5), np.float64(1e-4)])
     def test_learning_rate_of_any_real_type_accepted(self, lr):
         params, state = self.make(lr=lr)

@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from pcil.divergence import (
     inner_objective,
     sandwich_check,
     tv_distance,
-    validate_distribution,
 )
 
 # every public function, called with (p, q); the kernels behind them check
@@ -27,15 +25,6 @@ ENTRY_POINTS = {
     "constructive_witness": constructive_witness,
     "sandwich_check": sandwich_check,
 }
-
-# dtypes np.asarray(..., dtype=float64) would coerce or choke on
-NOT_REAL = [
-    pytest.param(["0.5", "0.5"], id="str"),
-    pytest.param([True, False], id="bool"),
-    pytest.param(np.array([0.5, 0.5], dtype=object), id="object"),
-    pytest.param([0.5 + 0.0j, 0.5], id="complex"),
-    pytest.param([None, 1.0], id="None"),
-]
 
 # d_cont_estimate of seeded Dirichlet pairs on the benchmark's large supports,
 # recorded with the solver's earlier walk over all 2n edges
@@ -219,15 +208,6 @@ class TestTvDistance:
             with pytest.raises(ValueError, match=match):
                 ENTRY_POINTS[entry](p, q)
 
-    @pytest.mark.parametrize("bad", NOT_REAL)
-    def test_non_real_distribution_rejected(self, bad):
-        match = re.escape(f"dtype {np.asarray(bad).dtype}")
-        with pytest.raises(ValueError, match=match):
-            validate_distribution(bad)
-        for p, q in ((bad, [0.5, 0.5]), ([0.5, 0.5], bad)):
-            with pytest.raises(ValueError, match=match):
-                tv_distance(p, q)
-
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
     def test_range_and_symmetry(self, n, seed):
@@ -259,11 +239,6 @@ class TestInnerObjective:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"g has shape \(1,\)"):
             inner_objective([0.5], [0.5, 0.5], [0.5, 0.5])
-
-    @pytest.mark.parametrize("bad", NOT_REAL)
-    def test_non_real_g_rejected(self, bad):
-        with pytest.raises(ValueError, match=re.escape(f"dtype {np.asarray(bad).dtype}")):
-            inner_objective(bad, [0.5, 0.5], [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["g", "p", "q"])

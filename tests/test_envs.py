@@ -118,29 +118,6 @@ def test_step_rejects_a_nan_action(name):
         env.step(env.reset(0), action)
 
 
-@pytest.mark.parametrize("name, action", [
-    pytest.param("pendulum", "0.5", id="str"),
-    pytest.param("pendulum", "abc", id="word"),
-    pytest.param("pendulum", True, id="bool"),
-    pytest.param("pendulum", None, id="None"),
-    pytest.param("point_mass", ["0.5", "0.5"], id="str_list"),
-    pytest.param("point_mass", [True, False], id="bool_list"),
-    pytest.param("point_mass", [None, 0.5], id="None_in_list"),
-    pytest.param("point_mass", np.array([0.5, 0.5], dtype=object), id="object"),
-    pytest.param("point_mass", [0.5 + 0.0j, 0.5], id="complex"),
-])
-def test_step_rejects_an_action_of_no_real_dtype(name, action):
-    env = make_env(name)
-    match = re.escape(f"action must hold real numbers, not dtype {np.asarray(action).dtype}")
-    with pytest.raises(ValueError, match=match):
-        env.step(env.reset(0), action)
-
-
-def test_run_episode_rejects_a_policy_action_of_no_real_dtype():
-    with pytest.raises(ValueError, match="action must hold real numbers"):
-        run_episode(make_env("pendulum"), lambda obs: "0.5", seed=0)
-
-
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
 @pytest.mark.parametrize("seed", [True, 1.5, -1, "7", None])
 def test_reset_rejects_a_seed_that_is_no_non_negative_integer(name, seed):

@@ -1,18 +1,18 @@
 """One rule for a caller's numbers, at every public entry point that takes them.
 
 ``pcil._checks.real_float64`` is the rule's one home. A string array, a
-boolean array, an object array, a Python list with a boolean among its
-numbers or a ragged Python list handed to a public function is rejected
-with a ``ValueError`` (or a typed subclass) that names the argument, and the
-call changes nothing: no value is parsed from a string, no boolean is read
-as 1.0, no ``None`` becomes NaN. AST guards keep the coercing idiom, a
-float64 ``np.asarray``, out of the library, and the dtype kinds the rule
-takes for real numbers in ``_checks`` alone.
+boolean array, an object array, a complex array, a sequence with a boolean
+among its numbers or a ragged Python list handed to a public function is
+rejected with a ``ValueError`` (or a typed subclass) that names the argument,
+and the call changes nothing: no value is parsed from a string, no boolean
+is read as 1.0, no ``None`` becomes NaN. This is the one place the suite
+checks the rule at each entry point; ``test_design_guards`` keeps the
+coercing idiom, a float64 ``np.asarray``, out of the library, and the dtype
+kinds the rule takes for real numbers in ``_checks`` alone.
 """
 
-import ast
 import re
-from pathlib import Path
+from collections import deque
 
 import numpy as np
 import pytest
@@ -29,12 +29,9 @@ from pcil.contrastive import (
     make_expert_reference,
     similarity_reward,
 )
-from pcil.divergence import validate_distribution
-from pcil.envs import expert_policy, make_env
+from pcil.divergence import inner_objective, validate_distribution
+from pcil.envs import expert_policy, make_env, run_episode
 from pcil.replay import ReplayBuffer, Transition, save_demos
-
-ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "pcil").glob("*.py"))
 
 
 def _object_array(shape):
@@ -45,8 +42,11 @@ def _object_array(shape):
 
 
 def _boolean_in_a_list(shape):
-    """Numbers in nested Python lists, the last one ``True``: numpy stacks it as 1.0."""
+    """Numbers in nested Python lists, the last one ``True``: numpy stacks it as
+    1.0. The last axis holds one number more, so that ``True`` is among numbers
+    where an entry point takes one number too."""
     values = np.full(shape, 0.5, dtype=object)
+    values = np.concatenate([values, values[..., :1]], axis=-1)
     values.flat[-1] = True
     return values.tolist()
 
@@ -58,12 +58,15 @@ def _ragged_list(shape):
     return [*values.tolist(), [0.5] * (values.shape[-1] + 1)]
 
 
+#: Each kind of value that is no array of real numbers, as a maker of one of a
+#: given shape, and what the rule's error says of it after "must hold real numbers"
 BAD = {
-    "str": lambda shape: np.full(shape, "0.5"),
-    "bool": lambda shape: np.ones(shape, dtype=bool),
-    "object": _object_array,
-    "bool_in_a_list": _boolean_in_a_list,
-    "ragged_list": _ragged_list,
+    "str": (lambda shape: np.full(shape, "0.5"), ", not dtype <U3"),
+    "bool": (lambda shape: np.ones(shape, dtype=bool), ", not dtype bool"),
+    "object": (_object_array, ", not dtype object"),
+    "complex": (lambda shape: np.full(shape, 0.5 + 0.0j), ", not dtype complex128"),
+    "bool_in_a_list": (_boolean_in_a_list, ", not a boolean among them"),
+    "ragged_list": (_ragged_list, " in rows of one shape"),
 }
 
 
@@ -92,9 +95,10 @@ def _ring(buf):
             buf._next_state.copy(), buf._reward_env.copy(), _rng_state(buf._rng))
 
 
-# Each case makes its objects, then returns the failing call (taking the bad
-# value), the pattern its error must match, which names the argument, and a
-# snapshot of the state the call must leave as it was.
+# Each case makes its objects, then returns the failing call (taking the maker
+# of the bad value), the start of its error, which names the argument, and a
+# snapshot of the state the call must leave as it was. The error goes on with
+# the rule's own words, except where ``SHOWS_THE_VALUE`` says otherwise.
 
 
 def _step(env_name):
@@ -104,6 +108,12 @@ def _step(env_name):
         return (lambda bad: env.step(state, bad(env.spec.action_dim)),
                 "action must hold real numbers", lambda: (state.vector.copy(), state.step_index))
     return case
+
+
+def _run_episode(tmp_path):
+    env = make_env("pendulum")
+    return (lambda bad: run_episode(env, lambda obs: bad(env.spec.action_dim), seed=0),
+            "action must hold real numbers", lambda: None)
 
 
 def _expert_policy(env_name):
@@ -226,7 +236,7 @@ def _save_checkpoint(tmp_path):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, {"a": np.arange(3.0)})
     return (lambda bad: save_checkpoint(path, {"a": np.ones(2), "w": bad(3)}),
-            "tensor 'w' is not an array of real numbers",
+            "tensor 'w' is not an array of real numbers: it must hold real numbers",
             lambda: (path.read_bytes(), sorted(p.name for p in tmp_path.iterdir())))
 
 
@@ -242,9 +252,19 @@ def _validate_distribution(tmp_path):
             "a distribution must hold real numbers", lambda: None)
 
 
+def _inner_objective(tmp_path):
+    return (lambda bad: inner_objective(bad(2), [0.5, 0.5], [0.5, 0.5]),
+            "g must hold real numbers", lambda: None)
+
+
+#: The entry points whose error shows the bad value in place of the rule's
+#: words: a demo set names the first transition that breaks a rule, whichever rule
+SHOWS_THE_VALUE = {"save_demos"}
+
 ENTRY_POINTS = {
     "step[point_mass]": _step("point_mass"),
     "step[pendulum]": _step("pendulum"),
+    "run_episode": _run_episode,
     "expert_policy[point_mass]": _expert_policy("point_mass"),
     "expert_policy[pendulum]": _expert_policy("pendulum"),
     "reward_from_observation[point_mass]": _reward_from_observation("point_mass"),
@@ -268,16 +288,19 @@ ENTRY_POINTS = {
     "save_checkpoint": _save_checkpoint,
     "save_demos": _save_demos,
     "validate_distribution": _validate_distribution,
+    "inner_objective[g]": _inner_objective,
 }
 
 
 @pytest.mark.parametrize("kind", BAD)
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_entry_point_rejects_values_that_are_not_real_numbers(entry, kind, tmp_path):
-    call, pattern, state = ENTRY_POINTS[entry](tmp_path)
+    call, start, state = ENTRY_POINTS[entry](tmp_path)
+    make, words = BAD[kind]
     before = state()
-    with pytest.raises(ValueError, match=re.escape(pattern)):
-        call(BAD[kind])
+    with pytest.raises(ValueError, match=re.escape(
+            start if entry in SHOWS_THE_VALUE else start + words)):
+        call(make)
     np.testing.assert_equal(state(), before)
 
 
@@ -296,10 +319,23 @@ class _Row(list):
     """A list subclass, which numpy stacks as it stacks a list."""
 
 
+class _Sequence:
+    """A sequence that is no list, which numpy stacks item by item."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+
 def _listed(one):
-    """``one`` held each way a level of a list or tuple can hold a value that
-    numpy stacks with numbers: a boolean makes each case a float64 array
-    holding 1.0 for it, as a number does."""
+    """``one`` held each way a level of a sequence can hold a value that numpy
+    stacks with numbers: a boolean makes each case a float64 array holding
+    1.0 for it, as a number does."""
     return {
         "flat": [0.5, one],
         "tuple": (0.5, one),
@@ -309,6 +345,9 @@ def _listed(one):
         "array_among_arrays": [np.array([0.5, 1.0]), np.array([one, one])],
         "zero_d_array_among_numbers": [np.array(one), 0.5],
         "in_a_list_subclass": [_Row([0.5, 1.0]), _Row([0.5, one])],
+        "deque": deque([0.5, one]),
+        "in_a_deque": [deque([0.5, one])],
+        "in_a_sequence_of_its_own": [_Sequence([0.5, 1.0]), _Sequence([0.5, one])],
     }
 
 
@@ -324,95 +363,9 @@ def test_a_boolean_is_found_at_any_level_of_a_list(case):
         np.testing.assert_array_equal(got, np.asarray(value, dtype=np.float64))
 
 
-# ---------------------------------------------------------------------------
-# the guards: no library module coerces with a float64 np.asarray, and only
-# _checks names the dtype kinds of real numbers
-# ---------------------------------------------------------------------------
-
-#: ``dtype`` values that make ``np.asarray`` parse strings, booleans and None
-#: into float64. An explicit byte order (``"<f8"``) is left alone: the
-#: checkpoint writer uses it to lay out an array the rule has already checked.
-FLOAT64_NAMES = {"float", "float64", "double", "float_", "f8", "d"}
-
-
-def _is_float64(node) -> bool:
-    if isinstance(node, ast.Name):  # float
-        return node.id in FLOAT64_NAMES
-    if isinstance(node, ast.Attribute):  # np.float64
-        return (node.attr in FLOAT64_NAMES and isinstance(node.value, ast.Name)
-                and node.value.id in {"np", "numpy"})
-    return isinstance(node, ast.Constant) and node.value in FLOAT64_NAMES  # "float64"
-
-
-def _is_asarray(func) -> bool:
-    if isinstance(func, ast.Name):  # from numpy import asarray
-        return func.id == "asarray"
-    return (isinstance(func, ast.Attribute) and func.attr == "asarray"
-            and isinstance(func.value, ast.Name) and func.value.id in {"np", "numpy"})
-
-
-def coercing_calls(source: str) -> list[str]:
-    """The calls of ``np.asarray`` with a float64 ``dtype``, by keyword or as the
-    second argument, in ``source``, as ``line: call``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and _is_asarray(node.func)):
-            continue
-        dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
-        if any(map(_is_float64, dtypes)):
-            found.append((node.lineno, ast.unparse(node)))
-    return [f"{line}: {call}" for line, call in sorted(found)]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
-def test_no_coercing_float64_asarray(path):
-    assert coercing_calls(path.read_text()) == []
-
-
-def test_guard_finds_every_planted_coercion():
-    source = '''
-import numpy as np
-from numpy import asarray
-def convert(x):
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(x, dtype=float)
-    c = numpy.asarray(x, np.float64)
-    d = asarray(x, dtype="float64")
-    e = np.asarray(x), np.asarray(x, dtype=np.int64), np.asarray(x, dtype="<f8")
-    f = real_float64(x, "x"), np.array(x, dtype=float), other.asarray(x, dtype=float)
-    return np.asarray(np.asarray(x), dtype=np.double)
-'''
-    assert coercing_calls(source) == [
-        "5: np.asarray(x, dtype=np.float64)", "6: np.asarray(x, dtype=float)",
-        "7: numpy.asarray(x, np.float64)", "8: asarray(x, dtype='float64')",
-        "11: np.asarray(np.asarray(x), dtype=np.double)"]
-
-
-def names_of(source: str, name: str) -> list[int]:
-    """The lines of ``source`` that name ``name``: as a variable, an attribute
-    or an import."""
-    lines = set()
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.ImportFrom) and name in {a.name for a in node.names}):
-            lines.add(node.lineno)
-    return sorted(lines)
-
-
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "_checks.py"],
-                         ids=lambda p: str(p.relative_to(ROOT)))
-def test_only_checks_names_the_real_kinds(path):
-    # a second reader of REAL_KINDS is a second copy of the number rule
-    assert names_of(path.read_text(), "REAL_KINDS") == []
-
-
-def test_kinds_guard_finds_every_planted_name():
-    source = '''
-from ._checks import REAL_KINDS, real_float64
-from pcil import _checks
-def kinds(x, REAL="iuf"):
-    ok = x.dtype.kind in REAL_KINDS
-    return ok or x.dtype.kind in _checks.REAL_KINDS, "REAL_KINDS", real_float64(x, "x")
-'''
-    assert names_of(source, "REAL_KINDS") == [2, 5, 6]
+@pytest.mark.parametrize("array", [
+    np.ones((2, 3)), np.asfortranarray(np.ones((2, 3))), np.ones((4, 6))[::2, 1::3], np.array(0.5),
+], ids=["c_order", "fortran_order", "strided_view", "zero_d"])
+def test_a_float64_array_comes_back_as_it_is(array):
+    # the per-step case of every workload: no copy, no conversion
+    assert real_float64(array, "x") is array
