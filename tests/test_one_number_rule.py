@@ -1,8 +1,8 @@
 """One rule for a caller's numbers, at every public entry point that takes them.
 
 ``pcil._checks.real_float64`` is the rule's one home. A string array, a
-boolean array, an object array, a complex array, a sequence with a boolean
-among its numbers or a ragged Python list handed to a public function is
+boolean array, an object array, a complex array, a list or a deque with a
+boolean among its numbers or a ragged Python list handed to a public function is
 rejected with a ``ValueError`` (or a typed subclass) that names the argument,
 and the call changes nothing: no value is parsed from a string, no boolean
 is read as 1.0, no ``None`` becomes NaN. This is the one place the suite
@@ -51,6 +51,14 @@ def _boolean_in_a_list(shape):
     return values.tolist()
 
 
+def _boolean_in_a_deque(shape):
+    """``_boolean_in_a_list``'s numbers with a deque at every level: numpy
+    stacks a deque as it stacks a list, the ``True`` as 1.0 among them."""
+    def deques(level):
+        return deque(map(deques, level)) if isinstance(level, list) else level
+    return deques(_boolean_in_a_list(shape))
+
+
 def _ragged_list(shape):
     """Numbers in nested Python lists, and after them a row one number longer
     than the last axis: numpy stacks it to no array."""
@@ -66,6 +74,7 @@ BAD = {
     "object": (_object_array, ", not dtype object"),
     "complex": (lambda shape: np.full(shape, 0.5 + 0.0j), ", not dtype complex128"),
     "bool_in_a_list": (_boolean_in_a_list, ", not a boolean among them"),
+    "bool_in_a_deque": (_boolean_in_a_deque, ", not a boolean among them"),
     "ragged_list": (_ragged_list, " in rows of one shape"),
 }
 
