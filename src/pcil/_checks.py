@@ -8,12 +8,16 @@ numbers; each public entry point applies it once, and nothing re-converts
 its result. The sequence rule: numpy must stack a list, a tuple or any other
 sequence it stacks item by item (a deque, a sequence class of the caller's)
 to an array of a real dtype, and the sequence must hold no boolean at any
-depth, which numpy would stack as 1.0 among numbers.
+depth, which numpy would stack as 1.0 among numbers. A value numpy reads
+through the buffer or array protocol (an ``array.array``, a memoryview, an
+object with ``__array__``) brings a dtype of its own, which shows a boolean,
+so its values are not walked.
 """
 
 from __future__ import annotations
 
 import numbers
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 
@@ -31,6 +35,8 @@ _NUMBERS = frozenset([int, float, *(np.dtype(code).type for code in
                                     np.typecodes["AllInteger"] + np.typecodes["Float"])])
 _ROWS = frozenset({list, tuple})
 _ARRAYS = frozenset({np.ndarray})
+#: The attributes by which numpy reads an array-like whole, not item by item
+_ARRAY_PROTOCOL = ("__array__", "__array_interface__", "__array_struct__")
 
 
 def real_float64(x, what: str) -> np.ndarray:
@@ -56,9 +62,23 @@ def real_float64(x, what: str) -> np.ndarray:
         if array.dtype.kind not in REAL_KINDS:
             raise ValueError(f"{what} must hold real numbers, not dtype {array.dtype}")
         array = array.astype(np.float64, copy=False)
-    if array.ndim and not isinstance(x, np.ndarray) and _holds_a_boolean(x):
+    if array.ndim and _stacked_item_by_item(x) and _holds_a_boolean(x):
         raise ValueError(f"{what} must hold real numbers, not a boolean among them")
     return array
+
+
+def _stacked_item_by_item(x) -> bool:
+    """Whether numpy stacked ``x`` from its items, as it does a sequence, and
+    not through the buffer or array protocol."""
+    if type(x) in _ROWS:
+        return True
+    if any(map(partial(hasattr, x), _ARRAY_PROTOCOL)):  # an ndarray among them
+        return False
+    try:
+        memoryview(x).release()
+    except TypeError:
+        return True
+    return False
 
 
 def _holds_a_boolean(values) -> bool:

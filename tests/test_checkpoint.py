@@ -162,11 +162,13 @@ def test_non_utf8_name_reports_offset(tmp_path):
 def test_non_finite_payload_names_tensor(tmp_path, bad):
     # the writer refuses NaN/Inf, so the bad value is patched into the file
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, {"good": np.zeros(2), "actor/layer0.w": np.array([[1.0, 2.0]])})
+    save_checkpoint(path, {"good": np.zeros(2),
+                           "actor/layer0.w": np.array([[1.0, 2.0], [3.0, 4.0]])})
     blob = path.read_bytes()
-    path.write_bytes(blob[:-8] + np.array([bad], "<f8").tobytes())
+    first = len(blob) - 24  # entry (0, 1); entry (1, 1), the last, is bad too
+    path.write_bytes(blob[:first] + np.array([bad, 3.0, bad], "<f8").tobytes())
     with pytest.raises(CheckpointError, match=rf"'actor/layer0\.w' holds NaN or Inf at byte "
-                                              rf"{len(blob) - 8}$"):
+                                              rf"{first}$"):
         load_checkpoint(path)
 
 

@@ -1,10 +1,11 @@
 """Design rules the library keeps, each checked by a scan of its syntax tree.
 
 Each rule has a scanner that lists the places in a source that break it, as
-``line: what``. ``GUARDS`` holds one row a rule: its reason, the modules it
-scans, and a planted source with the findings expected in it. Adding a guard
-is adding a row. A library module a row does not scan is the rule's home, and
-its scan must find what the rule keeps to it there.
+``line: what``. ``GUARDS`` holds one row a rule: its name, the modules it
+scans, and a planted source with the findings expected in it; its reason is
+given below, under its name. Adding a guard is adding a row. A library
+module a row does not scan is the rule's home, and its scan must find what
+the rule keeps to it there.
 
 The rules, and why each is kept:
 
@@ -201,11 +202,10 @@ def names_of(source: str, name: str) -> list[int]:
 
 @dataclass(frozen=True)
 class Guard:
-    """A rule: its name, why it is kept, the modules it scans, its scanner, and
-    a planted source with the findings the scanner must return for it."""
+    """A rule: its name, the modules it scans, its scanner, and a planted
+    source with the findings the scanner must return for it."""
 
     rule: str
-    reason: str
     modules: list[Path]
     scan: Callable[[str], list]
     planted: str
@@ -213,8 +213,7 @@ class Guard:
 
 
 GUARDS = [
-    Guard("no_kwargs", "a ** parameter passes settings through unseen", _library(),
-          kwargs_parameters, '''
+    Guard("no_kwargs", _library(), kwargs_parameters, '''
 def make(name, **physics):
     return build(name, **physics)
 class Env:
@@ -225,16 +224,14 @@ class Env:
 def plain(a, *args, b=2):
     return call(**{"a": a})
 ''', ["2: make(**physics)", "5: __init__(**kw)", "6: <lambda>(**opts)", "7: g(**rest)"]),
-    Guard("layer_names", "only autodiff.py builds an MLP's parameter names",
-          _library(but="autodiff.py"), layer_name_strings, '''
+    Guard("layer_names", _library(but="autodiff.py"), layer_name_strings, '''
 """Docstrings may name ``layer{i}.w``."""
 def f(p, i):
     """And so may ``layer0.b``."""
     return (p[f"layer{i}.w"], p["layer%d.b" % i], p["layer{}.w".format(i)],
             p["layer" + str(i)], p["layer0.w"], "layers", "hidden layer width")
 ''', ["5: 'layer'", "5: 'layer%d.b'", "5: 'layer{}.w'", "6: 'layer'", "6: 'layer0.w'"]),
-    Guard("one_format", "the checkpoint container is the one file format", _library(),
-          second_formats, '''
+    Guard("one_format", _library(), second_formats, '''
 import pickle
 import numpy as np, shelve as db
 from marshal import dumps
@@ -245,8 +242,7 @@ def write(path, arr):
     return numpy.fromfile(path), np.load(path), np.zeros(3), checkpoint.load(path)
 ''', ["2: import pickle", "3: import shelve", "4: from marshal import",
       "5: from numpy import savez", "7: .save", "8: .tofile", "9: .fromfile", "9: .load"]),
-    Guard("dependencies", "the library needs the standard library and numpy alone", _library(),
-          foreign_imports, '''
+    Guard("dependencies", _library(), foreign_imports, '''
 from __future__ import annotations
 import os.path, scipy
 import numpy as np
@@ -258,11 +254,10 @@ def plot():
     import scipy.stats as stats
     from numpy.linalg import norm
 ''', ["3: import scipy", "5: from matplotlib import", "10: import scipy.stats"]),
-    Guard("unused_imports", "every imported name is used", [*LIBRARY, *TESTS], unused_imports,
+    Guard("unused_imports", [*LIBRARY, *TESTS], unused_imports,
           "import os\nfrom typing import Mapping, Sequence\nx: Mapping\n",
           ["os (line 1)", "Sequence (line 2)"]),
-    Guard("no_coercing_asarray", "a float64 np.asarray parses strings, booleans and None",
-          _library(), coercing_calls, '''
+    Guard("no_coercing_asarray", _library(), coercing_calls, '''
 import numpy as np
 from numpy import asarray
 def convert(x):
@@ -276,8 +271,8 @@ def convert(x):
 ''', ["5: np.asarray(x, dtype=np.float64)", "6: np.asarray(x, dtype=float)",
       "7: numpy.asarray(x, np.float64)", "8: asarray(x, dtype='float64')",
       "11: np.asarray(np.asarray(x), dtype=np.double)"]),
-    Guard("real_kinds_in_checks", "a second reader of REAL_KINDS is a second number rule",
-          _library(but="_checks.py"), partial(names_of, name="REAL_KINDS"), '''
+    Guard("real_kinds_in_checks", _library(but="_checks.py"),
+          partial(names_of, name="REAL_KINDS"), '''
 from ._checks import REAL_KINDS, real_float64
 from pcil import _checks
 def kinds(x, REAL="iuf"):
@@ -292,7 +287,7 @@ def kinds(x, REAL="iuf"):
     for guard in GUARDS for path in guard.modules
 ])
 def test_module_keeps_the_rule(guard, path):
-    assert guard.scan(path.read_text()) == [], guard.reason
+    assert guard.scan(path.read_text()) == [], guard.rule
 
 
 @pytest.mark.parametrize("guard", GUARDS, ids=lambda guard: guard.rule)

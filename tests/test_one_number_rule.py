@@ -11,12 +11,14 @@ coercing idiom, a float64 ``np.asarray``, out of the library, and the dtype
 kinds the rule takes for real numbers in ``_checks`` alone.
 """
 
+import array
 import re
 from collections import deque
 
 import numpy as np
 import pytest
 
+from pcil import _checks
 from pcil import autodiff as ad
 from pcil._checks import real_float64
 from pcil.checkpoint import save_checkpoint
@@ -378,3 +380,13 @@ def test_a_boolean_is_found_at_any_level_of_a_list(case):
 def test_a_float64_array_comes_back_as_it_is(array):
     # the per-step case of every workload: no copy, no conversion
     assert real_float64(array, "x") is array
+
+
+@pytest.mark.parametrize("value", [
+    array.array("d", [0.5, 1.0]), memoryview(np.array([0.5, 1.0])),
+    np.array([0.5, 1.0], np.float32), np.array([[0.5, 1.0]]).view(np.matrix),
+], ids=["array_module", "memoryview", "float32_array", "array_subclass"])
+def test_an_array_numpy_reads_whole_is_not_walked(value, monkeypatch):
+    # its dtype shows a boolean: a walk of its values would only cost time
+    monkeypatch.setattr(_checks, "_holds_a_boolean", lambda values: pytest.fail("walked"))
+    np.testing.assert_array_equal(real_float64(value, "x").ravel(), [0.5, 1.0])

@@ -388,8 +388,10 @@ def test_push_rejects_a_reward_that_is_no_finite_real_number(reward):
 
 
 def test_a_rejected_first_push_allocates_no_ring():
-    # the reward is checked last of the values, after every vector is read
+    # every value is checked before the ring is made: the vectors, then the reward
     buf = ReplayBuffer(capacity=4, seed=0)
+    with pytest.raises(ValueError, match=re.escape("push: next_state must hold real numbers")):
+        buf.push(Transition([0.1, 0.2], [1.0], [0.3, True], 0.5, False))
     with pytest.raises(ValueError, match=re.escape("push: reward_env must be a finite real number")):
         buf.push(Transition([0.1, 0.2], [1.0], [0.3, 0.4], "0.5", False))
     assert len(buf) == 0 and buf._shapes is None
@@ -763,14 +765,27 @@ def edited_file(edit):
     return write
 
 
+def row_1_byte(name):
+    """The byte where the payload of ``DEMO_TENSORS[name]`` holds row 1's first
+    entry, in the file ``save_checkpoint`` writes for ``DEMO_TENSORS``."""
+    at = 12  # magic, version, tensor count
+    for key, value in DEMO_TENSORS.items():
+        at += 4 + len(key) + 4 + 4 * value.ndim  # name length, name, rank, dims
+        if key == name:
+            return at + 8 * value[0].size
+        at += 8 * value.size
+
+
 def non_finite_file(name, value):
-    """A writer of ``DEMO_TENSORS`` with the last entry of tensor ``name`` made
-    ``value`` by an edit of the file's bytes: ``save_checkpoint`` refuses NaN and Inf."""
+    """A writer of ``DEMO_TENSORS`` with row 1's first entry of tensor ``name``
+    made ``value`` by an edit of the file's bytes: ``save_checkpoint`` refuses
+    NaN and Inf."""
     marked = DEMO_TENSORS[name].copy()
-    marked.flat[-1] = 0.125  # a value whose bytes no other part of the file holds
+    marked.flat[marked[0].size] = 0.125  # a value whose bytes no other part of the file holds
     def write(path):
         tensor_file(**{name: marked})(path)
         blob = path.read_bytes()
+        assert blob.find(np.float64(0.125).tobytes()) == row_1_byte(name)
         assert blob.count(np.float64(0.125).tobytes()) == 1
         path.write_bytes(blob.replace(np.float64(0.125).tobytes(), np.float64(value).tobytes()))
     return write
@@ -813,7 +828,8 @@ LOAD_CASES = [
     pytest.param(edited_file(lambda blob: blob + b"\n"), CheckpointError,
                  r"trailing garbage after byte \d+", id="trailing_bytes"),
     *(pytest.param(non_finite_file(name, value), CheckpointError,
-                   rf"tensor '{name}' holds NaN or Inf at byte \d+", id=f"{value}_in_{name}")
+                   rf"tensor '{name}' holds NaN or Inf at byte {row_1_byte(name)}",
+                   id=f"{value}_in_{name}")
       for name, value in [("state", np.nan), ("action", np.inf), ("next_state", -np.inf),
                           ("reward_env", np.inf), ("done", np.nan)]),
 ]
