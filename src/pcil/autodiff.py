@@ -567,6 +567,9 @@ def mlp_infer(params, x: np.ndarray, workspace: dict) -> np.ndarray:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+#: The largest gradient entry, in magnitude, whose square (in the second
+#: moment) is finite: any entry above it overflows, as a NaN or Inf entry is no number
+_ADAM_GRAD_MAX = math.sqrt(np.finfo(np.float64).max)
 
 
 @dataclass
@@ -605,9 +608,10 @@ def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: Adam
 
     A parameter without a gradient takes a zero one. A gradient whose name
     is no parameter's, or whose shape is not its parameter's, raises
-    ``ValueError`` naming it before anything changes. A non-finite gradient
-    anywhere skips the whole update (moments and parameters untouched) and
-    bumps ``state.skipped``.
+    ``ValueError`` naming it before anything changes. A gradient with an
+    entry that is not finite, or whose square overflows (above
+    ``_ADAM_GRAD_MAX``, about 1.34e154), skips the whole update (step count,
+    moments and parameters untouched) and bumps ``state.skipped``.
     """
     for name, g in grads.items():
         if name not in params:
@@ -617,9 +621,12 @@ def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: Adam
                              f"the parameter {params[name].shape}")
     for name in params:
         g = grads.get(name)
-        if g is not None and not np.all(np.isfinite(g)):
+        # a NaN fails the comparisons as an Inf does; min and max allocate no array
+        if g is not None and not (-_ADAM_GRAD_MAX <= np.min(g, initial=0.0)
+                                  <= np.max(g, initial=0.0) <= _ADAM_GRAD_MAX):
             state.skipped += 1
-            _log.warning("adam_step: non-finite gradient for %r, update skipped", name)
+            _log.warning("adam_step: gradient for %r is not finite or its square overflows, "
+                         "update skipped", name)
             return
     state.step_count += 1
     t = state.step_count

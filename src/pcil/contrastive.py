@@ -260,30 +260,13 @@ def al_gap(encoder: Encoder, expert_inputs: np.ndarray, agent_inputs: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def interpolate_pairs(
-    expert_inputs: np.ndarray, agent_inputs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Random convex combinations of paired expert/agent inputs, rows of
-    one width: inputs of another rank or of two widths raise ``ValueError``
-    naming both shapes."""
-    e = real_float64(expert_inputs, "expert inputs")
-    a = real_float64(agent_inputs, "agent inputs")
-    if e.ndim != 2 or a.ndim != 2 or e.shape[1] != a.shape[1]:
-        raise ValueError(f"expert inputs have shape {e.shape} and agent inputs {a.shape}: "
-                         "both must be rows of one width")
-    if len(e) == 0 or len(a) == 0:
-        raise ValueError("gradient penalty needs non-empty batches")
-    n = min(len(e), len(a))
-    u = rng.uniform(0.0, 1.0, size=(n, 1))
-    return u * e[:n] + (1.0 - u) * a[:n]
-
-
-def input_gradient_graph(forward, reference: np.ndarray, start: int = 0,
-                         workspace=None) -> ad.Tensor:
+def _input_gradient_graph(forward, reference: np.ndarray, start: int,
+                          workspace) -> ad.Tensor:
     """Rows of d<embed(x), reference>/dx for the rows ``start:`` of a forward.
 
     ``forward`` is the ``(emb, out, layers)`` triple of ``Encoder._forward``;
-    its rows from ``start`` on are the probe points. Seeds the chain with the
+    its rows from ``start`` on are the probe points, and ``reference`` is a
+    float64 vector as wide as the embeddings. Seeds the chain with the
     closed-form VJP of the sphere projection (same cutoff rule as
     ``sphere_normalize``), then walks the layers backwards with their ReLU
     masks held constant: ``g = (g * mask) @ W.T``, each mask ``hidden > 0``
@@ -296,13 +279,12 @@ def input_gradient_graph(forward, reference: np.ndarray, start: int = 0,
     tape = emb.tape
     emb = ad.row_slice(emb, start, emb.shape[0])
     out = ad.row_slice(out, start, out.shape[0])
-    ref = real_float64(reference, "reference")
     norm_np, denom_np = ad.norm_and_denominator(out.data)
     norm = ad.reshape(ad.sqrt(ad.tsum(ad.mul(out, out), axis=1)), norm_np.shape)
     denom = ad.add(norm, denom_np - norm_np)
     # VJP of out / denom: ref / denom - emb <emb, ref> / norm
-    radial = ad.mul(emb, ad.matmul(emb, tape.constant(ref[:, None])))
-    g = ad.sub(ad.div(ref[None, :], denom), ad.div(radial, norm))
+    radial = ad.mul(emb, ad.matmul(emb, tape.constant(reference[:, None])))
+    g = ad.sub(ad.div(reference[None, :], denom), ad.div(radial, norm))
     for i in reversed(range(len(layers))):
         w, hidden = layers[i]
         if hidden is not None:
@@ -316,8 +298,8 @@ def input_gradient_graph(forward, reference: np.ndarray, start: int = 0,
 
 def penalty_graph(forward, reference: np.ndarray, start: int = 0, workspace=None) -> ad.Tensor:
     """Gradient penalty ``mean((|grad_x r| - 1)^2)`` over the rows ``start:`` of
-    a forward, as a tape graph; ``workspace`` as in ``input_gradient_graph``."""
-    g = input_gradient_graph(forward, reference, start, workspace)
+    a forward, as a tape graph; ``workspace`` as in ``_input_gradient_graph``."""
+    g = _input_gradient_graph(forward, reference, start, workspace)
     dev = ad.sub(ad.sqrt(ad.tsum(ad.mul(g, g), axis=1)), 1.0)
     return ad.tmean(ad.mul(dev, dev))
 
@@ -327,14 +309,16 @@ def penalty_graph(forward, reference: np.ndarray, start: int = 0, workspace=None
 # ---------------------------------------------------------------------------
 
 
-def stacked_forward(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, x_hat):
-    """One tape forward over the rows of ``expert``, ``agent`` and ``x_hat``
-    stacked in that order.
+def _update_graph(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, x_hat):
+    """The update's objective on ``tape``: InfoNCE, the penalty and
+    ``InfoNCE + GP_WEIGHT * penalty``.
 
-    Returns the forward triple of ``Encoder._forward`` and the expert and
-    agent rows of its embedding. Its layer outputs live in the encoder's
-    ``_workspace``, so the graph is valid until the encoder's next stacked
-    forward.
+    One tape forward runs over the rows of ``expert``, ``agent`` and
+    ``x_hat`` stacked in that order, its layer outputs and penalty chain in
+    the encoder's ``_workspace``, so the graph is valid until the encoder's
+    next update. InfoNCE reads the expert and agent rows. The penalty reads
+    the ``x_hat`` rows against the renormalised mean of the expert
+    embeddings, held constant.
     """
     n_expert, n_agent = len(expert), len(agent)
     stacked = tape.constant(np.concatenate([expert, agent, x_hat]))
@@ -342,15 +326,9 @@ def stacked_forward(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, 
     emb = forward[0]
     emb_e = ad.row_slice(emb, 0, n_expert)
     emb_a = ad.row_slice(emb, n_expert, n_expert + n_agent)
-    return forward, emb_e, emb_a
-
-
-def update_loss_graph(encoder: Encoder, forward, emb_e, emb_a, reference):
-    """InfoNCE on ``emb_e``/``emb_a``, the penalty on the forward's remaining
-    (``x_hat``) rows against ``reference``, and ``InfoNCE + GP_WEIGHT * penalty``."""
+    reference = _mean_direction(emb_e.data)
     loss = contrastive_loss_graph(emb_e, emb_a)
-    penalty = penalty_graph(forward, reference, emb_e.shape[0] + emb_a.shape[0],
-                            encoder._workspace)
+    penalty = penalty_graph(forward, reference, n_expert + n_agent, encoder._workspace)
     return loss, penalty, ad.add(loss, ad.mul(penalty, GP_WEIGHT))
 
 
@@ -362,25 +340,26 @@ def encoder_update(
 ) -> tuple[float, float]:
     """One Adam step on ``InfoNCE + GP_WEIGHT * gradient penalty``.
 
-    Returns (representation loss, penalty value). The expert rows, the agent
-    rows and their interpolations ``x_hat`` go through one stacked tape
-    forward; InfoNCE reads its expert and agent rows and the penalty its
-    ``x_hat`` rows. The forward and the penalty chain reuse the encoder's
-    ``_workspace`` arrays. The penalty probes the similarity
-    reward against the mean-mode reference, the renormalised mean of the
-    forward's expert embeddings (what ``make_expert_reference`` computes),
-    held constant for the step. Both batches are checked as ``embed`` checks
-    its inputs.
+    Returns (representation loss, penalty value). Both batches are checked
+    as ``embed`` checks its inputs, and an empty one raises ``ValueError``,
+    before anything changes. The penalty probes the similarity reward at
+    random convex combinations ``x_hat`` of paired expert and agent rows,
+    against the mean-mode reference (what ``make_expert_reference``
+    computes) of the update's own expert embeddings. The expert rows, the
+    agent rows and ``x_hat`` go through one stacked tape forward on the
+    encoder's ``_workspace`` arrays (``_update_graph``).
     """
     expert = encoder._checked_inputs(batch.expert_inputs)
     agent = encoder._checked_inputs(batch.agent_inputs)
-    x_hat = interpolate_pairs(expert, agent, rng)
+    if not len(expert) or not len(agent):
+        raise ValueError("gradient penalty needs non-empty batches")
+    n = min(len(expert), len(agent))
+    u = rng.uniform(0.0, 1.0, size=(n, 1))
+    x_hat = u * expert[:n] + (1.0 - u) * agent[:n]
 
     tape = ad.Tape()
     head_nodes = encoder.head.watch(tape)
-    forward, emb_e, emb_a = stacked_forward(tape, encoder, head_nodes, expert, agent, x_hat)
-    reference = _mean_direction(emb_e.data)
-    loss, penalty, total = update_loss_graph(encoder, forward, emb_e, emb_a, reference)
+    loss, penalty, total = _update_graph(tape, encoder, head_nodes, expert, agent, x_hat)
     tape.backward(total)
     grads = {name: node.grad for name, node in head_nodes.items()}
     ad.adam_step(encoder.head, grads, adam_state)

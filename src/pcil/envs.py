@@ -102,9 +102,13 @@ class PointMass:
         return state.vector.copy()
 
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
-        """Vectorised ground-truth reward; ``obs`` is (..., 4) real numbers."""
+        """Vectorised ground-truth reward; ``obs`` is (..., 4) real numbers.
+
+        A position whose square overflows gives 0.0, as in ``step``.
+        """
         obs = real_float64(obs, "observation")
-        return _point_mass_reward(obs[..., 0], obs[..., 1])
+        with np.errstate(over="ignore"):  # x * x is +inf and exp(-inf) is 0.0
+            return _point_mass_reward(obs[..., 0], obs[..., 1])
 
     def step(self, state: EnvState, action) -> tuple[EnvState, float, bool]:
         if state.step_index >= self.spec.episode_length:
@@ -258,7 +262,9 @@ def expert_policy(env):
 
     The controllers are written against internal state; this reconstructs it
     from the observation so the expert can be used anywhere a policy fits. An
-    observation of any shape with ``state_dim`` real numbers is accepted.
+    observation of any shape with ``state_dim`` real numbers is accepted. One
+    with a NaN or Inf entry, or one too large for the controller's arithmetic
+    (a pendulum speed whose square overflows), raises ``ValueError`` naming it.
     """
     state_dim = env.spec.state_dim
 
@@ -267,9 +273,15 @@ def expert_policy(env):
         if len(values) != state_dim:
             raise ValueError(
                 f"observation has {len(values)} entries, expected state_dim={state_dim}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"observation {values} has a NaN or Inf entry")
         if env.spec.name == "point_mass":
             return env._expert(*values)
         cos_theta, sin_theta, theta_dot = values
-        return env._expert(math.atan2(sin_theta, cos_theta), theta_dot)
+        try:
+            return env._expert(math.atan2(sin_theta, cos_theta), theta_dot)
+        except OverflowError as exc:
+            raise ValueError(f"observation {values} is too large for the expert: the square of "
+                             "its speed overflows") from exc
 
     return policy

@@ -238,8 +238,9 @@ def save_demos(path, transitions: list[Transition]) -> None:
     rewards are read by the package's one number rule, ``real_float64``, so
     nothing is coerced: a value it rejects (a string, a boolean among the
     numbers, an object array), a bare number for a list or a nested list
-    raises ``DemoFormatError`` naming the field and the first transition that
-    holds one, before ``path`` is touched.
+    raises ``DemoFormatError`` naming the field, the first transition that
+    holds one and the rule it breaks (in ``real_float64``'s words, or the
+    rank found), before ``path`` is touched.
     ``save_checkpoint`` then writes the file atomically, ``done`` as 0.0 or
     1.0.
     """
@@ -255,7 +256,7 @@ def save_demos(path, transitions: list[Transition]) -> None:
     if not BOOLEANS.issuperset(map(type, done)):  # a 0/1 tensor cannot tell 'false' from False
         i = next(i for i, value in enumerate(done) if type(value) not in BOOLEANS)
         raise DemoFormatError(f"{source}: transition {i}: 'done' must be True or False, "
-                              f"got {_shown(done[i])}")
+                              f"not a value of type {type(done[i]).__name__}")
     tensors["done"] = np.array(done, dtype=np.float64)
     save_checkpoint(path, tensors)
 
@@ -308,20 +309,28 @@ def load_demos(path) -> list[Transition]:
 def _column(transitions: list[Transition], field: str, source: str) -> np.ndarray:
     """``field`` of every transition as a float64 array of its rank in a demo
     file. A value that breaks ``save_demos``' rules raises ``DemoFormatError``
-    naming ``source`` and the first transition that holds one."""
+    naming ``source``, the first transition that holds one and the rule."""
     column = list(map(attrgetter(field), transitions))
     rank = _RANKS[field]
-    values = _real_or_none(column, rank)
-    if values is None:  # walk the values, to name the first bad one
+    try:
+        values = real_float64(column, field)
+    except ValueError:
+        values = None
+    if values is None or values.ndim != rank:  # walk the values, to name the first bad one
         for i, value in enumerate(column):
-            if _real_or_none(value, rank - 1) is None:
-                what = "a list of numbers" if rank == 2 else "a number"
-                raise DemoFormatError(f"{source}: transition {i}: {field!r} must be {what}, "
-                                      f"got {_shown(value)}")
-            if rank == 2 and len(value) != len(column[0]):  # value is a flat list of numbers
-                raise DemoFormatError(f"{source}: transition {i}: {field!r} has {len(value)} "
-                                      f"values, the first transition's has {len(column[0])}: "
-                                      "widths differ")
+            where = f"{source}: transition {i}: {field!r}"
+            try:
+                row = real_float64(value, where)
+            except ValueError as exc:
+                raise DemoFormatError(str(exc)) from exc
+            if row.ndim != rank - 1:
+                what = "a flat list of numbers" if rank == 2 else "a number"
+                raise DemoFormatError(f"{where} must be {what}, not a value of rank {row.ndim}")
+            if i == 0:
+                first = row
+            elif rank == 2 and len(row) != len(first):
+                raise DemoFormatError(f"{where} has {len(row)} values, the first transition's "
+                                      f"has {len(first)}: widths differ")
         raise DemoFormatError(f"{source}: {field!r} fails a whole-set check that no transition "
                               "fails alone")
     finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
@@ -329,24 +338,6 @@ def _column(transitions: list[Transition], field: str, source: str) -> np.ndarra
         raise DemoFormatError(f"{source}: transition {int(np.argmin(finite))}: {field!r} "
                               "holds NaN or Inf")
     return values
-
-
-def _real_or_none(value, rank: int) -> np.ndarray | None:
-    """``real_float64(value)`` if it has rank ``rank``; None if it has another
-    rank or ``real_float64`` rejects it."""
-    try:
-        values = real_float64(value, "a demo value")
-    except ValueError:
-        return None
-    return values if values.ndim == rank else None
-
-
-def _shown(value) -> str:
-    """``repr(value)``, or a note if ``value`` is nested too deep for repr."""
-    try:
-        return repr(value)
-    except RecursionError:
-        return "a value nested deeper than the recursion limit"
 
 
 def demo_arrays(transitions: list[Transition]):

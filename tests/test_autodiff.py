@@ -603,6 +603,30 @@ class TestAdam:
         assert state.skipped == 1
         assert state.step_count == 0
 
+    @pytest.mark.parametrize("warnings_are_errors", [False, True], ids=["plain", "W_error"])
+    @pytest.mark.parametrize("big", [1e200, -1e200, np.nextafter(ad._ADAM_GRAD_MAX, np.inf)],
+                             ids=["1e200", "-1e200", "next_above_the_max"])
+    def test_gradient_whose_square_overflows_skips_update(self, big, warnings_are_errors):
+        # its second moment would be +inf, and that entry would never move again
+        params, state = self.make()
+        ad.adam_step(params, {"w": np.array([0.5, -0.1, 2.0])}, state)
+        kept = (params["w"].copy(), state.first_moment["w"].copy(), state.second_moment["w"].copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error" if warnings_are_errors else "default")
+            ad.adam_step(params, {"w": np.array([big, 1.0, 0.0])}, state)
+        np.testing.assert_equal((params["w"], state.first_moment["w"], state.second_moment["w"]),
+                                kept)
+        assert (state.step_count, state.skipped) == (1, 1)
+
+    def test_largest_gradient_whose_square_is_finite_steps(self):
+        params, state = self.make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ad.adam_step(params, {"w": np.array([ad._ADAM_GRAD_MAX, -ad._ADAM_GRAD_MAX, 1.0])},
+                         state)
+        assert np.all(np.isfinite(state.second_moment["w"]))
+        assert (state.step_count, state.skipped) == (1, 0)
+
     def test_steps_match_the_textbook_update(self):
         # the in-place update against the formula written out, bit for bit
         rng = np.random.default_rng(12)

@@ -14,13 +14,9 @@ from pcil.contrastive import (
     al_gap,
     contrastive_loss_graph,
     encoder_update,
-    input_gradient_graph,
-    interpolate_pairs,
     make_expert_reference,
     penalty_graph,
     similarity_reward,
-    stacked_forward,
-    update_loss_graph,
 )
 from pcil.replay import ReplayBuffer, Transition
 from gradcheck import check_gradients
@@ -49,9 +45,17 @@ def reward_input_gradients(encoder, x_hat, reference):
     return x.grad
 
 
+def interpolated(expert, agent, rng):
+    """The ``x_hat`` rows ``encoder_update`` draws from ``rng``: random convex
+    combinations of paired expert and agent rows."""
+    n = min(len(expert), len(agent))
+    u = rng.uniform(0.0, 1.0, size=(n, 1))
+    return u * expert[:n] + (1.0 - u) * agent[:n]
+
+
 def penalty_value(encoder, expert, agent, reference, rng):
     """The gradient penalty on freshly interpolated inputs, value only."""
-    x_hat = interpolate_pairs(expert, agent, rng)
+    x_hat = interpolated(expert, agent, rng)
     tape = ad.Tape()
     return float(penalty_graph(encoder._forward(tape, tape.constant(x_hat)), reference).data)
 
@@ -362,7 +366,7 @@ class TestGradientPenalty:
         for seed in range(5):
             enc = small_encoder(seed=seed)
             expert, agent, ref = self.probe(enc, 100 + seed)
-            x_hat = interpolate_pairs(expert, agent, np.random.default_rng(seed))
+            x_hat = interpolated(expert, agent, np.random.default_rng(seed))
             oracle = reward_input_gradients(enc, x_hat, ref)
             assert np.max(np.linalg.norm(oracle, axis=1)) > 1e-3  # not a degenerate probe
             expected = float(np.mean((np.linalg.norm(oracle, axis=1) - 1.0) ** 2))
@@ -370,7 +374,7 @@ class TestGradientPenalty:
             for start, pre in ((0, np.zeros((0, 3))), (len(expert), expert)):
                 tape = ad.Tape()
                 forward = enc._forward(tape, tape.constant(np.concatenate([pre, x_hat])))
-                rows = input_gradient_graph(forward, ref, start).data
+                rows = contrastive._input_gradient_graph(forward, ref, start, None).data
                 np.testing.assert_allclose(rows, oracle, rtol=0.0, atol=1e-12)
                 value = float(penalty_graph(forward, ref, start).data)
                 assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
@@ -379,7 +383,7 @@ class TestGradientPenalty:
         enc = small_encoder(seed=16)
         expert, agent, ref = self.probe(enc, 17)
         val = penalty_value(enc, expert, agent, ref, np.random.default_rng(5))
-        x_hat = interpolate_pairs(expert, agent, np.random.default_rng(5))
+        x_hat = interpolated(expert, agent, np.random.default_rng(5))
         norms = np.linalg.norm(reward_input_gradients(enc, x_hat, ref), axis=1)
         assert val == pytest.approx(np.mean((norms - 1.0) ** 2), rel=0.0, abs=1e-12)
 
@@ -390,22 +394,6 @@ class TestGradientPenalty:
         last_w[...] = 0.0
         expert, agent, ref = self.probe(enc, 2, n=4)
         assert penalty_value(enc, expert, agent, ref, np.random.default_rng(3)) == 1.0
-
-    def test_empty_batch_rejected(self):
-        enc = small_encoder()
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="non-empty"):
-            penalty_value(enc, np.zeros((0, 3)), np.ones((2, 3)), np.ones(4) / 2.0, rng)
-
-    @pytest.mark.parametrize("expert_shape,agent_shape", [
-        ((2, 3), (2, 4)), ((2, 3), (3,)), ((3,), (2, 3)), ((2, 3), (2, 3, 1))])
-    def test_inputs_not_rows_of_one_width_rejected(self, expert_shape, agent_shape):
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=re.escape(
-                f"expert inputs have shape {expert_shape} and agent inputs {agent_shape}")):
-            interpolate_pairs(np.ones(expert_shape), np.ones(agent_shape), rng)
-        assert rng.bit_generator.state == state
 
 
 def separable_batch(rng, n=24):
@@ -439,34 +427,44 @@ class TestEncoderUpdate:
         assert enc.norm_violations == 0
 
     @pytest.mark.parametrize("wrong", ["expert", "agent"])
-    def test_update_rejects_a_batch_of_the_wrong_width(self, wrong):
+    @pytest.mark.parametrize("shape,message", [
+        ((8, 4), "width 4, the encoder takes width 3"),
+        ((8, 3, 1), "width 1, the encoder takes width 3"),
+        ((0, 3), "gradient penalty needs non-empty batches"),
+    ], ids=["wrong_width", "rank_3", "empty"])
+    def test_update_rejects_a_batch_it_cannot_use_and_changes_nothing(self, wrong, shape, message):
+        # an empty batch too, before its empty mean reaches the reference
         enc = small_encoder(seed=25)
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
         rng = np.random.default_rng(26)
         rows = {"expert": np.ones((8, 3)), "agent": np.zeros((8, 3))}
-        rows[wrong] = np.ones((8, 4))
-        before = {name: enc.head[name].copy() for name in enc.head}
-        with pytest.raises(ValueError, match="width 4, the encoder takes width 3"):
-            encoder_update(enc, ContrastiveBatch(rows["expert"], rows["agent"]), state, rng)
-        assert state.step_count == 0
-        for name in enc.head:
-            np.testing.assert_array_equal(enc.head[name], before[name])
+        rows[wrong] = np.ones(shape)
+        before = ({name: enc.head[name].copy() for name in enc.head},
+                  {name: m.copy() for name, m in state.first_moment.items()},
+                  rng.bit_generator.state, dict(enc._workspace))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                encoder_update(enc, ContrastiveBatch(rows["expert"], rows["agent"]), state, rng)
+        assert (state.step_count, state.skipped) == (0, 0)
+        np.testing.assert_equal(({name: enc.head[name] for name in enc.head}, state.first_moment,
+                                 rng.bit_generator.state, enc._workspace), before)
 
-    def test_update_loss_gradient_matches_finite_differences(self):
+    def test_update_loss_gradient_matches_finite_differences(self, monkeypatch):
         # end-to-end: d(loss + 10*penalty)/d(head params) of the graph the update
-        # builds, against central FD with the reference held fixed
+        # builds, against central FD with the reference held fixed, as the
+        # update holds it
         enc = small_encoder(seed=23, hidden=5, embed=3)
         rng = np.random.default_rng(22)
         batch = separable_batch(rng, n=4)
         reference = make_expert_reference(enc, batch.expert_inputs)
-        x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, rng)
+        monkeypatch.setattr(contrastive, "_mean_direction", lambda emb: reference)
+        x_hat = interpolated(batch.expert_inputs, batch.agent_inputs, rng)
         names = enc.head.names()
 
         def build(tape, leaves):
-            forward, emb_e, emb_a = stacked_forward(
-                tape, enc, dict(zip(names, leaves)),
-                batch.expert_inputs, batch.agent_inputs, x_hat)
-            return update_loss_graph(enc, forward, emb_e, emb_a, reference)[2]
+            return contrastive._update_graph(tape, enc, dict(zip(names, leaves)),
+                                             batch.expert_inputs, batch.agent_inputs, x_hat)[2]
 
         arrays = [enc.head[n].copy() for n in names]
         err = check_gradients(build, arrays, h=1e-6, tol=1e-6)
@@ -476,15 +474,14 @@ class TestEncoderUpdate:
         enc = small_encoder(seed=30)
         rng = np.random.default_rng(31)
         batch = ContrastiveBatch(rng.uniform(-2, 2, size=(6, 3)), rng.uniform(-2, 2, size=(6, 3)))
-        x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, np.random.default_rng(32))
+        x_hat = interpolated(batch.expert_inputs, batch.agent_inputs, np.random.default_rng(32))
         reference = make_expert_reference(enc, batch.expert_inputs)
         oracle = three_forward_update(enc, batch, x_hat, reference)
 
         tape = ad.Tape()
         head_nodes = enc.head.watch(tape)
-        forward, emb_e, emb_a = stacked_forward(
+        loss, penalty, total = contrastive._update_graph(
             tape, enc, head_nodes, batch.expert_inputs, batch.agent_inputs, x_hat)
-        loss, penalty, total = update_loss_graph(enc, forward, emb_e, emb_a, reference)
         tape.backward(total)
         assert float(loss.data) == pytest.approx(oracle[0], rel=1e-12, abs=0.0)
         assert float(penalty.data) == pytest.approx(oracle[1], rel=1e-12, abs=0.0)
@@ -492,14 +489,21 @@ class TestEncoderUpdate:
             expected = oracle[2][name]
             assert np.max(np.abs(node.grad - expected)) <= 1e-12 * np.max(np.abs(expected)), name
 
-    def test_reference_from_forward_matches_mean_mode(self):
+    def test_reference_from_forward_matches_mean_mode(self, monkeypatch):
         enc = small_encoder(seed=33, hidden=16, embed=6)
         rng = np.random.default_rng(34)
         expert, agent = rng.uniform(-2, 2, size=(10, 3)), rng.uniform(-2, 2, size=(10, 3))
-        x_hat = interpolate_pairs(expert, agent, rng)
-        tape = ad.Tape()
-        _, emb_e, _ = stacked_forward(tape, enc, None, expert, agent, x_hat)
-        from_forward = contrastive._mean_direction(emb_e.data)
+        x_hat = interpolated(expert, agent, rng)
+        references = []
+        mean_direction = contrastive._mean_direction
+
+        def recorded(emb):
+            references.append(mean_direction(emb))
+            return references[-1]
+
+        monkeypatch.setattr(contrastive, "_mean_direction", recorded)
+        contrastive._update_graph(ad.Tape(), enc, None, expert, agent, x_hat)
+        (from_forward,) = references
         np.testing.assert_allclose(
             from_forward, make_expert_reference(enc, expert), rtol=0.0, atol=1e-15)
 
@@ -514,7 +518,7 @@ class TestEncoderUpdate:
             rng, twin_rng = np.random.default_rng(39), np.random.default_rng(39)
             for step, n in enumerate((6, 6, 5, 6)):
                 batch = separable_batch(np.random.default_rng(40 + step), n=n)
-                x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, twin_rng)
+                x_hat = interpolated(batch.expert_inputs, batch.agent_inputs, twin_rng)
                 reference = make_expert_reference(twin, batch.expert_inputs)
                 oracle_loss, oracle_penalty, grads = three_forward_update(
                     twin, batch, x_hat, reference)
@@ -540,7 +544,7 @@ class TestEncoderUpdate:
         for step, n in enumerate((6, 6, 5)):  # the same rows again, then fewer
             batch = separable_batch(rng, n=n)
             # the x_hat the update draws next
-            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, copy.deepcopy(rng))
+            x_hat = interpolated(batch.expert_inputs, batch.agent_inputs, copy.deepcopy(rng))
             pre, h = [], x_hat  # the fresh forward's layers before their ReLUs, in numpy
             for w, b, _ in layers[:-1]:
                 pre.append(h @ w + b)
@@ -586,7 +590,7 @@ class TestEncoderUpdate:
         rng = np.random.default_rng(46)
         for n in (6, 6, 4, 7):
             batch = separable_batch(rng, n=n)
-            x_hat = interpolate_pairs(batch.expert_inputs, batch.agent_inputs, rng)
+            x_hat = interpolated(batch.expert_inputs, batch.agent_inputs, rng)
             reference = make_expert_reference(enc, batch.expert_inputs)
             fresh = update_gradients(enc, batch, x_hat, reference, None)
             reused = update_gradients(enc, batch, x_hat, reference, enc._workspace,

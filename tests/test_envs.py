@@ -1,10 +1,12 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from pcil import envs
 from pcil.envs import (
     EXPERT_REFERENCE_RETURN,
     EnvState,
@@ -140,6 +142,42 @@ def test_expert_policy_rejects_an_observation_of_the_wrong_width(name):
     for wrong in (obs[:-1], np.append(obs, 0.0)):
         with pytest.raises(ValueError, match=f"expected state_dim={env.spec.state_dim}"):
             policy(wrong)
+
+
+@pytest.mark.parametrize("name,entry", [
+    ("point_mass", 0), ("point_mass", 3), ("pendulum", 0), ("pendulum", 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expert_policy_rejects_a_non_finite_observation(name, entry, bad):
+    # point_mass would act [nan, -0.] on a NaN position, pendulum -1 on an infinite speed
+    env = make_env(name)
+    obs = env.observe(env.reset(0))
+    obs[entry] = bad
+    with pytest.raises(ValueError, match=re.escape(f"observation {obs.tolist()} has a NaN or Inf")):
+        expert_policy(env)(obs)
+
+
+@pytest.mark.parametrize("theta_dot", [1e155, -1e300])
+def test_pendulum_expert_rejects_a_speed_whose_energy_overflows(theta_dot):
+    # off the upright cone the controller pumps energy, and theta_dot ** 2 overflows
+    obs = np.array([-1.0, 0.0, theta_dot])
+    with pytest.raises(ValueError, match=re.escape(f"observation {obs.tolist()} is too large")):
+        expert_policy(make_env("pendulum"))(obs)
+
+
+def test_pendulum_expert_acts_on_the_largest_speed_it_can_square():
+    (u,) = expert_policy(make_env("pendulum"))(np.array([-1.0, 0.0, -1e154]))
+    assert u == 1.0  # far above the target energy: brake against the motion
+
+
+def test_point_mass_reward_of_a_position_whose_square_overflows_is_zero():
+    env = make_env("point_mass")
+    obs = np.array([[1e155, 0.0, 0.0, 0.0], [0.0, -1e300, 0.0, 0.0], [1e200, 1e200, 1.0, 1.0],
+                    [0.0, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(env.reward_from_observation(obs), [0.0, 0.0, 0.0, 1.0])
+    # what step's float path gives for the same position
+    assert float(envs._point_mass_reward(1e155, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])

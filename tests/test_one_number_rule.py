@@ -27,7 +27,6 @@ from pcil.contrastive import (
     Encoder,
     al_gap,
     encoder_update,
-    interpolate_pairs,
     make_expert_reference,
     similarity_reward,
 )
@@ -109,7 +108,7 @@ def _ring(buf):
 # Each case makes its objects, then returns the failing call (taking the maker
 # of the bad value), the start of its error, which names the argument, and a
 # snapshot of the state the call must leave as it was. The error goes on with
-# the rule's own words, except where ``SHOWS_THE_VALUE`` says otherwise.
+# the rule's own words.
 
 
 def _step(env_name):
@@ -175,16 +174,6 @@ def _al_gap(argument):
         call = ((lambda bad: al_gap(enc, bad((2, 3)), other)) if argument == "expert"
                 else (lambda bad: al_gap(enc, other, bad((2, 3)))))
         return call, "encoder inputs must hold real numbers", lambda: _encoder_state(enc)
-    return case
-
-
-def _interpolate_pairs(argument):
-    def case(tmp_path):
-        rng = np.random.default_rng(0)
-        other = np.ones((2, 3))
-        call = ((lambda bad: interpolate_pairs(bad((2, 3)), other, rng)) if argument == "expert"
-                else (lambda bad: interpolate_pairs(other, bad((2, 3)), rng)))
-        return call, f"{argument} inputs must hold real numbers", lambda: _rng_state(rng)
     return case
 
 
@@ -254,7 +243,7 @@ def _save_checkpoint(tmp_path):
 def _save_demos(tmp_path):
     path = tmp_path / "demos.bin"
     return (lambda bad: save_demos(path, [Transition(bad(3), np.zeros(1), np.zeros(3), 0.5, True)]),
-            "transition 0: 'state' must be a list of numbers",
+            "transition 0: 'state' must hold real numbers",
             lambda: sorted(p.name for p in tmp_path.iterdir()))
 
 
@@ -267,10 +256,6 @@ def _inner_objective(tmp_path):
     return (lambda bad: inner_objective(bad(2), [0.5, 0.5], [0.5, 0.5]),
             "g must hold real numbers", lambda: None)
 
-
-#: The entry points whose error shows the bad value in place of the rule's
-#: words: a demo set names the first transition that breaks a rule, whichever rule
-SHOWS_THE_VALUE = {"save_demos"}
 
 ENTRY_POINTS = {
     "step[point_mass]": _step("point_mass"),
@@ -286,8 +271,6 @@ ENTRY_POINTS = {
     "make_expert_reference": _make_expert_reference,
     "al_gap[expert]": _al_gap("expert"),
     "al_gap[agent]": _al_gap("agent"),
-    "interpolate_pairs[expert]": _interpolate_pairs("expert"),
-    "interpolate_pairs[agent]": _interpolate_pairs("agent"),
     "encoder_update[expert]": _encoder_update("expert"),
     "encoder_update[agent]": _encoder_update("agent"),
     "Tape.leaf": _tape_leaf,
@@ -309,8 +292,7 @@ def test_entry_point_rejects_values_that_are_not_real_numbers(entry, kind, tmp_p
     call, start, state = ENTRY_POINTS[entry](tmp_path)
     make, words = BAD[kind]
     before = state()
-    with pytest.raises(ValueError, match=re.escape(
-            start if entry in SHOWS_THE_VALUE else start + words)):
+    with pytest.raises(ValueError, match=re.escape(start + words)):
         call(make)
     np.testing.assert_equal(state(), before)
 
