@@ -340,6 +340,7 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
     return mul(tsum(a, axis=axis), 1.0 / n)
 
 
+@_quiet_fp
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     """Numerically stable log(sum(exp(a))) along ``axis``."""
     x = a.data
@@ -607,11 +608,13 @@ def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: Adam
     """One in-place Adam update with bias correction.
 
     A parameter without a gradient takes a zero one. A gradient whose name
-    is no parameter's, or whose shape is not its parameter's, raises
-    ``ValueError`` naming it before anything changes. A gradient with an
-    entry that is not finite, or whose square overflows (above
-    ``_ADAM_GRAD_MAX``, about 1.34e154), skips the whole update (step count,
-    moments and parameters untouched) and bumps ``state.skipped``.
+    is no parameter's, or whose shape is not its parameter's, and a
+    parameter with no first or second moment of its shape (a state made
+    without ``AdamState.for_params``), raise ``ValueError`` naming it before
+    anything changes. A gradient with an entry that is not finite, or whose
+    square overflows (above ``_ADAM_GRAD_MAX``, about 1.34e154), skips the
+    whole update (step count, moments and parameters untouched) and bumps
+    ``state.skipped``.
     """
     for name, g in grads.items():
         if name not in params:
@@ -619,6 +622,11 @@ def adam_step(params: ParameterSet, grads: Mapping[str, np.ndarray], state: Adam
         if g is not None and np.shape(g) != params[name].shape:
             raise ValueError(f"adam_step: gradient {name!r} has shape {np.shape(g)}, "
                              f"the parameter {params[name].shape}")
+    for name, value in params.items():
+        for kind, moments in (("first", state.first_moment), ("second", state.second_moment)):
+            if getattr(moments.get(name), "shape", None) != value.shape:
+                raise ValueError(f"adam_step: parameter {name!r} has no {kind} moment "
+                                 f"of its shape {value.shape}")
     for name in params:
         g = grads.get(name)
         # a NaN fails the comparisons as an Inf does; min and max allocate no array

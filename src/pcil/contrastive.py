@@ -127,15 +127,18 @@ class Encoder:
 
     def _checked_inputs(self, inputs) -> np.ndarray:
         """``inputs`` as 2-D float64 rows as wide as the head's input, the one
-        conversion of encoder rows. A dtype of no real numbers or another width
-        raises ``ValueError``, and a NaN or Inf entry ``NonFiniteError`` naming
-        the first row that holds one.
+        conversion of encoder rows. A dtype of no real numbers, a rank above 2
+        or another width raises ``ValueError``, and a NaN or Inf entry
+        ``NonFiniteError`` naming the first row that holds one.
         """
         features = np.atleast_2d(real_float64(inputs, "encoder inputs"))
         width = next(ad.mlp_layers(self.head))[0].shape[0]
-        if features.ndim != 2 or features.shape[1] != width:
+        if features.ndim != 2:
+            raise ValueError(f"encoder inputs have rank {features.ndim}, "
+                             f"the encoder takes rows of width {width}")
+        if features.shape[1] != width:
             raise ValueError(
-                f"encoder inputs have width {features.shape[-1]}, the encoder takes width {width}")
+                f"encoder inputs have width {features.shape[1]}, the encoder takes width {width}")
         if not np.all(np.isfinite(features)):
             row = int(np.argmin(np.isfinite(features).all(axis=1)))
             raise ad.NonFiniteError(f"encoder inputs row {row} holds NaN or Inf")
@@ -156,43 +159,44 @@ class Encoder:
 # ---------------------------------------------------------------------------
 
 
-def contrastive_loss_graph(expert_emb: ad.Tensor, agent_emb: ad.Tensor) -> ad.Tensor:
-    """Multi-positive InfoNCE on already-embedded batches.
+def contrastive_loss_graph(emb: ad.Tensor, n_expert: int) -> ad.Tensor:
+    """Multi-positive InfoNCE on the embeddings of an expert-then-agent batch.
 
-    Each expert row anchors once; every other expert row is a positive and
-    every agent row a negative. With similarities s = <anchor, other>/tau
-    (tau is ``TEMPERATURE``) the anchor loss is the mean over positives p of
-    ``-log(exp(s_p) / sum(exp(s_over_all_candidates)))`` (the average sits
-    outside the log).
+    The first ``n_expert`` rows of ``emb`` are the expert rows, the rest the
+    agent rows. Each expert row anchors once; every other expert row is a
+    positive and every agent row a negative. With similarities
+    s = <anchor, other>/tau (tau is ``TEMPERATURE``) the anchor loss is the
+    mean over positives p of ``-log(exp(s_p) / sum(exp(s_over_all_candidates)))``
+    (the average sits outside the log).
     """
-    tape = expert_emb.tape
-    n_expert = expert_emb.data.shape[0]
-    n_agent = agent_emb.data.shape[0]
-    if n_expert < 2:
-        raise ValueError("contrastive loss needs at least 2 expert items")
-    if n_agent < 1:
-        raise ValueError("contrastive loss needs at least 1 agent item")
-    sims_ee = ad.mul(ad.matmul(expert_emb, ad.transpose(expert_emb)), 1.0 / TEMPERATURE)
-    sims_ea = ad.mul(ad.matmul(expert_emb, ad.transpose(agent_emb)), 1.0 / TEMPERATURE)
-    self_mask, off_diag = _infonce_constants(n_expert)
-    masked_ee = ad.add(sims_ee, tape.constant(self_mask))
-    candidates = ad.concat([masked_ee, sims_ea], axis=1)
-    lse = ad.logsumexp(candidates, axis=1)
-    pos_mean = ad.tsum(ad.mul(sims_ee, tape.constant(off_diag)), axis=1)
+    n = emb.data.shape[0]
+    _check_infonce_rows(n_expert, n - n_expert)
+    anchors = ad.row_slice(emb, 0, n_expert)
+    sims = ad.mul(ad.matmul(anchors, ad.transpose(emb)), 1.0 / TEMPERATURE)
+    self_mask, positives = _infonce_constants(n_expert, n)
+    lse = ad.logsumexp(ad.add(sims, emb.tape.constant(self_mask)), axis=1)
+    pos_mean = ad.tsum(ad.mul(sims, emb.tape.constant(positives)), axis=1)
     return ad.tmean(ad.sub(lse, pos_mean))
 
 
+def _check_infonce_rows(n_expert: int, n_agent: int) -> None:
+    """InfoNCE's rule on row counts: each anchor needs a positive and a negative."""
+    if n_expert < 2 or n_agent < 1:
+        raise ValueError("contrastive loss needs at least 2 expert items and 1 agent item, "
+                         f"got {n_expert} and {n_agent}")
+
+
 @functools.lru_cache(maxsize=4)
-def _infonce_constants(n_expert: int) -> tuple[np.ndarray, np.ndarray]:
+def _infonce_constants(n_expert: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The additive mask of each anchor's own column and the weights that
-    average over its positives, for ``n_expert`` anchors; made once per
-    count and read-only."""
-    eye = np.eye(n_expert)
+    average over its positives, for ``n_expert`` anchors against ``n`` rows
+    whose agent columns are zero in both; made once per shape and read-only."""
+    eye = np.eye(n_expert, n)
     self_mask = _MASK * eye
-    off_diag = (1.0 - eye) / (n_expert - 1.0)
+    positives = ((np.arange(n) < n_expert) - eye) / (n_expert - 1.0)
     self_mask.setflags(write=False)
-    off_diag.setflags(write=False)
-    return self_mask, off_diag
+    positives.setflags(write=False)
+    return self_mask, positives
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +328,8 @@ def _update_graph(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, x_
     stacked = tape.constant(np.concatenate([expert, agent, x_hat]))
     forward = encoder._forward(tape, stacked, head_nodes, encoder._workspace)
     emb = forward[0]
-    emb_e = ad.row_slice(emb, 0, n_expert)
-    emb_a = ad.row_slice(emb, n_expert, n_expert + n_agent)
-    reference = _mean_direction(emb_e.data)
-    loss = contrastive_loss_graph(emb_e, emb_a)
+    reference = _mean_direction(emb.data[:n_expert])
+    loss = contrastive_loss_graph(ad.row_slice(emb, 0, n_expert + n_agent), n_expert)
     penalty = penalty_graph(forward, reference, n_expert + n_agent, encoder._workspace)
     return loss, penalty, ad.add(loss, ad.mul(penalty, GP_WEIGHT))
 
@@ -341,18 +343,18 @@ def encoder_update(
     """One Adam step on ``InfoNCE + GP_WEIGHT * gradient penalty``.
 
     Returns (representation loss, penalty value). Both batches are checked
-    as ``embed`` checks its inputs, and an empty one raises ``ValueError``,
-    before anything changes. The penalty probes the similarity reward at
-    random convex combinations ``x_hat`` of paired expert and agent rows,
-    against the mean-mode reference (what ``make_expert_reference``
-    computes) of the update's own expert embeddings. The expert rows, the
-    agent rows and ``x_hat`` go through one stacked tape forward on the
-    encoder's ``_workspace`` arrays (``_update_graph``).
+    as ``embed`` checks its inputs, and their row counts as InfoNCE checks
+    them (``ValueError``), before anything changes. The penalty probes the
+    similarity reward at random convex combinations ``x_hat`` of paired
+    expert and agent rows, against the mean-mode reference (what
+    ``make_expert_reference`` computes) of the update's own expert
+    embeddings. The expert rows, the agent rows and ``x_hat`` go through one
+    stacked tape forward on the encoder's ``_workspace`` arrays
+    (``_update_graph``).
     """
     expert = encoder._checked_inputs(batch.expert_inputs)
     agent = encoder._checked_inputs(batch.agent_inputs)
-    if not len(expert) or not len(agent):
-        raise ValueError("gradient penalty needs non-empty batches")
+    _check_infonce_rows(len(expert), len(agent))
     n = min(len(expert), len(agent))
     u = rng.uniform(0.0, 1.0, size=(n, 1))
     x_hat = u * expert[:n] + (1.0 - u) * agent[:n]

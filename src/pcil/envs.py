@@ -14,8 +14,9 @@ termination, and ``step`` is a pure function of (state, action). The physics
 with these values and holds for no others.
 
 ``step``, ``observe`` and the scripted experts compute on Python floats: they
-unpack the state and the action once and return new arrays, since numpy's
-per-call overhead dwarfs a dozen flops on 2-4 numbers.
+unpack the state and the action once, since numpy's per-call overhead dwarfs
+a dozen flops on 2-4 numbers. ``step`` and ``observe`` return new arrays, the
+experts lists of floats that ``expert_policy`` checks and wraps.
 ``reward_from_observation`` is the vectorised form of the reward ``step``
 returns, for batches of observations; both evaluate one formula.
 """
@@ -101,6 +102,10 @@ class PointMass:
     def observe(self, state: EnvState) -> np.ndarray:
         return state.vector.copy()
 
+    def _internal(self, obs: list[float]) -> list[float]:
+        """The state behind an observation, the inverse of ``observe``."""
+        return obs
+
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
         """Vectorised ground-truth reward; ``obs`` is (..., 4) real numbers.
 
@@ -132,13 +137,13 @@ class PointMass:
         done = nxt.step_index >= self.spec.episode_length
         return nxt, reward, done
 
-    def _expert(self, x: float, y: float, vx: float, vy: float) -> np.ndarray:
+    def _expert(self, x: float, y: float, vx: float, vy: float) -> list[float]:
         # saturated PD toward the goal behaves near-bang-bang far out and
         # critically damped close in
         kp, kd = 12.0, 5.0
         ax = (-kp * x - kd * vx) / self.force_scale
         ay = (-kp * y - kd * vy) / self.force_scale
-        return np.array([min(max(ax, -1.0), 1.0), min(max(ay, -1.0), 1.0)])
+        return [min(max(ax, -1.0), 1.0), min(max(ay, -1.0), 1.0)]
 
 
 class Pendulum:
@@ -170,6 +175,12 @@ class Pendulum:
         theta, theta_dot = state.vector.tolist()
         return np.array([math.cos(theta), math.sin(theta), theta_dot])
 
+    def _internal(self, obs: list[float]) -> list[float]:
+        """(theta, theta_dot) behind an observation, the inverse of ``observe``
+        with theta wrapped into [-pi, pi]."""
+        cos_theta, sin_theta, theta_dot = obs
+        return [math.atan2(sin_theta, cos_theta), theta_dot]
+
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
         obs = real_float64(obs, "observation")
         return _pendulum_reward(obs[..., 0])
@@ -198,7 +209,7 @@ class Pendulum:
         done = nxt.step_index >= self.spec.episode_length
         return nxt, reward, done
 
-    def _expert(self, theta: float, theta_dot: float) -> np.ndarray:
+    def _expert(self, theta: float, theta_dot: float) -> list[float]:
         # bang-bang energy pumping slightly past the upright level, then PD
         # capture inside the cone the torque limit can actually hold
         wrapped = math.atan2(math.sin(theta), math.cos(theta))
@@ -209,7 +220,7 @@ class Pendulum:
             deficit = target - self._energy(theta, theta_dot)
             direction = math.copysign(1.0, theta_dot) if abs(theta_dot) > 1e-3 else 1.0
             u = math.copysign(1.0, deficit) * direction
-        return np.array([min(max(u, -1.0), 1.0)])
+        return [min(max(u, -1.0), 1.0)]
 
 
 _ENVS = {"point_mass": PointMass, "pendulum": Pendulum}
@@ -261,10 +272,12 @@ def expert_policy(env):
     """Observation-to-action wrapper around the env's scripted controller.
 
     The controllers are written against internal state; this reconstructs it
-    from the observation so the expert can be used anywhere a policy fits. An
-    observation of any shape with ``state_dim`` real numbers is accepted. One
-    with a NaN or Inf entry, or one too large for the controller's arithmetic
-    (a pendulum speed whose square overflows), raises ``ValueError`` naming it.
+    from the observation with the env's ``_internal`` so the expert can be
+    used anywhere a policy fits. An observation of any shape with
+    ``state_dim`` real numbers is accepted. One with a NaN or Inf entry, or
+    one too large for the controller's arithmetic (a pendulum speed whose
+    square overflows, point_mass PD terms that meet as -inf + inf), raises
+    ``ValueError`` naming it.
     """
     state_dim = env.spec.state_dim
 
@@ -275,13 +288,12 @@ def expert_policy(env):
                 f"observation has {len(values)} entries, expected state_dim={state_dim}")
         if not all(map(math.isfinite, values)):
             raise ValueError(f"observation {values} has a NaN or Inf entry")
-        if env.spec.name == "point_mass":
-            return env._expert(*values)
-        cos_theta, sin_theta, theta_dot = values
         try:
-            return env._expert(math.atan2(sin_theta, cos_theta), theta_dot)
-        except OverflowError as exc:
-            raise ValueError(f"observation {values} is too large for the expert: the square of "
-                             "its speed overflows") from exc
+            action = env._expert(*env._internal(values))
+            if all(map(math.isfinite, action)):
+                return np.array(action)
+        except OverflowError:  # Python's float ** raises where * would give inf
+            pass
+        raise ValueError(f"observation {values} is too large for the expert's arithmetic")
 
     return policy

@@ -283,6 +283,18 @@ def test_overflow_raises_the_typed_error_not_a_warning(name):
             build(ad.Tape())
 
 
+def test_logsumexp_of_a_row_wider_than_float64_is_finite_without_a_warning():
+    # x - max overflows to -inf on the far entry, whose exp is then exactly 0
+    tape = ad.Tape()
+    x = tape.leaf([[-1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.logsumexp(x, axis=1)
+        tape.backward(ad.tsum(out))
+    np.testing.assert_array_equal(out.data, [1e308])
+    np.testing.assert_array_equal(x.grad, [[0.0, 1.0]])
+
+
 def test_overflowing_adjoint_is_left_for_adam_to_skip():
     # the forward is finite, d/db of (a / b) / b overflows in the backward pass
     params = ad.ParameterSet({"b": np.array([1e-300])})
@@ -670,6 +682,25 @@ class TestAdam:
         np.testing.assert_array_equal(state.first_moment["w"], kept[1])
         np.testing.assert_array_equal(state.second_moment["w"], kept[2])
         assert (state.step_count, state.skipped) == kept[3:] == (1, 0)
+
+    @pytest.mark.parametrize("kind", ["first", "second"])
+    def test_moment_it_cannot_use_raises_and_changes_nothing(self, kind):
+        # AdamState(lr=...) holds no moments; a step on it, or on a moment of
+        # another shape, would count the step first and then fail
+        params = ad.ParameterSet({"w": np.array([1.0, -2.0, 3.0])})
+        if kind == "first":
+            state = ad.AdamState(lr=1e-3)
+        else:
+            state = ad.AdamState.for_params(params, lr=1e-3)
+            state.second_moment["w"] = np.zeros(1)
+        kept = ({k: m.copy() for k, m in state.first_moment.items()},
+                {k: m.copy() for k, m in state.second_moment.items()})
+        with pytest.raises(ValueError, match=re.escape(
+                f"adam_step: parameter 'w' has no {kind} moment of its shape (3,)")):
+            ad.adam_step(params, {"w": np.ones(3)}, state)
+        np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
+        np.testing.assert_equal((state.first_moment, state.second_moment), kept)
+        assert (state.step_count, state.skipped) == (0, 0)
 
     def test_shape_mismatch_in_a_two_d_parameter_is_not_broadcast(self):
         params = ad.ParameterSet({"w": np.ones((2, 3))})

@@ -67,7 +67,8 @@ def random_rotation(rng, dim):
 
 def loss_value(expert_emb, agent_emb):
     tape = ad.Tape()
-    return float(contrastive_loss_graph(tape.constant(expert_emb), tape.constant(agent_emb)).data)
+    emb = tape.constant(np.concatenate([expert_emb, agent_emb]))
+    return float(contrastive_loss_graph(emb, len(expert_emb)).data)
 
 
 class TestEmbed:
@@ -272,11 +273,11 @@ class TestInfoNCE:
             assert rotated == pytest.approx(base, abs=1e-9)
 
     def test_fewer_than_two_expert_rejected(self):
-        with pytest.raises(ValueError, match="expert"):
+        with pytest.raises(ValueError, match="at least 2 expert items and 1 agent item, got 1 and 1"):
             loss_value(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
 
     def test_at_least_one_agent_required(self):
-        with pytest.raises(ValueError, match="agent"):
+        with pytest.raises(ValueError, match="at least 2 expert items and 1 agent item, got 2 and 0"):
             loss_value(np.ones((2, 2)), np.ones((0, 2)))
 
     def test_anchor_loss_bounds(self):
@@ -426,14 +427,23 @@ class TestEncoderUpdate:
         assert final_gap == al_gap_composed(enc, batch.expert_inputs, batch.agent_inputs)
         assert enc.norm_violations == 0
 
-    @pytest.mark.parametrize("wrong", ["expert", "agent"])
-    @pytest.mark.parametrize("shape,message", [
-        ((8, 4), "width 4, the encoder takes width 3"),
-        ((8, 3, 1), "width 1, the encoder takes width 3"),
-        ((0, 3), "gradient penalty needs non-empty batches"),
-    ], ids=["wrong_width", "rank_3", "empty"])
-    def test_update_rejects_a_batch_it_cannot_use_and_changes_nothing(self, wrong, shape, message):
-        # an empty batch too, before its empty mean reaches the reference
+    @pytest.mark.parametrize("shape,wrong,message", [
+        pytest.param((8, 4), wrong, "width 4, the encoder takes width 3", id=f"wrong_width-{wrong}")
+        for wrong in ("expert", "agent")
+    ] + [
+        pytest.param((8, 3, 1), wrong, "rank 3, the encoder takes rows of width 3", id=f"rank_3-{wrong}")
+        for wrong in ("expert", "agent")
+    ] + [
+        pytest.param((0, 3), "expert", "at least 2 expert items and 1 agent item, got 0 and 8",
+                     id="empty-expert"),
+        pytest.param((0, 3), "agent", "at least 2 expert items and 1 agent item, got 8 and 0",
+                     id="empty-agent"),
+        pytest.param((1, 3), "expert", "at least 2 expert items and 1 agent item, got 1 and 8",
+                     id="one_row-expert"),
+    ])
+    def test_update_rejects_a_batch_it_cannot_use_and_changes_nothing(self, shape, wrong, message):
+        # InfoNCE's row counts too, before x_hat is drawn from rng or an empty
+        # mean reaches the reference
         enc = small_encoder(seed=25)
         state = ad.AdamState.for_params(enc.head, lr=1e-3)
         rng = np.random.default_rng(26)
@@ -637,8 +647,7 @@ def update_gradients(encoder, batch, x_hat, reference, workspace, between=lambda
     n_e, n_a = len(batch.expert_inputs), len(batch.agent_inputs)
     stacked = np.concatenate([batch.expert_inputs, batch.agent_inputs, x_hat])
     forward = encoder._forward(tape, tape.constant(stacked), head_nodes, workspace)
-    loss = contrastive_loss_graph(ad.row_slice(forward[0], 0, n_e),
-                                  ad.row_slice(forward[0], n_e, n_e + n_a))
+    loss = contrastive_loss_graph(ad.row_slice(forward[0], 0, n_e + n_a), n_e)
     penalty = penalty_graph(forward, reference, n_e + n_a, workspace)
     between()
     tape.backward(ad.add(loss, ad.mul(penalty, 10.0)))
@@ -653,7 +662,7 @@ def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
     head_nodes = encoder.head.watch(tape)
     emb_e = encoder._forward(tape, tape.constant(batch.expert_inputs), head_nodes)[0]
     emb_a = encoder._forward(tape, tape.constant(batch.agent_inputs), head_nodes)[0]
-    loss = contrastive_loss_graph(emb_e, emb_a)
+    loss = contrastive_loss_graph(ad.concat([emb_e, emb_a]), len(batch.expert_inputs))
     penalty = penalty_graph(encoder._forward(tape, tape.constant(x_hat), head_nodes), reference)
     tape.backward(ad.add(loss, ad.mul(penalty, gp_weight)))
     grads = {name: node.grad for name, node in head_nodes.items()}

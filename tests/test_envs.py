@@ -164,6 +164,28 @@ def test_pendulum_expert_rejects_a_speed_whose_energy_overflows(theta_dot):
         expert_policy(make_env("pendulum"))(obs)
 
 
+@pytest.mark.parametrize("obs", [[1e308, 0.0, -1e308, 0.0], [0.0, -1e308, 0.0, 1e308]])
+def test_point_mass_expert_rejects_a_state_whose_pd_terms_overflow(obs):
+    # -kp * x - kd * vx is -inf + inf, a NaN that clipping keeps
+    with pytest.raises(ValueError, match=re.escape(f"observation {obs} is too large")):
+        expert_policy(make_env("point_mass"))(np.array(obs))
+
+
+def test_expert_policy_follows_the_env_class_not_its_name():
+    # a point_mass with nuisance dims: its own spec, and the state behind an
+    # observation drops them
+    class Distracted(envs.PointMass):
+        spec = envs.EnvSpec("point_mass_distract", state_dim=6, action_dim=2,
+                            episode_length=300, dt=0.02)
+
+        def _internal(self, obs):
+            return obs[:4]
+
+    obs = np.array([0.3, -0.2, 0.1, 0.05])
+    action = expert_policy(Distracted())(np.append(obs, [7.0, -7.0]))
+    _assert_same_bits(action, expert_policy(make_env("point_mass"))(obs))
+
+
 def test_pendulum_expert_acts_on_the_largest_speed_it_can_square():
     (u,) = expert_policy(make_env("pendulum"))(np.array([-1.0, 0.0, -1e154]))
     assert u == 1.0  # far above the target energy: brake against the motion
