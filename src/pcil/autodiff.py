@@ -61,16 +61,14 @@ def norm_and_denominator(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norm, np.where(norm < _NORM_CUTOFF, norm + _NORM_EPS, norm)
 
 
-def workspace_buffer(workspace: dict | None, key, shape: tuple[int, ...]) -> np.ndarray:
+def workspace_buffer(workspace: dict, key, shape: tuple[int, ...]) -> np.ndarray:
     """A float64 array of ``shape`` on the flat array kept under ``key`` in
     ``workspace``: a view of its first ``prod(shape)`` items.
 
     The flat array is made on first use and made anew, larger, only when it
-    is too small, so every smaller shape reuses it. A new array when
-    ``workspace`` is None: as ``out``, it makes a mask from ``np.greater`` 0.0/1.0.
+    is too small, so every smaller shape reuses it. As ``out``, it makes a
+    mask from ``np.greater`` 0.0/1.0.
     """
-    if workspace is None:
-        return np.empty(shape)
     size = math.prod(shape)
     flat = workspace.get(key)
     if flat is None or flat.size < size:
@@ -500,7 +498,7 @@ def mlp_layers(params):
         yield params[f"layer{i}.w"], params[f"layer{i}.b"], i < count - 1
 
 
-def mlp_forward(x: Tensor, nodes, workspace: dict | None = None):
+def mlp_forward(x: Tensor, nodes, workspace: dict):
     """Tape forward of the MLP ``nodes`` (see ``mlp_layers``) on the rows of ``x``.
 
     Returns the output of the last layer and, for every layer in order, its
@@ -508,11 +506,11 @@ def mlp_forward(x: Tensor, nodes, workspace: dict | None = None):
     last layer): that output is > 0 exactly where the ReLU passes gradient.
 
     Each layer's product, bias add and ReLU are computed in place in one
-    array (``workspace_buffer``): kept in ``workspace`` if a dict is given,
-    a new one per layer otherwise. The product and sum nodes then hold the
-    layer's output; no VJP reads their values, so the gradients stay exact.
-    The next forward with the workspace overwrites its arrays, so the graph
-    is valid only until then.
+    array kept in the caller's ``workspace`` under ``(layer, "out")``
+    (``workspace_buffer``), so forwards that reuse a workspace reuse its
+    arrays. The product and sum nodes then hold the layer's output; no VJP
+    reads their values, so the gradients stay exact. The next forward on the
+    workspace overwrites its arrays, so the graph is valid only until then.
     """
     layers = []
     for i, (w, b, relu_after) in enumerate(mlp_layers(nodes)):

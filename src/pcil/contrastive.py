@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ._checks import real_float64
+from ._checks import is_integer, real_float64
 
 #: Additive mask that removes an anchor's own column from its candidate set.
 _MASK = -1e9
@@ -52,10 +52,10 @@ class Encoder:
     InfoNCE temperature and the update's penalty weight are the module
     constants ``TEMPERATURE`` and ``GP_WEIGHT``. Its layers are walked by the
     module-level MLP forwards of ``autodiff``, the one place that knows the
-    layer structure: the tape forward
-    (``_forward``) calls ``ad.mlp_forward`` and the numpy inference forward
-    (``embed``) calls ``ad.mlp_infer``. The encoder adds its input checks,
-    the sphere projection and the norm check around them.
+    layer structure: the tape forward (``_forward``) calls ``ad.mlp_forward``
+    on the head nodes and the workspace its caller passes, and the numpy
+    inference forward (``embed``) calls ``ad.mlp_infer``. The encoder adds
+    its input checks, the sphere projection and the norm check around them.
 
     ``embed`` instruments the unit-norm contract: ``norm_violations`` counts
     outputs farther than 1e-9 from unit length, or not finite (it should stay
@@ -94,20 +94,19 @@ class Encoder:
         self._workspace: dict = {}
 
     def embed_graph(self, tape: ad.Tape, x: ad.Tensor) -> ad.Tensor:
-        """Embedding as a tape graph on the head as constants. Training never
-        calls it (``encoder_update`` runs ``_forward``); the benchmark times it."""
-        return self._forward(tape, x)[0]
+        """Embedding as a tape graph on the head as constants and a new workspace.
+        Training never calls it (``encoder_update`` runs ``_forward``); the benchmark times it."""
+        head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
+        return self._forward(x, head_nodes, {})[0]
 
-    def _forward(self, tape: ad.Tape, x: ad.Tensor, head_nodes=None, workspace=None):
-        """Tape forward through the head; pass watched head nodes when training.
+    def _forward(self, x: ad.Tensor, head_nodes, workspace: dict):
+        """Tape forward of ``x`` through ``head_nodes`` (watched when training)
+        on ``workspace``, that of ``ad.mlp_forward``.
 
         Returns the embedding, the head's output before the sphere projection
         and, for every linear layer in order, its weight node and its output
-        after the ReLU that follows it (None for the last layer). ``workspace``
-        is that of ``ad.mlp_forward``.
+        after the ReLU that follows it (None for the last layer).
         """
-        if head_nodes is None:
-            head_nodes = {n: tape.constant(v) for n, v in self.head.items()}
         out, layers = ad.mlp_forward(x, head_nodes, workspace)
         emb = ad.sphere_normalize(out)
         self._check_norms(emb.data)
@@ -170,7 +169,7 @@ def contrastive_loss_graph(emb: ad.Tensor, n_expert: int) -> ad.Tensor:
     (the average sits outside the log).
     """
     n = emb.data.shape[0]
-    _check_infonce_rows(n_expert, n - n_expert)
+    _check_infonce_rows(n_expert, n)
     anchors = ad.row_slice(emb, 0, n_expert)
     sims = ad.mul(ad.matmul(anchors, ad.transpose(emb)), 1.0 / TEMPERATURE)
     self_mask, positives = _infonce_constants(n_expert, n)
@@ -179,11 +178,14 @@ def contrastive_loss_graph(emb: ad.Tensor, n_expert: int) -> ad.Tensor:
     return ad.tmean(ad.sub(lse, pos_mean))
 
 
-def _check_infonce_rows(n_expert: int, n_agent: int) -> None:
-    """InfoNCE's rule on row counts: each anchor needs a positive and a negative."""
-    if n_expert < 2 or n_agent < 1:
+def _check_infonce_rows(n_expert: int, n: int) -> None:
+    """InfoNCE's rule on ``n`` rows, the first ``n_expert`` expert rows: an
+    integer number of anchors, each with a positive and a negative."""
+    if not is_integer(n_expert):
+        raise ValueError(f"n_expert must be an integer, got {n_expert!r}")
+    if n_expert < 2 or n - n_expert < 1:
         raise ValueError("contrastive loss needs at least 2 expert items and 1 agent item, "
-                         f"got {n_expert} and {n_agent}")
+                         f"got {n_expert} and {n - n_expert}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -277,7 +279,7 @@ def _input_gradient_graph(forward, reference: np.ndarray, start: int,
     on those rows of the layer's kept output. Every op is first order in the
     head parameters, so backward through the rows is exact. The masks (0.0/1.0
     floats) and the walk's products are written into arrays kept in
-    ``workspace`` (the forward's), or into new ones if it is None.
+    ``workspace``, the forward's.
     """
     emb, out, layers = forward
     tape = emb.tape
@@ -300,7 +302,7 @@ def _input_gradient_graph(forward, reference: np.ndarray, start: int,
     return g
 
 
-def penalty_graph(forward, reference: np.ndarray, start: int = 0, workspace=None) -> ad.Tensor:
+def penalty_graph(forward, reference: np.ndarray, start: int, workspace: dict) -> ad.Tensor:
     """Gradient penalty ``mean((|grad_x r| - 1)^2)`` over the rows ``start:`` of
     a forward, as a tape graph; ``workspace`` as in ``_input_gradient_graph``."""
     g = _input_gradient_graph(forward, reference, start, workspace)
@@ -326,7 +328,7 @@ def _update_graph(tape: ad.Tape, encoder: Encoder, head_nodes, expert, agent, x_
     """
     n_expert, n_agent = len(expert), len(agent)
     stacked = tape.constant(np.concatenate([expert, agent, x_hat]))
-    forward = encoder._forward(tape, stacked, head_nodes, encoder._workspace)
+    forward = encoder._forward(stacked, head_nodes, encoder._workspace)
     emb = forward[0]
     reference = _mean_direction(emb.data[:n_expert])
     loss = contrastive_loss_graph(ad.row_slice(emb, 0, n_expert + n_agent), n_expert)
@@ -354,7 +356,7 @@ def encoder_update(
     """
     expert = encoder._checked_inputs(batch.expert_inputs)
     agent = encoder._checked_inputs(batch.agent_inputs)
-    _check_infonce_rows(len(expert), len(agent))
+    _check_infonce_rows(len(expert), len(expert) + len(agent))
     n = min(len(expert), len(agent))
     u = rng.uniform(0.0, 1.0, size=(n, 1))
     x_hat = u * expert[:n] + (1.0 - u) * agent[:n]

@@ -69,6 +69,16 @@ def _episode_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _observations(obs, spec: EnvSpec) -> np.ndarray:
+    """``obs`` as float64 observations of the env of ``spec``: a last axis as
+    wide as ``spec.state_dim``, or a ``ValueError`` naming the shape."""
+    obs = real_float64(obs, "observation")
+    if obs.ndim < 1 or obs.shape[-1] != spec.state_dim:
+        raise ValueError(f"observation has shape {obs.shape}, "
+                         f"expected a last axis of width {spec.state_dim}")
+    return obs
+
+
 def _point_mass_reward(x, y):
     # for floats and arrays alike: np.exp, as math.exp may differ in the last
     # bit, and x * x, which rounds once where ** may go through pow
@@ -111,7 +121,7 @@ class PointMass:
 
         A position whose square overflows gives 0.0, as in ``step``.
         """
-        obs = real_float64(obs, "observation")
+        obs = _observations(obs, self.spec)
         with np.errstate(over="ignore"):  # x * x is +inf and exp(-inf) is 0.0
             return _point_mass_reward(obs[..., 0], obs[..., 1])
 
@@ -182,7 +192,7 @@ class Pendulum:
         return [math.atan2(sin_theta, cos_theta), theta_dot]
 
     def reward_from_observation(self, obs: np.ndarray) -> np.ndarray:
-        obs = real_float64(obs, "observation")
+        obs = _observations(obs, self.spec)
         return _pendulum_reward(obs[..., 0])
 
     def _energy(self, theta: float, theta_dot: float) -> float:

@@ -126,8 +126,8 @@ class ReplayBuffer:
         return self._size
 
     def push(self, transition: Transition) -> None:
-        """Write ``transition``, whose vectors hold real numbers and whose
-        ``reward_env`` is a finite real number, into the next slot; a value
+        """Write ``transition``, whose vectors hold real numbers, ``reward_env``
+        a finite real number and ``done`` a boolean, into the next slot; a value
         that breaks a rule raises ``ValueError`` before anything is written."""
         t = transition
         state, action, next_state = (real_float64(t.state, "push: state"),
@@ -135,6 +135,9 @@ class ReplayBuffer:
                                      real_float64(t.next_state, "push: next_state"))
         if not (is_real(t.reward_env) and math.isfinite(t.reward_env)):
             raise ValueError(f"push: reward_env must be a finite real number, got {t.reward_env!r}")
+        if type(t.done) not in BOOLEANS:  # "False" and 0.5 would end an episode
+            raise ValueError(f"push: done must be True or False, not a value of type "
+                             f"{type(t.done).__name__}")
         shapes = (state.shape, action.shape, next_state.shape)
         if self._shapes is None:
             self._shapes = shapes
@@ -157,10 +160,8 @@ class ReplayBuffer:
         self._next = (slot + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample_indices(self, batch_size: int) -> np.ndarray:
-        """Uniform logical indices, 0 the oldest held transition."""
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty buffer")
+    def _sample_indices(self, batch_size: int) -> np.ndarray:
+        """Uniform logical indices, 0 the oldest held; ``sample_nstep`` checks the counts."""
         return self._rng.integers(0, self._size, size=batch_size)
 
     def sample_nstep(self, batch_size: int, n: int, gamma: float) -> NStepBatch:
@@ -175,7 +176,7 @@ class ReplayBuffer:
             raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
         gamma = _checked_gamma(gamma)
         oldest = self._next if size == self.capacity else 0
-        logical = self.sample_indices(batch_size)[:, None] + np.arange(n)
+        logical = self._sample_indices(batch_size)[:, None] + np.arange(n)
         slot = (oldest + np.minimum(logical, size - 1)) % self.capacity
         episode = self._episode[slot]
         # ids never decrease along a row, so this mask is a prefix of it

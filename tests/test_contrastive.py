@@ -40,7 +40,7 @@ def reward_input_gradients(encoder, x_hat, reference):
     input, by one reverse pass down to the inputs."""
     tape = ad.Tape()
     x = tape.leaf(np.asarray(x_hat, dtype=np.float64))
-    emb = encoder._forward(tape, x)[0]
+    emb = encoder.embed_graph(tape, x)
     tape.backward(ad.tsum(ad.matmul(emb, tape.constant(np.asarray(reference)[:, None]))))
     return x.grad
 
@@ -57,7 +57,8 @@ def penalty_value(encoder, expert, agent, reference, rng):
     """The gradient penalty on freshly interpolated inputs, value only."""
     x_hat = interpolated(expert, agent, rng)
     tape = ad.Tape()
-    return float(penalty_graph(encoder._forward(tape, tape.constant(x_hat)), reference).data)
+    forward = encoder._forward(tape.constant(x_hat), encoder.head.watch(tape), {})
+    return float(penalty_graph(forward, reference, 0, {}).data)
 
 
 def random_rotation(rng, dim):
@@ -111,7 +112,7 @@ class TestEmbed:
         c /= np.linalg.norm(c)
 
         def build(tape, leaves):
-            emb = enc._forward(tape, leaves[0])[0]
+            emb = enc.embed_graph(tape, leaves[0])
             return ad.tsum(ad.matmul(emb, tape.constant(c[:, None])))
 
         for trial in range(20):
@@ -164,7 +165,7 @@ class TestEmbed:
         blocks = np.concatenate([enc.embed(x[i:i + block]) for i in range(0, rows, block)])
         np.testing.assert_array_equal(emb, blocks)
         tape = ad.Tape()
-        np.testing.assert_allclose(emb, enc._forward(tape, tape.constant(x))[0].data,
+        np.testing.assert_allclose(emb, enc.embed_graph(tape, tape.constant(x)).data,
                                    rtol=0.0, atol=1e-12)
         enc.embed(x[::-1])
         np.testing.assert_array_equal(emb, kept)
@@ -280,6 +281,15 @@ class TestInfoNCE:
         with pytest.raises(ValueError, match="at least 2 expert items and 1 agent item, got 2 and 0"):
             loss_value(np.ones((2, 2)), np.ones((0, 2)))
 
+    @pytest.mark.parametrize("n_expert", [2.0, np.float64(3.0), True, "2"])
+    def test_expert_count_that_is_no_integer_rejected(self, n_expert):
+        # 2.0 and "2" met a bare TypeError from the slicing, True counted as 1
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_expert must be an integer, got {n_expert!r}")):
+            contrastive_loss_graph(tape.constant(np.ones((5, 2))), n_expert)
+        assert tape.num_ops == 0  # before any op
+
     def test_anchor_loss_bounds(self):
         # with similarities in [-1, 1], loss lies in [0, 2/tau + ln(candidates)]
         rng = np.random.default_rng(3)
@@ -374,10 +384,11 @@ class TestGradientPenalty:
             # alone, and as the last rows of a forward that stacks other rows first
             for start, pre in ((0, np.zeros((0, 3))), (len(expert), expert)):
                 tape = ad.Tape()
-                forward = enc._forward(tape, tape.constant(np.concatenate([pre, x_hat])))
-                rows = contrastive._input_gradient_graph(forward, ref, start, None).data
+                forward = enc._forward(tape.constant(np.concatenate([pre, x_hat])),
+                                       enc.head.watch(tape), {})
+                rows = contrastive._input_gradient_graph(forward, ref, start, {}).data
                 np.testing.assert_allclose(rows, oracle, rtol=0.0, atol=1e-12)
-                value = float(penalty_graph(forward, ref, start).data)
+                value = float(penalty_graph(forward, ref, start, {}).data)
                 assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     def test_value_matches_oracle(self):
@@ -512,7 +523,8 @@ class TestEncoderUpdate:
             return references[-1]
 
         monkeypatch.setattr(contrastive, "_mean_direction", recorded)
-        contrastive._update_graph(ad.Tape(), enc, None, expert, agent, x_hat)
+        tape = ad.Tape()
+        contrastive._update_graph(tape, enc, enc.head.watch(tape), expert, agent, x_hat)
         (from_forward,) = references
         np.testing.assert_allclose(
             from_forward, make_expert_reference(enc, expert), rtol=0.0, atol=1e-15)
@@ -602,7 +614,7 @@ class TestEncoderUpdate:
             batch = separable_batch(rng, n=n)
             x_hat = interpolated(batch.expert_inputs, batch.agent_inputs, rng)
             reference = make_expert_reference(enc, batch.expert_inputs)
-            fresh = update_gradients(enc, batch, x_hat, reference, None)
+            fresh = update_gradients(enc, batch, x_hat, reference, {})
             reused = update_gradients(enc, batch, x_hat, reference, enc._workspace,
                                       between=lambda: enc.embed(rng.uniform(-2, 2, size=(11, 3))))
             for name in enc.head:
@@ -615,9 +627,9 @@ class TestEncoderUpdate:
         for rows in (7, 7, 4, 9):  # reuse, fewer rows, then more
             x = rng.uniform(-2, 2, size=(rows, 3))
             fresh = ad.Tape()
-            emb, out, _ = enc._forward(fresh, fresh.constant(x))
+            emb, out, _ = enc._forward(fresh.constant(x), enc.head.watch(fresh), {})
             tape = ad.Tape()
-            emb_w, out_w, _ = enc._forward(tape, tape.constant(x), None, workspace)
+            emb_w, out_w, _ = enc._forward(tape.constant(x), enc.head.watch(tape), workspace)
             enc.embed(rng.uniform(-2, 2, size=(rows + 5, 3)))  # may run while the graph is live
             np.testing.assert_array_equal(emb_w.data, emb.data)
             np.testing.assert_array_equal(out_w.data, out.data)
@@ -640,13 +652,13 @@ class TestEncoderUpdate:
 
 def update_gradients(encoder, batch, x_hat, reference, workspace, between=lambda: None):
     """Head gradients of the update objective from one stacked forward, with
-    its forward and penalty on ``workspace`` (None: new arrays); ``between()``
+    its forward and penalty on ``workspace`` (a new dict: new arrays); ``between()``
     runs after the graph is built and before the backward."""
     tape = ad.Tape()
     head_nodes = encoder.head.watch(tape)
     n_e, n_a = len(batch.expert_inputs), len(batch.agent_inputs)
     stacked = np.concatenate([batch.expert_inputs, batch.agent_inputs, x_hat])
-    forward = encoder._forward(tape, tape.constant(stacked), head_nodes, workspace)
+    forward = encoder._forward(tape.constant(stacked), head_nodes, workspace)
     loss = contrastive_loss_graph(ad.row_slice(forward[0], 0, n_e + n_a), n_e)
     penalty = penalty_graph(forward, reference, n_e + n_a, workspace)
     between()
@@ -660,10 +672,11 @@ def three_forward_update(encoder, batch, x_hat, reference, gp_weight=10.0):
     the head gradients of ``loss + gp_weight * penalty``."""
     tape = ad.Tape()
     head_nodes = encoder.head.watch(tape)
-    emb_e = encoder._forward(tape, tape.constant(batch.expert_inputs), head_nodes)[0]
-    emb_a = encoder._forward(tape, tape.constant(batch.agent_inputs), head_nodes)[0]
+    emb_e = encoder._forward(tape.constant(batch.expert_inputs), head_nodes, {})[0]
+    emb_a = encoder._forward(tape.constant(batch.agent_inputs), head_nodes, {})[0]
     loss = contrastive_loss_graph(ad.concat([emb_e, emb_a]), len(batch.expert_inputs))
-    penalty = penalty_graph(encoder._forward(tape, tape.constant(x_hat), head_nodes), reference)
+    forward = encoder._forward(tape.constant(x_hat), head_nodes, {})
+    penalty = penalty_graph(forward, reference, 0, {})
     tape.backward(ad.add(loss, ad.mul(penalty, gp_weight)))
     grads = {name: node.grad for name, node in head_nodes.items()}
     return float(loss.data), float(penalty.data), grads

@@ -36,6 +36,10 @@ The rules, and why each is kept:
 - ``real_kinds_in_checks``: only ``_checks`` names ``REAL_KINDS``, the dtype
   kinds the number rule takes for real numbers. A second reader of them is a
   second copy of the rule.
+- ``workspace_required``: no library function gives a parameter named
+  ``workspace`` or ``head_nodes`` a default. A network's tape forward has one
+  path, on the head nodes and the workspace its caller passes; a default
+  would grow a second one (new arrays, constant nodes) that no run takes.
 """
 
 import ast
@@ -183,6 +187,27 @@ def coercing_calls(source: str) -> list[str]:
     return [f"{line}: {call}" for line, call in sorted(found)]
 
 
+#: The parameters a caller always passes: a tape forward's workspace and nodes
+REQUIRED = {"workspace", "head_nodes"}
+
+
+def defaulted_required_parameters(source: str) -> list[str]:
+    """The parameters in ``REQUIRED`` that a function, method or lambda in
+    ``source`` gives a default, as ``line: name(parameter=default)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                 *zip(args.kwonlyargs, args.kw_defaults)]
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, f"{node.lineno}: {name}({arg.arg}={ast.unparse(default)})")
+                  for arg, default in pairs if default is not None and arg.arg in REQUIRED]
+    return [text for _, text in sorted(found)]
+
+
 def names_of(source: str, name: str) -> list[int]:
     """The lines of ``source`` that name ``name``: as a variable, an attribute
     or an import."""
@@ -279,6 +304,18 @@ def kinds(x, REAL="iuf"):
     ok = x.dtype.kind in REAL_KINDS
     return ok or x.dtype.kind in _checks.REAL_KINDS, "REAL_KINDS", real_float64(x, "x")
 ''', [2, 5, 6]),
+    Guard("workspace_required", _library(), defaulted_required_parameters, '''
+def forward(x, nodes, workspace=None):
+    return mlp(x, nodes, workspace)
+class Encoder:
+    def _forward(self, x, head_nodes=None, workspace: dict = {}):
+        f = lambda x, workspace={}: x
+        async def g(x, head_nodes, *, workspace=None, start=0):
+            return x
+def fine(x, head_nodes, workspace, start=0, out=None):
+    return x
+''', ["2: forward(workspace=None)", "5: _forward(head_nodes=None)", "5: _forward(workspace={})",
+      "6: <lambda>(workspace={})", "7: g(workspace=None)"]),
 ]
 
 

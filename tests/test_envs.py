@@ -202,6 +202,18 @@ def test_point_mass_reward_of_a_position_whose_square_overflows_is_zero():
     assert float(envs._point_mass_reward(1e155, 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("name, shape", [("point_mass", (5, 3)), ("pendulum", (2, 4)),
+                                         ("point_mass", (5, 1)), ("pendulum", ())],
+                         ids=["point_mass-pendulum_rows", "pendulum-point_mass_rows",
+                              "point_mass-one_column", "pendulum-scalar"])
+def test_reward_from_observation_rejects_another_env_width(name, shape):
+    # the other env's batches gave rewards, and a (5, 1) or 0-d input a bare IndexError
+    env = make_env(name)
+    with pytest.raises(ValueError, match=re.escape(
+            f"observation has shape {shape}, expected a last axis of width {env.spec.state_dim}")):
+        env.reward_from_observation(np.zeros(shape))
+
+
 @pytest.mark.parametrize("name", ["point_mass", "pendulum"])
 def test_reward_range_probes(name):
     env = make_env(name)

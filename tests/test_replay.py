@@ -173,8 +173,6 @@ def test_sampled_fields_round_trip():
 
 def test_sample_empty_rejected():
     buf = ReplayBuffer(capacity=4, seed=0)
-    with pytest.raises(ValueError, match="empty"):
-        buf.sample_indices(1)
     with pytest.raises(ValueError, match="need at least"):
         buf.sample_nstep(1, n=1, gamma=0.99)
 
@@ -255,7 +253,7 @@ def test_uniform_sampling_frequency():
     for i in range(100):
         buf.push(make_transition(i))
     draws = 1_000_000
-    counts = np.bincount(buf.sample_indices(draws), minlength=100)
+    counts = np.bincount(buf._sample_indices(draws), minlength=100)
     expected = draws / 100
     sigma = np.sqrt(draws * 0.01 * 0.99)
     assert np.all(np.abs(counts - expected) < 5 * sigma)
@@ -387,13 +385,32 @@ def test_push_rejects_a_reward_that_is_no_finite_real_number(reward):
     np.testing.assert_equal((buf._state, buf._reward_env, buf._next), ring)
 
 
+@pytest.mark.parametrize("done", ["False", 0.5, np.float64(1.0), None, 1, np.array(True)],
+                         ids=["str", "float", "float64", "None", "int", "array"])
+def test_push_rejects_a_done_that_is_no_boolean(done):
+    # "False", 0.5 and np.float64(1.0) would each end the episode, None would not
+    buf = ReplayBuffer(capacity=4, seed=0)
+    fill_episodes(buf, [3])
+    ring = buf._state.copy(), buf._episode.copy(), buf._next, buf._episode_now
+    bad = dataclasses.replace(make_transition(7), done=done)
+    with pytest.raises(ValueError, match=re.escape(
+            f"push: done must be True or False, not a value of type {type(done).__name__}")):
+        buf.push(bad)
+    assert len(buf) == 3
+    np.testing.assert_equal((buf._state, buf._episode, buf._next, buf._episode_now), ring)
+    buf.push(dataclasses.replace(bad, done=np.True_))
+    assert buf._episode_now == 2
+
+
 def test_a_rejected_first_push_allocates_no_ring():
-    # every value is checked before the ring is made: the vectors, then the reward
+    # every value is checked before the ring is made: the vectors, the reward, done
     buf = ReplayBuffer(capacity=4, seed=0)
     with pytest.raises(ValueError, match=re.escape("push: next_state must hold real numbers")):
         buf.push(Transition([0.1, 0.2], [1.0], [0.3, True], 0.5, False))
     with pytest.raises(ValueError, match=re.escape("push: reward_env must be a finite real number")):
         buf.push(Transition([0.1, 0.2], [1.0], [0.3, 0.4], "0.5", False))
+    with pytest.raises(ValueError, match=re.escape("push: done must be True or False")):
+        buf.push(Transition([0.1, 0.2], [1.0], [0.3, 0.4], 0.5, "False"))
     assert len(buf) == 0 and buf._shapes is None
     buf.push(Transition([1, 2], [np.float32(0.5)], [3, 4], np.int64(2), False))  # real numbers
     batch = buf.sample_nstep(1, n=1, gamma=0.9)
